@@ -38,8 +38,8 @@ struct LockRank {
   int tier;
 };
 
-/// Reserved for the upcoming server/engine-wide mutex (ROADMAP item 1);
-/// outermost by construction — engine-level locks are taken first.
+/// Reserved for the engine-wide mutex (ROADMAP item 4); outermost by
+/// construction — engine-level locks are taken first.
 inline constexpr LockRank kLockRankEngine = {"engine", 10};
 
 /// PlanCache's keyword->configuration cache (core/identify.h). Held
@@ -49,10 +49,6 @@ inline constexpr LockRank kLockRankCorePlanCache = {"core.plancache", 20};
 /// KeywordSearchEngine's statement-result memo (keyword/engine.h).
 inline constexpr LockRank kLockRankKeywordResultCache =
     {"keyword.resultcache", 30};
-
-/// Reserved for per-table/shard row locks (ROADMAP item 2): sharded
-/// storage acquires the table before its index structures.
-inline constexpr LockRank kLockRankStorageTable = {"storage.table", 40};
 
 /// Table's lazy value-index publication lock (storage/table.h). Held
 /// across the index build, which probes fault points and may submit to
@@ -68,14 +64,6 @@ inline constexpr LockRank kLockRankDurabilityManager =
 /// ThreadPool's queue mutex. Instrumentation sinks run under it, so every
 /// obs rank sits below.
 inline constexpr LockRank kLockRankCommonPool = {"common.pool", 70};
-
-/// TraceBuilder's span list (obs/trace.h).
-inline constexpr LockRank kLockRankObsTraceBuilder = {"obs.tracebuilder", 80};
-
-/// TraceRecorder's trace ring (obs/trace.h); a finished builder's trace
-/// is recorded into it, so the recorder ranks below the builder.
-inline constexpr LockRank kLockRankObsTraceRecorder =
-    {"obs.tracerecorder", 85};
 
 /// EventLog's ring + sink (obs/event.h). Record() probes a fault point
 /// and invokes the sink under this lock.

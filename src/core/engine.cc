@@ -23,7 +23,6 @@
 #include "obs/event.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -84,25 +83,6 @@ const EngineMetrics& Metrics() {
   return m;
 }
 
-/// Synthesizes the Stage-1 span with its three phase children from the
-/// generator's timing breakdown, laid out sequentially from `start_us`
-/// (the phases ran back-to-back inside Generate).
-void AddGenerationSpans(obs::TraceBuilder* tracer, uint32_t parent,
-                        uint64_t start_us, uint64_t wall_us,
-                        const QueryGenerationTiming& timing) {
-  const uint32_t stage = tracer->AddCompleteSpan("stage1_generation", parent,
-                                                 start_us, wall_us);
-  uint64_t offset = start_us;
-  tracer->AddCompleteSpan("map_generation", stage, offset,
-                          timing.map_generation_us);
-  offset += timing.map_generation_us;
-  tracer->AddCompleteSpan("context_adjust", stage, offset,
-                          timing.context_adjust_us);
-  offset += timing.context_adjust_us;
-  tracer->AddCompleteSpan("query_formation", stage, offset,
-                          timing.query_formation_us);
-}
-
 /// Compact verification summary for the wide event ("spam_guarded" when
 /// the footnote-1 guard kept the annotation out of verification).
 std::string VerificationSummary(const AnnotationReport& report) {
@@ -129,7 +109,14 @@ void RecordOperationEvent(obs::EventLog* log, const char* op,
   event.duration_us = duration_us;
   event.store_us = report.timings.store_us;
   event.generation_us = report.timings.generation_us;
+  event.map_generation_us = report.generation_timing.map_generation_us;
+  event.context_adjust_us = report.generation_timing.context_adjust_us;
+  event.query_formation_us = report.generation_timing.query_formation_us;
   event.search_us = report.timings.search_us;
+  event.search_mode = report.mode == SearchMode::kFocalSpreading
+                          ? "focal_spreading"
+                          : "full_database";
+  event.mini_db_us = report.mini_db_us;
   event.verification_us = report.timings.verification_us;
   obs::FillEventFromContext(&event, context);
   // Discovery-only operations never ran Stage 3; leave the outcome out.
@@ -189,7 +176,6 @@ NebulaEngine::NebulaEngine(Catalog* catalog, AnnotationStore* store,
       search_engine_(catalog, meta, config.search),
       plan_cache_(meta),
       verification_(store, &acg_, config.bounds),
-      trace_recorder_(config.trace_capacity),
       event_log_({config.event_capacity, config.event_sample_rate,
                   config.slow_query_us, config.event_seed}) {}
 
@@ -276,14 +262,9 @@ std::string NebulaEngine::DumpMetrics(obs::ExportFormat format) {
              : obs::ExportJson(obs::MetricsRegistry::Global());
 }
 
-std::string NebulaEngine::DumpTraces() const {
-  return obs::TracesToJson(trace_recorder_);
-}
-
 Result<AnnotationReport> NebulaEngine::DiscoverWithQueries(
     AnnotationId annotation, const std::vector<TupleId>& focal,
-    QueryGenerationResult generated, obs::TraceBuilder* tracer,
-    uint32_t parent_span) {
+    QueryGenerationResult generated) {
   AnnotationReport report;
   report.annotation = annotation;
   report.queries = std::move(generated.queries);
@@ -300,22 +281,16 @@ Result<AnnotationReport> NebulaEngine::DiscoverWithQueries(
     identify_params.use_plan_cache = false;
   }
   TupleIdentifier identifier(&search_engine_, &acg_, identify_params, pool(),
-                             tracer, parent_span, &plan_cache_);
+                             &plan_cache_);
   FocalSpreading spreading(&acg_, config_.spreading);
 
   Stopwatch watch;
   MiniDb mini;
   const MiniDb* mini_ptr = nullptr;
-  const bool spread =
-      config_.enable_focal_spreading && spreading.ShouldApproximate(focal);
-  if (tracer != nullptr) {
-    tracer->AddCompleteSpan("spreading_decision", parent_span,
-                            tracer->ElapsedMicros(), 0,
-                            spread ? "focal_spreading" : "full_database");
-  }
-  if (spread) {
-    obs::ScopedSpan mini_span(tracer, "build_mini_db", parent_span);
+  if (config_.enable_focal_spreading && spreading.ShouldApproximate(focal)) {
+    Stopwatch mini_watch;
     mini = spreading.BuildMiniDb(focal);
+    report.mini_db_us = mini_watch.ElapsedMicros();
     mini_ptr = &mini;
     report.mode = SearchMode::kFocalSpreading;
     report.mini_db_size = mini.size();
@@ -380,8 +355,7 @@ Result<AnnotationReport> NebulaEngine::Discover(
 
 Result<AnnotationId> NebulaEngine::StoreWithFocal(
     const std::string& text, const std::vector<TupleId>& focal,
-    const std::string& author, obs::TraceBuilder* tracer,
-    uint32_t parent_span) {
+    const std::string& author) {
   // Stage 0: store the annotation and its focal (True) attachments.
   if (durability_ != nullptr) {
     // Journal-before-apply. Pre-validate the only way the apply below
@@ -418,7 +392,6 @@ Result<AnnotationId> NebulaEngine::StoreWithFocal(
     NEBULA_RETURN_NOT_OK(JournalUnit(&unit));
     const AnnotationId stored = store_->AddAnnotation(text, author);
     (void)stored;  // == id: AddAnnotation assigns sequential ids
-    obs::ScopedSpan acg_span(tracer, "acg_update", parent_span);
     for (size_t i = 0; i < focal.size(); ++i) {
       NEBULA_RETURN_NOT_OK(
           store_->Attach(id, focal[i], AttachmentType::kTrue));
@@ -429,7 +402,6 @@ Result<AnnotationId> NebulaEngine::StoreWithFocal(
     return id;
   }
   const AnnotationId id = store_->AddAnnotation(text, author);
-  obs::ScopedSpan acg_span(tracer, "acg_update", parent_span);
   for (size_t i = 0; i < focal.size(); ++i) {
     NEBULA_RETURN_NOT_OK(store_->Attach(id, focal[i], AttachmentType::kTrue));
     // The focal attachments themselves also enter the ACG incrementally.
@@ -439,14 +411,11 @@ Result<AnnotationId> NebulaEngine::StoreWithFocal(
   return id;
 }
 
-Status NebulaEngine::SubmitCandidates(AnnotationReport* report,
-                                      obs::TraceBuilder* tracer,
-                                      uint32_t parent_span) {
+Status NebulaEngine::SubmitCandidates(AnnotationReport* report) {
   // Footnote-1 spam guard: an annotation whose prediction covers an
   // excessive share of the database must not flood the verification
   // queue.
   if (config_.enable_spam_guard) {
-    obs::ScopedSpan spam_span(tracer, "spam_guard", parent_span);
     report->spam = DetectSpam(report->candidates, catalog_->TotalRows(),
                               config_.spam_guard);
     if (report->spam.spam_suspected) {
@@ -465,7 +434,6 @@ Status NebulaEngine::SubmitCandidates(AnnotationReport* report,
 
   // Stage 3: submit the candidates for verification; auto-accepts apply
   // their side effects (True attachment, ACG update, profile update).
-  obs::ScopedSpan submit_span(tracer, "verification_submit", parent_span);
   verification_.set_bounds(config_.bounds);
   if (durability_ == nullptr) {
     report->verification = verification_.Submit(report->annotation,
@@ -510,13 +478,6 @@ Status NebulaEngine::SubmitCandidates(AnnotationReport* report,
 Result<AnnotationReport> NebulaEngine::InsertOne(
     const std::string& text, const std::vector<TupleId>& focal,
     const std::string& author, QueryGenerationResult* pregenerated) {
-  // One span tree per inserted annotation. The builder is cheap but not
-  // free; when observability is compiled out no spans are recorded and
-  // the recorder stays empty.
-  obs::TraceBuilder builder;
-  obs::TraceBuilder* tracer = obs::kEnabled ? &builder : nullptr;
-  const uint32_t root =
-      tracer != nullptr ? tracer->BeginSpan("insert_annotation") : 0;
   // Attribution context for the wide event: every cache probe, SQL
   // execution, and pooled subtask below charges its counters here.
   std::optional<obs::ScopedEventContext> event_scope;
@@ -526,19 +487,13 @@ Result<AnnotationReport> NebulaEngine::InsertOne(
   Stopwatch stage;
 
   // Stage 0.
-  Result<AnnotationId> id_result = [&] {
-    obs::ScopedSpan span(tracer, "stage0_store", root);
-    return StoreWithFocal(text, focal, author, tracer, span.id());
-  }();
-  NEBULA_RETURN_NOT_OK(id_result.status());
-  const AnnotationId id = *id_result;
+  NEBULA_ASSIGN_OR_RETURN(const AnnotationId id,
+                          StoreWithFocal(text, focal, author));
   timings.store_us = stage.ElapsedMicros();
 
-  // Stage 1 (already ran on a pool worker under batch ingest; the span is
-  // then synthesized from the generator's own phase timings).
+  // Stage 1 (already ran on a pool worker under batch ingest; its time is
+  // then the generator's own phase total).
   stage.Restart();
-  const uint64_t stage1_start =
-      tracer != nullptr ? tracer->ElapsedMicros() : 0;
   QueryGenerationResult generated;
   if (pregenerated != nullptr) {
     generated = std::move(*pregenerated);
@@ -548,28 +503,17 @@ Result<AnnotationReport> NebulaEngine::InsertOne(
     generated = generator.Generate(text);
     timings.generation_us = stage.ElapsedMicros();
   }
-  if (tracer != nullptr) {
-    AddGenerationSpans(tracer, root, stage1_start, timings.generation_us,
-                       generated.timing);
-  }
 
   // Stage 2.
-  Result<AnnotationReport> report_result = [&] {
-    obs::ScopedSpan span(tracer, "stage2_execution", root);
-    return DiscoverWithQueries(id, focal, std::move(generated), tracer,
-                               span.id());
-  }();
-  NEBULA_RETURN_NOT_OK(report_result.status());
-  AnnotationReport report = std::move(*report_result);
+  NEBULA_ASSIGN_OR_RETURN(
+      AnnotationReport report,
+      DiscoverWithQueries(id, focal, std::move(generated)));
   report.timings.store_us = timings.store_us;
   report.timings.generation_us = timings.generation_us;
 
   // Spam guard + Stage 3.
   stage.Restart();
-  {
-    obs::ScopedSpan span(tracer, "stage3_verification", root);
-    NEBULA_RETURN_NOT_OK(SubmitCandidates(&report, tracer, span.id()));
-  }
+  NEBULA_RETURN_NOT_OK(SubmitCandidates(&report));
   report.timings.verification_us = stage.ElapsedMicros();
 
   if constexpr (obs::kEnabled) {
@@ -578,8 +522,6 @@ Result<AnnotationReport> NebulaEngine::InsertOne(
     m.stage_store->Observe(report.timings.store_us);
     m.stage_generation->Observe(report.timings.generation_us);
     m.stage_verification->Observe(report.timings.verification_us);
-    builder.EndSpan(root);
-    trace_recorder_.Record(builder.Finish(id));
     RecordOperationEvent(&event_log_, "insert", event_scope->op_id(),
                          *event_scope->context(), report,
                          report.timings.total_us(), /*verified=*/true);

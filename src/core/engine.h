@@ -24,7 +24,6 @@
 #include "meta/nebula_meta.h"
 #include "obs/event.h"
 #include "obs/export.h"
-#include "obs/trace.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
 
@@ -63,11 +62,8 @@ struct NebulaConfig {
   /// stay identical to the sequential path (see DESIGN.md "Concurrency
   /// model").
   size_t num_threads = 0;
-  /// Ring-buffer capacity of the engine's TraceRecorder: how many of the
-  /// most recent per-annotation span trees DumpTraces() can return.
-  size_t trace_capacity = 128;
-  /// Wide-event log (one JSON-lines record per insert / search /
-  /// shared-group execution; DESIGN.md §7). `event_capacity` bounds the
+  /// Wide-event log (one JSON-lines record per insert and per search;
+  /// DESIGN.md §7). `event_capacity` bounds the
   /// in-memory ring (0 keeps no lines); `event_sample_rate` is the
   /// probability a record is kept (drawn from a seeded Rng, so runs
   /// replay identically); operations lasting at least `slow_query_us`
@@ -117,6 +113,7 @@ struct AnnotationReport {
   std::vector<CandidateTuple> candidates;
   SearchMode mode = SearchMode::kFullDatabase;
   size_t mini_db_size = 0;  ///< 0 under full-database search
+  uint64_t mini_db_us = 0;  ///< BuildMiniDb wall time; 0 under full search
   SubmitOutcome verification;
   /// Footnote-1 guard verdict; when spam is suspected, no verification
   /// tasks were created for this annotation.
@@ -202,13 +199,6 @@ class NebulaEngine {
   static std::string DumpMetrics(
       obs::ExportFormat format = obs::ExportFormat::kPrometheus);
 
-  /// Serializes this engine's recent per-annotation span trees as JSON
-  /// (bounded by config().trace_capacity; oldest evicted first).
-  std::string DumpTraces() const;
-
-  obs::TraceRecorder& trace_recorder() { return trace_recorder_; }
-  const obs::TraceRecorder& trace_recorder() const { return trace_recorder_; }
-
   /// This engine's wide-event log (bounded by config().event_capacity;
   /// see DESIGN.md §7 for the record schema).
   obs::EventLog& event_log() { return event_log_; }
@@ -219,31 +209,24 @@ class NebulaEngine {
 
  private:
   /// Stage 0: stores the annotation and its focal (True) attachments.
-  /// When traced, records an "acg_update" span under `parent_span`.
   [[nodiscard]] Result<AnnotationId> StoreWithFocal(const std::string& text,
                                       const std::vector<TupleId>& focal,
-                                      const std::string& author,
-                                      obs::TraceBuilder* tracer = nullptr,
-                                      uint32_t parent_span = 0);
-  /// Stage 2 for an already-generated query group. When traced, the
-  /// spreading decision, mini-db build, and per-statement executions are
-  /// recorded as children of `parent_span`.
+                                      const std::string& author);
+  /// Stage 2 for an already-generated query group.
   [[nodiscard]] Result<AnnotationReport> DiscoverWithQueries(
       AnnotationId annotation, const std::vector<TupleId>& focal,
-      QueryGenerationResult generated, obs::TraceBuilder* tracer = nullptr,
-      uint32_t parent_span = 0);
+      QueryGenerationResult generated);
   /// Spam guard + Stage 3 on a discovery report. Under durability the
   /// stage-3 commit unit (possibly empty, when spam-guarded) is journaled
   /// before the tasks are applied; a journaling failure surfaces here and
   /// leaves stage 3 unapplied.
-  [[nodiscard]] Status SubmitCandidates(AnnotationReport* report,
-                                        obs::TraceBuilder* tracer = nullptr,
-                                        uint32_t parent_span = 0);
+  [[nodiscard]] Status SubmitCandidates(AnnotationReport* report);
   /// Journals `unit` through the durability manager, preceded by a meta
   /// blob unit whenever the metadata version changed since the last
   /// journaled one.
   [[nodiscard]] Status JournalUnit(durability::CommitUnit* unit);
-  /// The full stage 0-3 pipeline for one annotation, traced and metered;
+  /// The full stage 0-3 pipeline for one annotation, metered and recorded
+  /// as one wide event;
   /// `pregenerated`, when given, short-circuits Stage 1 (batch ingest).
   [[nodiscard]] Result<AnnotationReport> InsertOne(const std::string& text,
                                      const std::vector<TupleId>& focal,
@@ -258,7 +241,6 @@ class NebulaEngine {
   KeywordSearchEngine search_engine_;
   PlanCache plan_cache_;
   VerificationManager verification_;
-  obs::TraceRecorder trace_recorder_;
   obs::EventLog event_log_;
   std::unique_ptr<durability::Manager> durability_;
   durability::RecoveryInfo recovery_info_;

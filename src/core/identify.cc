@@ -9,7 +9,6 @@
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/sync.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
@@ -136,15 +135,8 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
     plans = plan_cache_->GetOrCompileGroup(*engine_, queries);
   }
   std::vector<std::vector<SearchHit>> per_query;
-  // Records one "query" span for an isolated-path query execution.
-  auto trace_query = [this](const KeywordQuery& q, uint64_t start_us,
-                            uint64_t duration_us) {
-    if (tracer_ == nullptr) return;
-    tracer_->AddCompleteSpan("query", trace_parent_, start_us, duration_us,
-                             q.label.empty() ? q.ToString() : q.label);
-  };
   if (params_.shared_execution) {
-    SharedKeywordExecutor shared(engine_, pool_, tracer_, trace_parent_);
+    SharedKeywordExecutor shared(engine_, pool_);
     NEBULA_RETURN_NOT_OK(shared.ExecuteGroup(queries, &per_query, mini_db,
                                              use_plans ? &plans : nullptr));
   } else if (pool_ != nullptr && queries.size() > 1) {
@@ -159,16 +151,12 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
     outcomes.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const KeywordQuery& q = queries[qi];
-      outcomes.push_back(pool_->Submit(
-          [this, &q, qi, mini_db, &trace_query, use_plans, &plans] {
+      outcomes.push_back(
+          pool_->Submit([this, &q, qi, mini_db, use_plans, &plans] {
             QueryOutcome out;
-            const uint64_t start_us =
-                tracer_ != nullptr ? tracer_->ElapsedMicros() : 0;
-            Stopwatch watch;
             out.hits = use_plans
                            ? engine_->SearchPlan(plans[qi], mini_db, &out.stats)
                            : engine_->Search(q, mini_db, &out.stats);
-            trace_query(q, start_us, watch.ElapsedMicros());
             return out;
           }));
     }
@@ -188,20 +176,15 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
   } else {
     per_query.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const KeywordQuery& q = queries[qi];
-      const uint64_t start_us =
-          tracer_ != nullptr ? tracer_->ElapsedMicros() : 0;
-      Stopwatch watch;
       Result<std::vector<SearchHit>> hits = std::vector<SearchHit>{};
       if (use_plans) {
         ExecStats one;
         hits = engine_->SearchPlan(plans[qi], mini_db, &one);
         engine_->AccumulateStats(one);
       } else {
-        hits = engine_->Search(q, mini_db);
+        hits = engine_->Search(queries[qi], mini_db);
       }
       NEBULA_RETURN_NOT_OK(hits.status());
-      trace_query(q, start_us, watch.ElapsedMicros());
       per_query.push_back(std::move(hits).value());
     }
   }

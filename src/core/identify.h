@@ -15,7 +15,6 @@
 #include "keyword/query_types.h"
 #include "keyword/shared_executor.h"
 #include "meta/nebula_meta.h"
-#include "obs/trace.h"
 #include "storage/schema.h"
 
 namespace nebula {
@@ -115,20 +114,15 @@ class TupleIdentifier {
   /// whole queries on it. Candidates (order and confidences) and engine
   /// ExecStats totals are identical to the sequential path.
   ///
-  /// `tracer`, when given, records the per-statement ("sql") or per-query
-  /// ("query") execution spans as children of `trace_parent`.
   /// `plan_cache`, when given, serves the group's compiled plans (subject
   /// to params.use_plan_cache); results are identical to recompiling.
   TupleIdentifier(KeywordSearchEngine* engine, const Acg* acg,
                   IdentifyParams params = {}, ThreadPool* pool = nullptr,
-                  obs::TraceBuilder* tracer = nullptr,
-                  uint32_t trace_parent = 0, PlanCache* plan_cache = nullptr)
+                  PlanCache* plan_cache = nullptr)
       : engine_(engine),
         acg_(acg),
         params_(params),
         pool_(pool),
-        tracer_(tracer),
-        trace_parent_(trace_parent),
         plan_cache_(plan_cache) {}
 
   /// Runs the algorithm. `focal` is Foc(a); `mini_db`, when given,
@@ -146,8 +140,6 @@ class TupleIdentifier {
   const Acg* acg_;
   IdentifyParams params_;
   ThreadPool* pool_;
-  obs::TraceBuilder* tracer_;
-  uint32_t trace_parent_;
   PlanCache* plan_cache_;
 };
 

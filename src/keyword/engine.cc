@@ -439,8 +439,8 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
           ctx->result_cache_hits.fetch_add(1, std::memory_order_relaxed);
           ctx->rows_examined.fetch_add(it->second.stats.rows_examined,
                                        std::memory_order_relaxed);
-          ctx->value_index_lookups.fetch_add(it->second.stats.index_lookups,
-                                             std::memory_order_relaxed);
+          ctx->index_lookups.fetch_add(it->second.stats.index_lookups,
+                                       std::memory_order_relaxed);
         }
       }
       return ScaleHits(it->second.unit_hits, sql.confidence);
@@ -475,8 +475,8 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
       ctx->sql_executed.fetch_add(1, std::memory_order_relaxed);
       ctx->rows_examined.fetch_add(exec.rows_examined,
                                    std::memory_order_relaxed);
-      ctx->value_index_lookups.fetch_add(exec.index_lookups,
-                                         std::memory_order_relaxed);
+      ctx->index_lookups.fetch_add(exec.index_lookups,
+                                   std::memory_order_relaxed);
     }
     const IndexPathStats& paths = executor.path_stats();
     const KeywordEngineMetrics& m = Metrics();

@@ -24,7 +24,6 @@ namespace {
 /// its row set.
 struct PlannedSql {
   GeneratedSql sql;
-  std::string key;  ///< canonical form (metrics label / span detail)
   // (query index, confidence under that query's plan).
   std::vector<std::pair<size_t, double>> consumers;
 };
@@ -83,7 +82,6 @@ Status SharedKeywordExecutor::ExecuteGroup(
     const std::vector<KeywordQuery>& queries,
     std::vector<std::vector<SearchHit>>* results, const MiniDb* mini_db,
     const std::vector<std::vector<GeneratedSql>>* plans) {
-  Stopwatch group_watch;
   results->clear();
   results->resize(queries.size());
   stats_.Reset();
@@ -106,11 +104,10 @@ Status SharedKeywordExecutor::ExecuteGroup(
       std::string key = sql.CanonicalKey();
       auto it = index_by_key.find(key);
       if (it == index_by_key.end()) {
-        index_by_key.emplace(key, plan.size());
+        index_by_key.emplace(std::move(key), plan.size());
         PlannedSql planned;
         planned.consumers.push_back({qi, sql.confidence});
         planned.sql = std::move(sql);
-        planned.key = std::move(key);
         plan.push_back(std::move(planned));
       } else {
         plan[it->second].consumers.push_back({qi, sql.confidence});
@@ -137,8 +134,7 @@ Status SharedKeywordExecutor::ExecuteGroup(
   }
 
   // Runs one planned statement (on the caller's thread or a pool
-  // worker), timing it for the duration histogram and, when a tracer is
-  // attached, recording a "sql" span under trace_parent_.
+  // worker), timing it for the duration histogram.
   auto run_planned = [this, mini_db](const PlannedSql& planned,
                                      ExecStats* stats)
       -> Result<std::vector<SearchHit>> {
@@ -148,18 +144,11 @@ Status SharedKeywordExecutor::ExecuteGroup(
     // Execute with confidence 1; scale per consumer on distribution.
     GeneratedSql unit = planned.sql;
     unit.confidence = 1.0;
-    const uint64_t span_start =
-        tracer_ != nullptr ? tracer_->ElapsedMicros() : 0;
     Stopwatch watch;
     Result<std::vector<SearchHit>> hits =
         engine_->ExecuteSql(unit, mini_db, stats);
-    const uint64_t elapsed = watch.ElapsedMicros();
     if constexpr (obs::kEnabled) {
-      Metrics().sql_duration_us->Observe(elapsed);
-      if (tracer_ != nullptr) {
-        tracer_->AddCompleteSpan("sql", trace_parent_, span_start, elapsed,
-                                 planned.key);
-      }
+      Metrics().sql_duration_us->Observe(watch.ElapsedMicros());
     }
     return hits;
   };
@@ -215,28 +204,11 @@ Status SharedKeywordExecutor::ExecuteGroup(
 
   if constexpr (obs::kEnabled) {
     Metrics().rows_examined->Increment(stats_.exec.rows_examined);
+    // The distinct-statement executions already charged the calling
+    // operation's context through ExecuteSql; only sharing is counted here.
     if (obs::EventContext* ctx = obs::CurrentEventContext()) {
       ctx->sql_shared.fetch_add(stats_.total_sql - stats_.distinct_sql,
                                 std::memory_order_relaxed);
-      // One child wide event per shared-group execution, linked to the
-      // enclosing insert/search via parent_op. The distinct-statement
-      // executions themselves already flowed into the parent's context
-      // through ExecuteSql.
-      if (ctx->log != nullptr) {
-        obs::WideEvent event;
-        event.op = "shared_exec";
-        event.op_id = ctx->log->NextOpId();
-        event.parent_op = ctx->op_id;
-        event.thread = obs::CurrentThreadId();
-        event.duration_us = group_watch.ElapsedMicros();
-        event.sql_executed = stats_.distinct_sql;
-        event.sql_shared = stats_.total_sql - stats_.distinct_sql;
-        event.rows_examined = stats_.exec.rows_examined;
-        event.value_index_lookups = stats_.exec.index_lookups;
-        const uint64_t slow_us = ctx->log->options().slow_us;
-        event.slow = slow_us != 0 && event.duration_us >= slow_us;
-        ctx->log->Record(event);
-      }
     }
   }
 

@@ -8,7 +8,6 @@
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
-#include "obs/trace.h"
 #include "storage/query.h"
 
 namespace nebula {
@@ -52,19 +51,13 @@ struct SharedExecutionStats {
 /// order after the join (see DESIGN.md "Concurrency model").
 ///
 /// Observability: every group feeds the nebula_shared_exec_* counters and
-/// the nebula_sql_duration_us histogram; with a TraceBuilder attached,
-/// each distinct statement's execution becomes a "sql" span (child of
-/// `trace_parent`) carrying the canonical statement and worker thread id.
+/// the nebula_sql_duration_us histogram, and charges its shared-statement
+/// count to the calling operation's wide event.
 class SharedKeywordExecutor {
  public:
   explicit SharedKeywordExecutor(KeywordSearchEngine* engine,
-                                 ThreadPool* pool = nullptr,
-                                 obs::TraceBuilder* tracer = nullptr,
-                                 uint32_t trace_parent = 0)
-      : engine_(engine),
-        pool_(pool),
-        tracer_(tracer),
-        trace_parent_(trace_parent) {}
+                                 ThreadPool* pool = nullptr)
+      : engine_(engine), pool_(pool) {}
 
   /// Executes all queries; `results[i]` are the merged hits of queries[i]
   /// (identical to what engine->Search(queries[i]) would return).
@@ -85,8 +78,6 @@ class SharedKeywordExecutor {
  private:
   KeywordSearchEngine* engine_;
   ThreadPool* pool_;
-  obs::TraceBuilder* tracer_;
-  uint32_t trace_parent_;
   SharedExecutionStats stats_;
 };
 

@@ -81,23 +81,23 @@ std::string WideEventToJson(const WideEvent& event) {
   bool first = true;
   AppendField(&out, "op", event.op, &first);
   AppendField(&out, "op_id", event.op_id, &first);
-  if (event.parent_op != 0) {
-    AppendField(&out, "parent_op", event.parent_op, &first);
-  }
-  if (event.annotation != 0) {
-    AppendField(&out, "annotation", event.annotation, &first);
-  }
+  AppendField(&out, "annotation", event.annotation, &first);
   AppendField(&out, "thread", static_cast<uint64_t>(event.thread), &first);
   AppendField(&out, "duration_us", event.duration_us, &first);
   AppendField(&out, "store_us", event.store_us, &first);
   AppendField(&out, "generation_us", event.generation_us, &first);
+  AppendField(&out, "map_generation_us", event.map_generation_us, &first);
+  AppendField(&out, "context_adjust_us", event.context_adjust_us, &first);
+  AppendField(&out, "query_formation_us", event.query_formation_us, &first);
   AppendField(&out, "search_us", event.search_us, &first);
+  AppendField(&out, "search_mode", event.search_mode, &first);
+  AppendField(&out, "mini_db_us", event.mini_db_us, &first);
   AppendField(&out, "verification_us", event.verification_us, &first);
   AppendField(&out, "plan_cache_hits", event.plan_cache_hits, &first);
   AppendField(&out, "plan_cache_misses", event.plan_cache_misses, &first);
   AppendField(&out, "result_cache_hits", event.result_cache_hits, &first);
   AppendField(&out, "result_cache_misses", event.result_cache_misses, &first);
-  AppendField(&out, "value_index_lookups", event.value_index_lookups, &first);
+  AppendField(&out, "index_lookups", event.index_lookups, &first);
   AppendField(&out, "rows_examined", event.rows_examined, &first);
   AppendField(&out, "sql_executed", event.sql_executed, &first);
   AppendField(&out, "sql_shared", event.sql_shared, &first);
@@ -121,15 +121,13 @@ void FillEventFromContext(WideEvent* event, const EventContext& context) {
       context.result_cache_hits.load(std::memory_order_relaxed);
   event->result_cache_misses =
       context.result_cache_misses.load(std::memory_order_relaxed);
-  event->value_index_lookups =
-      context.value_index_lookups.load(std::memory_order_relaxed);
+  event->index_lookups = context.index_lookups.load(std::memory_order_relaxed);
   event->rows_examined = context.rows_examined.load(std::memory_order_relaxed);
   event->sql_executed = context.sql_executed.load(std::memory_order_relaxed);
   event->sql_shared = context.sql_shared.load(std::memory_order_relaxed);
 }
 
 ScopedEventContext::ScopedEventContext(EventLog* log) {
-  context_.log = log;
   if (log != nullptr) context_.op_id = log->NextOpId();
   previous_ = t_current_context;
   t_current_context = &context_;

@@ -16,33 +16,37 @@
 namespace nebula {
 namespace obs {
 
-/// Wide events: one structured record per engine operation.
+/// Wide events: the engine's one record per operation.
 ///
 /// Where the metrics layer answers "how is the system doing in
-/// aggregate" and the trace ring answers "what did this one insert do
-/// internally", the wide-event log ties a *single* operation — an
-/// annotation insert, a search, or one shared-group execution — to
-/// everything that happened on its behalf: stage durations, the
-/// plan-cache / result-cache / value-index path it took, rows examined,
-/// the verification outcome, and the thread that ran it. Records are
-/// JSON lines, so the log can be shipped, grepped, and mined later to
+/// aggregate", the wide-event log ties a *single* operation — an
+/// annotation insert or a search — to everything that happened on its
+/// behalf: stage and Stage-1 phase durations, the search mode, the
+/// plan-cache / result-cache / index path it took, rows examined, the
+/// verification outcome, and the thread that ran it. Records are JSON
+/// lines, so the log can be shipped, grepped, and mined later to
 /// re-weight configurations (see DESIGN.md §7).
 
 /// One record. Counter fields are totals attributed to the operation,
 /// including work done by pooled subtasks (the ThreadPool propagates the
 /// submitting operation's EventContext to its workers).
 struct WideEvent {
-  std::string op;          ///< "insert" | "search" | "shared_exec"
-  uint64_t op_id = 0;      ///< unique within one EventLog, 1-based
-  uint64_t parent_op = 0;  ///< enclosing operation's op_id; 0 = top level
-  uint64_t annotation = 0; ///< inserts: the annotation id; 0 elsewhere
-  uint32_t thread = 0;     ///< obs::CurrentThreadId of the recording thread
+  std::string op;           ///< "insert" | "search"
+  uint64_t op_id = 0;       ///< unique within one EventLog, 1-based
+  uint64_t annotation = 0;  ///< the annotation inserted or searched for
+  uint32_t thread = 0;      ///< obs::CurrentThreadId of the recording thread
   uint64_t duration_us = 0;
 
-  // Per-stage durations (inserts; zero for other ops).
+  // Per-stage durations (a search fills generation and search only).
   uint64_t store_us = 0;
   uint64_t generation_us = 0;
+  // Stage-1 phases; they sum to at most generation_us.
+  uint64_t map_generation_us = 0;
+  uint64_t context_adjust_us = 0;
+  uint64_t query_formation_us = 0;
   uint64_t search_us = 0;
+  std::string search_mode;  ///< "full_database" | "focal_spreading"
+  uint64_t mini_db_us = 0;  ///< focal spreading's BuildMiniDb; else 0
   uint64_t verification_us = 0;
 
   // Cache / index path.
@@ -50,7 +54,7 @@ struct WideEvent {
   uint64_t plan_cache_misses = 0;
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_misses = 0;
-  uint64_t value_index_lookups = 0;
+  uint64_t index_lookups = 0;  ///< hash/text-index driver probes
   uint64_t rows_examined = 0;
   uint64_t sql_executed = 0;  ///< distinct statements actually executed
   uint64_t sql_shared = 0;    ///< statements deduplicated by sharing
@@ -73,12 +77,11 @@ std::string WideEventToJson(const WideEvent& event);
 /// because pooled subtasks share the parent's context concurrently.
 struct EventContext {
   uint64_t op_id = 0;
-  class EventLog* log = nullptr;  ///< for child events (shared_exec)
   std::atomic<uint64_t> plan_cache_hits{0};
   std::atomic<uint64_t> plan_cache_misses{0};
   std::atomic<uint64_t> result_cache_hits{0};
   std::atomic<uint64_t> result_cache_misses{0};
-  std::atomic<uint64_t> value_index_lookups{0};
+  std::atomic<uint64_t> index_lookups{0};
   std::atomic<uint64_t> rows_examined{0};
   std::atomic<uint64_t> sql_executed{0};
   std::atomic<uint64_t> sql_shared{0};
@@ -91,6 +94,8 @@ EventContext* CurrentEventContext();
 
 /// Copies the context's counters into the matching event fields.
 void FillEventFromContext(WideEvent* event, const EventContext& context);
+
+class EventLog;
 
 /// Installs a fresh context (with a newly assigned op_id when `log` is
 /// non-null) as the calling thread's current context; restores the

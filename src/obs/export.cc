@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace nebula {
 namespace obs {
@@ -256,47 +255,6 @@ std::string ExportJson(const MetricsRegistry& registry) {
   }
   out += "]}";
   return out;
-}
-
-std::string TracesToJson(const std::vector<Trace>& traces, uint64_t dropped) {
-  std::string out = "{\"dropped\":";
-  AppendU64(&out, dropped);
-  out += ",\"traces\":[";
-  bool first_trace = true;
-  for (const auto& trace : traces) {
-    if (!first_trace) out += ',';
-    first_trace = false;
-    out += "{\"annotation\":";
-    AppendU64(&out, trace.annotation);
-    out += ",\"spans\":[";
-    bool first_span = true;
-    for (const auto& span : trace.spans) {
-      if (!first_span) out += ',';
-      first_span = false;
-      out += "{\"id\":";
-      AppendU64(&out, span.id);
-      out += ",\"parent\":";
-      AppendU64(&out, span.parent);
-      out += ",\"name\":\"" + JsonEscape(span.name) + "\"";
-      if (!span.detail.empty()) {
-        out += ",\"detail\":\"" + JsonEscape(span.detail) + "\"";
-      }
-      out += ",\"start_us\":";
-      AppendU64(&out, span.start_us);
-      out += ",\"duration_us\":";
-      AppendU64(&out, span.duration_us);
-      out += ",\"thread\":";
-      AppendU64(&out, span.thread_id);
-      out += '}';
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string TracesToJson(const TraceRecorder& recorder) {
-  return TracesToJson(recorder.Snapshot(), recorder.dropped());
 }
 
 }  // namespace obs

@@ -2,10 +2,8 @@
 #define NEBULA_OBS_EXPORT_H_
 
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace nebula {
 namespace obs {
@@ -23,12 +21,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry);
 /// Histogram samples carry non-cumulative per-bucket counts with their
 /// upper bounds (the last bucket's bound is null = +Inf).
 std::string ExportJson(const MetricsRegistry& registry);
-
-/// Serializes traces as {"dropped":N,"traces":[{"annotation":...,
-/// "spans":[{"id":...,"parent":...,"name":...,...}]}]}, oldest first.
-std::string TracesToJson(const TraceRecorder& recorder);
-std::string TracesToJson(const std::vector<Trace>& traces,
-                         uint64_t dropped = 0);
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 std::string JsonEscape(const std::string& s);

@@ -27,7 +27,7 @@ namespace obs {
 inline constexpr bool kEnabled = NEBULA_OBS_ENABLED != 0;
 
 /// Small dense per-process thread ordinal (1, 2, 3, ...) — readable in log
-/// lines and trace spans, unlike std::thread::id.
+/// lines and wide events, unlike std::thread::id.
 uint32_t CurrentThreadId();
 
 /// A monotonically increasing event count. All operations use relaxed

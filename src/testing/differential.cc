@@ -18,6 +18,7 @@
 #include "core/identify.h"
 #include "core/verification.h"
 #include "keyword/query_types.h"
+#include "storage/query.h"
 #include "storage/schema.h"
 #include "testing/check_workload.h"
 
@@ -222,7 +223,6 @@ NebulaConfig DifferentialRunner::BaseConfig(uint64_t seed) const {
   config.identify.shared_execution = ((seed >> 2) & 1) != 0;
   config.spreading.fixed_k = 1 + static_cast<size_t>(seed % 3);
   // Quiet by default; the kObs pair turns the runtime surface on.
-  config.trace_capacity = 0;
   config.event_capacity = 0;
   return config;
 }
@@ -258,7 +258,6 @@ Result<RunOutcome> DifferentialRunner::Run(const CheckWorkload& workload,
     NEBULA_ASSIGN_OR_RETURN(reports, engine.InsertAnnotations(requests));
     if (exercise_obs) {
       (void)NebulaEngine::DumpMetrics();
-      (void)engine.DumpTraces();
       (void)engine.DumpEvents();
     }
   } else {
@@ -272,7 +271,6 @@ Result<RunOutcome> DifferentialRunner::Run(const CheckWorkload& workload,
       // rest of it.
       if (exercise_obs && (i & 1) != 0) {
         (void)NebulaEngine::DumpMetrics();
-        (void)engine.DumpTraces();
         (void)engine.DumpEvents();
       }
     }
@@ -289,6 +287,15 @@ Result<RunOutcome> DifferentialRunner::Run(const CheckWorkload& workload,
     out.candidates.push_back(std::move(tuples));
   }
   AppendStateLines(universe->store, engine, &out.lines);
+  // The engine's ExecStats totals, which the index pair promises
+  // bit-identical. Not in AppendStateLines: the crash harness shares it,
+  // and its recovered engine never ran the pre-crash statements.
+  const ExecStats& stats = engine.search_engine().stats();
+  out.lines.push_back(StrFormat(
+      "stats rows=%llu lookups=%llu matches=%llu",
+      static_cast<unsigned long long>(stats.rows_examined),
+      static_cast<unsigned long long>(stats.index_lookups),
+      static_cast<unsigned long long>(stats.matches)));
   return out;
 }
 
@@ -310,7 +317,6 @@ Result<Divergence> DifferentialRunner::RunPair(
       batch_b = true;
       break;
     case ConfigPair::kObs:
-      config_b.trace_capacity = 64;
       // Wide-event logging with sampling and the slow-query override both
       // in play: the sampling draw, the JSON rendering, and the counting
       // sink must all be invisible to engine results.

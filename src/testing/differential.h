@@ -25,8 +25,9 @@ enum class ConfigPair {
   /// One InsertAnnotation call per annotation vs a single
   /// InsertAnnotations batch, both pooled. Exact equivalence.
   kBatch,
-  /// Observability quiet (trace_capacity=0, no dumps) vs exercised
-  /// (tracing on, DumpMetrics/DumpTraces called mid-run). Observation
+  /// Observability quiet (event_capacity=0, no dumps) vs exercised (a
+  /// sampled event log with a counting sink, DumpMetrics/DumpEvents
+  /// called mid-run). Observation
   /// must never perturb results: exact equivalence. NEBULA_OBS is a
   /// compile-time switch, so a single binary can only vary the runtime
   /// surface; CI completes the argument by comparing canonical digests
@@ -92,7 +93,8 @@ struct DiffOptions {
 
 /// Canonical outcome of one engine run over one workload: a list of
 /// stable text records (per-annotation report + final store/verification/
-/// ACG state) that two equivalent runs must reproduce byte for byte.
+/// ACG state + the keyword engine's ExecStats totals) that two equivalent
+/// runs must reproduce byte for byte.
 /// Deliberately excludes timings and anything else wall-clock dependent.
 struct RunOutcome {
   std::vector<std::string> lines;

@@ -356,7 +356,6 @@ TEST_F(DurabilityTest, LoadFromEmptyDirIsNotFound) {
 
 TEST_F(DurabilityTest, EngineFreshOpenThenIdleReopenRecoversBaseline) {
   NebulaConfig config;
-  config.trace_capacity = 0;
   config.event_capacity = 0;
   config.durability_dir = dir_;
   std::vector<std::string> before;
@@ -393,7 +392,6 @@ TEST_F(DurabilityTest, EngineOpenRejectsWalWithoutSnapshot) {
   auto universe = check::BuildCheckUniverse(4);
   ASSERT_TRUE(universe.ok());
   NebulaConfig config;
-  config.trace_capacity = 0;
   config.durability_dir = dir_;
   NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
                       &(*universe)->meta, config);
@@ -415,7 +413,6 @@ TEST_F(DurabilityTest, SnapshotPlusReplayEquivalenceOverInterleavings) {
           dir_ + "/case_" + std::to_string(seed) + "_" +
           std::to_string(snapshot_every);
       NebulaConfig config;
-      config.trace_capacity = 0;
       config.event_capacity = 0;
       config.durability_dir = case_dir;
       config.snapshot_every_n = snapshot_every;

@@ -58,7 +58,6 @@ class EngineFaultTest : public ::testing::Test {
 
 TEST_F(EngineFaultTest, MidBatchQueryFaultSurfacesCleanly) {
   NebulaConfig config;
-  config.trace_capacity = 0;
   NebulaEngine engine(&universe_->catalog, &universe_->store,
                       &universe_->meta, config);
   engine.RebuildAcg();
@@ -109,7 +108,6 @@ TEST_F(EngineFaultTest, MidBatchQueryFaultSurfacesCleanly) {
 
 TEST_F(EngineFaultTest, SharedExecutorFaultDoesNotPoisonTheBatch) {
   NebulaConfig config;
-  config.trace_capacity = 0;
   config.identify.shared_execution = true;
   config.num_threads = 2;
   NebulaEngine engine(&universe_->catalog, &universe_->store,
@@ -136,7 +134,6 @@ TEST_F(EngineFaultTest, ThreadPoolFaultFallsBackToInlineAndMatches) {
   auto clean_universe = check::BuildCheckUniverse(2026);
   ASSERT_TRUE(clean_universe.ok());
   NebulaConfig config;
-  config.trace_capacity = 0;
   config.num_threads = 3;
   NebulaEngine clean_engine(&(*clean_universe)->catalog,
                             &(*clean_universe)->store,
@@ -169,7 +166,6 @@ TEST_F(EngineFaultTest, ThreadPoolFaultFallsBackToInlineAndMatches) {
 
 TEST_F(EngineFaultTest, SqlSessionFaultIsCleanAndRecoverable) {
   NebulaConfig config;
-  config.trace_capacity = 0;
   NebulaEngine engine(&universe_->catalog, &universe_->store,
                       &universe_->meta, config);
   engine.RebuildAcg();
@@ -190,7 +186,6 @@ TEST_F(EngineFaultTest, ValueIndexBuildFaultDegradesToScanNotCorruption) {
   auto clean_universe = check::BuildCheckUniverse(2026);
   ASSERT_TRUE(clean_universe.ok());
   NebulaConfig config;
-  config.trace_capacity = 0;
   NebulaEngine clean_engine(&(*clean_universe)->catalog,
                             &(*clean_universe)->store,
                             &(*clean_universe)->meta, config);
@@ -238,7 +233,6 @@ TEST_F(EngineFaultTest, ValueIndexBuildFaultDegradesToScanNotCorruption) {
 
 TEST_F(EngineFaultTest, PlanCacheFillFaultDegradesToRecompile) {
   NebulaConfig config;
-  config.trace_capacity = 0;
   NebulaEngine engine(&universe_->catalog, &universe_->store,
                       &universe_->meta, config);
   engine.RebuildAcg();
@@ -263,7 +257,6 @@ TEST_F(EngineFaultTest, ResultCacheFillFaultDegradesToReexecution) {
   auto clean_universe = check::BuildCheckUniverse(2026);
   ASSERT_TRUE(clean_universe.ok());
   NebulaConfig config;
-  config.trace_capacity = 0;
   NebulaEngine clean_engine(&(*clean_universe)->catalog,
                             &(*clean_universe)->store,
                             &(*clean_universe)->meta, config);
@@ -323,7 +316,6 @@ TEST_F(EngineFaultTest, DurabilityFaultUnderPooledBatchSurfacesCleanly) {
           .string();
   std::filesystem::remove_all(dir);
   NebulaConfig config;
-  config.trace_capacity = 0;
   config.num_threads = 3;
   config.durability_dir = dir;
   config.snapshot_every_n = 2;
@@ -356,7 +348,6 @@ TEST_F(EngineFaultTest, EventLogWriteFaultDropsEventsNotResults) {
   auto clean_universe = check::BuildCheckUniverse(2026);
   ASSERT_TRUE(clean_universe.ok());
   NebulaConfig config;
-  config.trace_capacity = 0;
   NebulaEngine clean_engine(&(*clean_universe)->catalog,
                             &(*clean_universe)->store,
                             &(*clean_universe)->meta, config);

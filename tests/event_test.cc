@@ -1,17 +1,19 @@
 /// Wide-event layer tests: the JSON record shape, the EventLog's
 /// sampling / slow-query / ring / sink semantics, context install and
-/// pool propagation, and the engine-level integration (an insert emits
-/// one wide event carrying its cache path and verification outcome, a
-/// shared-group execution emits a child event linked via parent_op).
+/// pool propagation, and the engine-level integration (every insert and
+/// every search records exactly one wide event, and nothing else does).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "annotation/annotation_store.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -36,7 +38,9 @@ TEST(WideEventJsonTest, FixedFieldOrderAndOptionalFields) {
   event.duration_us = 120;
   event.store_us = 10;
   event.generation_us = 30;
+  event.map_generation_us = 20;
   event.search_us = 70;
+  event.search_mode = "focal_spreading";
   event.verification_us = 10;
   event.plan_cache_hits = 2;
   event.rows_examined = 55;
@@ -48,25 +52,18 @@ TEST(WideEventJsonTest, FixedFieldOrderAndOptionalFields) {
                       "\"thread\":3,\"duration_us\":120"),
             0u)
       << json;
+  EXPECT_NE(json.find("\"generation_us\":30,\"map_generation_us\":20,"
+                      "\"context_adjust_us\":0,\"query_formation_us\":0,"
+                      "\"search_us\":70,\"search_mode\":\"focal_spreading\","
+                      "\"mini_db_us\":0,\"verification_us\":10,"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"plan_cache_hits\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"index_lookups\":0"), std::string::npos);
   EXPECT_NE(json.find("\"rows_examined\":55"), std::string::npos);
   EXPECT_NE(json.find("\"verification\":\"accepted=1,rejected=0,pending=2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"slow\":true"), std::string::npos);
-  // Top-level op: no parent_op field at all.
-  EXPECT_EQ(json.find("parent_op"), std::string::npos);
-}
-
-TEST(WideEventJsonTest, ChildEventCarriesParentOp) {
-  WideEvent event;
-  event.op = "shared_exec";
-  event.op_id = 8;
-  event.parent_op = 7;
-  const std::string json = WideEventToJson(event);
-  EXPECT_NE(json.find("\"parent_op\":7"), std::string::npos);
-  // No annotation and no verification outcome on a child event.
-  EXPECT_EQ(json.find("annotation"), std::string::npos);
-  EXPECT_EQ(json.find("\"verification\":"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -216,13 +213,22 @@ TEST(EventContextTest, PooledTasksAttributeToSubmitterContext) {
 // Engine integration
 // ---------------------------------------------------------------------
 
-TEST(EngineEventTest, InsertEmitsWideEventWithAttribution) {
+/// The numeric value of `key` in one JSON event line.
+uint64_t NumberField(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << line;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
+}
+
+TEST(EngineEventTest, OneEventPerOperationUnderSharedExecution) {
   if (!kEnabled) GTEST_SKIP() << "instrumentation compiled out";
   auto universe = check::BuildCheckUniverse(11);
   ASSERT_TRUE(universe.ok()) << universe.status().ToString();
   const check::CheckWorkload workload =
       check::GenerateCheckWorkload(11, **universe);
-  ASSERT_FALSE(workload.annotations.empty());
+  ASSERT_GE(workload.annotations.size(), 2u);
 
   NebulaConfig config;
   config.num_threads = 2;
@@ -231,29 +237,70 @@ TEST(EngineEventTest, InsertEmitsWideEventWithAttribution) {
                       &(*universe)->meta, config);
   engine.RebuildAcg();
 
+  std::vector<AnnotationRequest> requests;
   for (const check::CheckAnnotation& a : workload.annotations) {
-    auto report = engine.InsertAnnotation(a.text, a.focal, a.author);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    requests.push_back({a.text, a.focal, a.author});
+  }
+  auto reports = engine.InsertAnnotations(requests);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  const size_t searches = 2;
+  for (size_t i = 0; i < searches; ++i) {
+    ASSERT_TRUE(
+        engine.Discover((*reports)[i].annotation, requests[i].focal).ok());
   }
 
-  const std::vector<std::string> lines = engine.event_log().Snapshot();
-  ASSERT_FALSE(lines.empty());
-  size_t inserts = 0, children = 0;
-  for (const std::string& line : lines) {
+  EXPECT_EQ(engine.event_log().recorded(), requests.size() + searches);
+  size_t inserts = 0, search_events = 0;
+  for (const std::string& line : engine.event_log().Snapshot()) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    if (line.find("\"op\":\"insert\"") != std::string::npos) {
-      ++inserts;
-      EXPECT_NE(line.find("\"annotation\":"), std::string::npos) << line;
-      EXPECT_NE(line.find("\"verification\":"), std::string::npos) << line;
+    if (line.find("\"op\":\"search\"") != std::string::npos) {
+      ++search_events;
+      continue;
     }
-    if (line.find("\"op\":\"shared_exec\"") != std::string::npos) {
-      ++children;
-      EXPECT_NE(line.find("\"parent_op\":"), std::string::npos) << line;
-    }
+    ASSERT_NE(line.find("\"op\":\"insert\""), std::string::npos) << line;
+    ++inserts;
+    EXPECT_NE(line.find("\"verification\":"), std::string::npos) << line;
+    EXPECT_LE(NumberField(line, "map_generation_us") +
+                  NumberField(line, "context_adjust_us") +
+                  NumberField(line, "query_formation_us"),
+              NumberField(line, "generation_us"))
+        << line;
   }
-  EXPECT_EQ(inserts, workload.annotations.size());
-  EXPECT_GT(children, 0u);
+  EXPECT_EQ(inserts, requests.size());
+  EXPECT_EQ(search_events, searches);
+
+  // A focal-spreading insert names its mode and times its mini-db build.
+  engine.config().enable_focal_spreading = true;
+  engine.config().spreading.require_stable_acg = false;
+  auto spread =
+      engine.InsertAnnotations(std::span<const AnnotationRequest>(requests)
+                                   .first(1));
+  ASSERT_TRUE(spread.ok()) << spread.status().ToString();
+  ASSERT_EQ(spread->front().mode, SearchMode::kFocalSpreading);
+  const std::string last = engine.event_log().Snapshot().back();
+  EXPECT_NE(last.find("\"search_mode\":\"focal_spreading\""),
+            std::string::npos)
+      << last;
+  EXPECT_EQ(NumberField(last, "mini_db_us"), spread->front().mini_db_us);
+}
+
+TEST(EngineEventTest, FirstInsertIntoEmptyStoreCarriesAnnotationZero) {
+  if (!kEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  auto universe = check::BuildCheckUniverse(12);
+  ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+  const check::CheckWorkload workload =
+      check::GenerateCheckWorkload(12, **universe);
+  ASSERT_FALSE(workload.annotations.empty());
+
+  AnnotationStore empty;
+  NebulaEngine engine(&(*universe)->catalog, &empty, &(*universe)->meta, {});
+  const check::CheckAnnotation& a = workload.annotations.front();
+  auto report = engine.InsertAnnotation(a.text, a.focal, a.author);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->annotation, 0u);
+  EXPECT_NE(engine.DumpEvents().find("\"annotation\":0,"), std::string::npos)
+      << engine.DumpEvents();
 }
 
 TEST(EngineEventTest, DiscoverEmitsSearchEvent) {

@@ -95,6 +95,8 @@ TEST(DifferentialTest, RunIsReproducible) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->lines, b->lines);
   EXPECT_EQ(a->Digest(), b->Digest());
+  // The transcript ends with the engine's ExecStats totals.
+  EXPECT_EQ(a->lines.back().rfind("stats rows=", 0), 0u) << a->lines.back();
 }
 
 TEST(DifferentialTest, SweepAllPairsDivergenceFree) {

@@ -1,6 +1,6 @@
 /// Concurrency hammering for the observability layer: counters,
-/// histograms, the registry's find-or-create path, the trace builder, and
-/// the trace recorder are all driven from ThreadPool workers at once.
+/// histograms, and the registry's find-or-create path are all driven from
+/// ThreadPool workers at once.
 /// Run from a -DNEBULA_SANITIZE=thread build (ctest -L tsan) to
 /// race-check; the assertions also pin the exactly-once accounting.
 
@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace nebula {
 namespace obs {
@@ -76,52 +75,6 @@ TEST(ObsConcurrencyTest, RegistryFindOrCreateRaces) {
     for (const auto& sample : family.samples) total += sample.counter_value;
   }
   EXPECT_EQ(total, kThreads * kTasksPerThread);
-}
-
-TEST(ObsConcurrencyTest, TraceBuilderFromWorkers) {
-  TraceBuilder builder;
-  const uint32_t root = builder.BeginSpan("root");
-
-  ThreadPool pool(kThreads);
-  std::vector<std::future<void>> done;
-  constexpr size_t kSpans = 512;
-  for (size_t t = 0; t < kSpans; ++t) {
-    done.push_back(pool.Submit([&builder, root, t] {
-      builder.AddCompleteSpan("sql", root, builder.ElapsedMicros(), t,
-                              "stmt-" + std::to_string(t));
-    }));
-  }
-  for (auto& f : done) f.get();
-  builder.EndSpan(root);
-
-  const Trace trace = builder.Finish(1);
-  ASSERT_EQ(trace.spans.size(), kSpans + 1);
-  for (size_t i = 0; i < trace.spans.size(); ++i) {
-    EXPECT_EQ(trace.spans[i].id, i + 1);
-    EXPECT_LE(trace.spans[i].parent, root);
-  }
-}
-
-TEST(ObsConcurrencyTest, TraceRecorderFromWorkers) {
-  TraceRecorder recorder(/*capacity=*/16);
-  ThreadPool pool(kThreads);
-  std::vector<std::future<void>> done;
-  constexpr size_t kTraces = 256;
-  std::atomic<uint64_t> next{0};
-  for (size_t t = 0; t < kTraces; ++t) {
-    done.push_back(pool.Submit([&recorder, &next] {
-      TraceBuilder b;
-      b.EndSpan(b.BeginSpan("root"));
-      recorder.Record(b.Finish(next.fetch_add(1)));
-    }));
-  }
-  for (auto& f : done) f.get();
-
-  EXPECT_EQ(recorder.size(), 16u);
-  EXPECT_EQ(recorder.total_recorded(), kTraces);
-  EXPECT_EQ(recorder.dropped(), kTraces - 16);
-  // A concurrent-safe export sanity check while more traces arrive.
-  EXPECT_EQ(TracesToJson(recorder).find("{\"dropped\":"), 0u);
 }
 
 TEST(ObsConcurrencyTest, SnapshotWhileHammering) {

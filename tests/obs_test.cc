@@ -10,7 +10,6 @@
 #include "core/engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
@@ -369,80 +368,10 @@ TEST(ExportTest, PromEscapeControlCharacters) {
 }
 
 // ---------------------------------------------------------------------
-// Tracing
+// Engine integration: one insert records its stage timings in one event.
 // ---------------------------------------------------------------------
 
-TEST(TraceBuilderTest, SpanTreeStructure) {
-  TraceBuilder builder;
-  const uint32_t root = builder.BeginSpan("root");
-  const uint32_t child = builder.BeginSpan("child", root);
-  builder.SetDetail(child, "payload");
-  builder.EndSpan(child);
-  const uint32_t synthetic =
-      builder.AddCompleteSpan("phase", root, 10, 5, "detail");
-  builder.EndSpan(root);
-  const Trace trace = builder.Finish(/*annotation=*/7);
-
-  EXPECT_EQ(trace.annotation, 7u);
-  ASSERT_EQ(trace.spans.size(), 3u);
-  EXPECT_EQ(trace.spans[0].name, "root");
-  EXPECT_EQ(trace.spans[0].parent, 0u);
-  EXPECT_EQ(trace.spans[1].name, "child");
-  EXPECT_EQ(trace.spans[1].parent, root);
-  EXPECT_EQ(trace.spans[1].detail, "payload");
-  EXPECT_EQ(trace.spans[2].id, synthetic);
-  EXPECT_EQ(trace.spans[2].start_us, 10u);
-  EXPECT_EQ(trace.spans[2].duration_us, 5u);
-  // Parents always precede children; ids are 1-based and ascending.
-  for (size_t i = 0; i < trace.spans.size(); ++i) {
-    EXPECT_EQ(trace.spans[i].id, i + 1);
-    EXPECT_LT(trace.spans[i].parent, trace.spans[i].id);
-  }
-  // Every span carries the recording thread's ordinal.
-  EXPECT_EQ(trace.spans[0].thread_id, CurrentThreadId());
-}
-
-TEST(TraceRecorderTest, RingEvictsOldestAndCountsDrops) {
-  TraceRecorder recorder(/*capacity=*/2);
-  for (uint64_t a = 1; a <= 5; ++a) {
-    TraceBuilder b;
-    b.EndSpan(b.BeginSpan("root"));
-    recorder.Record(b.Finish(a));
-  }
-  EXPECT_EQ(recorder.size(), 2u);
-  EXPECT_EQ(recorder.total_recorded(), 5u);
-  EXPECT_EQ(recorder.dropped(), 3u);
-  const auto traces = recorder.Snapshot();
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces[0].annotation, 4u);
-  EXPECT_EQ(traces[1].annotation, 5u);
-}
-
-TEST(TraceRecorderTest, JsonShape) {
-  TraceRecorder recorder(4);
-  TraceBuilder b;
-  const uint32_t root = b.BeginSpan("insert_annotation");
-  b.AddCompleteSpan("sql", root, 3, 9, "SELECT x");
-  b.EndSpan(root);
-  recorder.Record(b.Finish(11));
-
-  const std::string json = TracesToJson(recorder);
-  EXPECT_EQ(json.find("{\"dropped\":0,\"traces\":[{\"annotation\":11,"),
-            0u);
-  EXPECT_NE(json.find("\"name\":\"insert_annotation\""), std::string::npos);
-  EXPECT_NE(json.find("\"detail\":\"SELECT x\""), std::string::npos);
-}
-
-TEST(ScopedSpanTest, NullBuilderIsNoop) {
-  ScopedSpan span(nullptr, "nothing");
-  EXPECT_EQ(span.id(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Engine integration: one insert produces a complete stage 0-3 tree.
-// ---------------------------------------------------------------------
-
-TEST(EngineObsTest, InsertAnnotationRecordsStageSpansAndTimings) {
+TEST(EngineObsTest, InsertAnnotationRecordsStageTimingsInItsEvent) {
   if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   auto dataset = GenerateBioDataset(DatasetSpec::Tiny());
   ASSERT_TRUE(dataset.ok());
@@ -463,70 +392,35 @@ TEST(EngineObsTest, InsertAnnotationRecordsStageSpansAndTimings) {
             report->timings.store_us + report->timings.generation_us +
                 report->timings.search_us + report->timings.verification_us);
 
-  const auto traces = engine.trace_recorder().Snapshot();
-  ASSERT_EQ(traces.size(), 1u);
-  const Trace& trace = traces.back();
-  EXPECT_EQ(trace.annotation, report->annotation);
-
-  std::map<std::string, const TraceSpan*> by_name;
-  for (const TraceSpan& s : trace.spans) {
-    if (by_name.count(s.name) == 0) by_name[s.name] = &s;
+  // The one event carries the report's stage and Stage-1 phase timings.
+  const std::vector<std::string> events = engine.event_log().Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  const std::string& event = events.front();
+  const auto& phases = report->generation_timing;
+  EXPECT_LE(phases.total_us(), report->timings.generation_us);
+  const std::map<std::string, uint64_t> fields = {
+      {"annotation", report->annotation},
+      {"store_us", report->timings.store_us},
+      {"generation_us", report->timings.generation_us},
+      {"map_generation_us", phases.map_generation_us},
+      {"context_adjust_us", phases.context_adjust_us},
+      {"query_formation_us", phases.query_formation_us},
+      {"search_us", report->timings.search_us},
+      {"mini_db_us", 0},
+      {"verification_us", report->timings.verification_us}};
+  for (const auto& [key, value] : fields) {
+    EXPECT_NE(event.find("\"" + key + "\":" + std::to_string(value) + ","),
+              std::string::npos)
+        << key << " in " << event;
   }
-  ASSERT_TRUE(by_name.count("insert_annotation"));
-  const uint32_t root = by_name["insert_annotation"]->id;
-  for (const char* stage :
-       {"stage0_store", "stage1_generation", "stage2_execution",
-        "stage3_verification"}) {
-    ASSERT_TRUE(by_name.count(stage)) << stage << " span missing";
-    EXPECT_EQ(by_name[stage]->parent, root) << stage;
-  }
-  // Stage internals hang under their stage span.
-  ASSERT_TRUE(by_name.count("acg_update"));
-  EXPECT_EQ(by_name["acg_update"]->parent, by_name["stage0_store"]->id);
-  for (const char* phase :
-       {"map_generation", "context_adjust", "query_formation"}) {
-    ASSERT_TRUE(by_name.count(phase)) << phase;
-    EXPECT_EQ(by_name[phase]->parent, by_name["stage1_generation"]->id);
-  }
-  ASSERT_TRUE(by_name.count("spreading_decision"));
-  EXPECT_EQ(by_name["spreading_decision"]->parent,
-            by_name["stage2_execution"]->id);
-  EXPECT_EQ(by_name["spreading_decision"]->detail, "full_database");
-  if (!report->queries.empty()) {
-    EXPECT_TRUE(by_name.count("query") || by_name.count("sql"));
-  }
-  ASSERT_TRUE(by_name.count("spam_guard"));
-  EXPECT_EQ(by_name["spam_guard"]->parent, by_name["stage3_verification"]->id);
-  ASSERT_TRUE(by_name.count("verification_submit"));
-  EXPECT_EQ(by_name["verification_submit"]->parent,
-            by_name["stage3_verification"]->id);
+  EXPECT_NE(event.find("\"search_mode\":\"full_database\""),
+            std::string::npos)
+      << event;
 
   // The engine counters moved.
   auto& global = MetricsRegistry::Global();
   EXPECT_GE(global.GetCounter("nebula_annotations_inserted_total")->Value(),
             1u);
-}
-
-TEST(EngineObsTest, TraceCapacityIsHonored) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
-  auto dataset = GenerateBioDataset(DatasetSpec::Tiny());
-  ASSERT_TRUE(dataset.ok());
-  NebulaConfig config;
-  config.trace_capacity = 2;
-  NebulaEngine engine(&(*dataset)->catalog, &(*dataset)->store,
-                      &(*dataset)->meta, config);
-  engine.RebuildAcg();
-  for (int i = 0; i < 4; ++i) {
-    const WorkloadAnnotation& wa = (*dataset)->workload.annotations[i];
-    ASSERT_TRUE(engine
-                    .InsertAnnotation(wa.text, {wa.ideal_tuples.front()},
-                                      "obs_test")
-                    .ok());
-  }
-  EXPECT_EQ(engine.trace_recorder().size(), 2u);
-  EXPECT_EQ(engine.trace_recorder().dropped(), 2u);
-  // DumpTraces is valid JSON with the drop count up front.
-  EXPECT_EQ(engine.DumpTraces().find("{\"dropped\":2,"), 0u);
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ class RecoveryFaultTest : public ::testing::Test {
 
   NebulaConfig DurableConfig(size_t snapshot_every = 2) const {
     NebulaConfig config;
-    config.trace_capacity = 0;
     config.event_capacity = 0;
     config.durability_dir = dir_;
     config.snapshot_every_n = snapshot_every;

@@ -1,7 +1,7 @@
 // Tests for the annotated synchronization primitives (common/sync.h) plus
 // regression coverage for the lock-discipline areas the static-analysis
-// migration touched: Table's lazy index build, the TraceRecorder ring,
-// and Histogram shard reads on the exporter path. Carries the ctest label
+// migration touched: Table's lazy index build and Histogram shard reads
+// on the exporter path. Carries the ctest label
 // "tsan" — run from a -DNEBULA_SANITIZE=thread build to race-check.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "common/string_util.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -255,48 +254,6 @@ TEST(SyncRegressionTest, TableLazyIndexBuildRace) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Regression: TraceRecorder ring access under concurrent Record/Snapshot.
-// ---------------------------------------------------------------------------
-
-TEST(SyncRegressionTest, TraceRecorderConcurrentRecordAndSnapshot) {
-  constexpr int kWriters = 4;
-  constexpr int kTracesPerWriter = 500;
-  constexpr size_t kCapacity = 64;
-  obs::TraceRecorder recorder(kCapacity);
-
-  std::atomic<bool> done{false};
-  std::thread snapshotter([&] {
-    while (!done.load()) {
-      const auto traces = recorder.Snapshot();
-      EXPECT_LE(traces.size(), kCapacity);
-      EXPECT_LE(recorder.size(), kCapacity);
-      (void)recorder.dropped();
-    }
-  });
-
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&recorder, w] {
-      for (int i = 0; i < kTracesPerWriter; ++i) {
-        obs::Trace trace;
-        trace.annotation = static_cast<uint64_t>(w) * kTracesPerWriter + i;
-        recorder.Record(std::move(trace));
-      }
-    });
-  }
-  for (auto& thread : writers) thread.join();
-  done.store(true);
-  snapshotter.join();
-
-  EXPECT_EQ(recorder.total_recorded(),
-            uint64_t{kWriters} * kTracesPerWriter);
-  EXPECT_EQ(recorder.size(), kCapacity);
-  EXPECT_EQ(recorder.dropped(),
-            uint64_t{kWriters} * kTracesPerWriter - kCapacity);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
 /// Runs the paper's Figure-1 scenario through an instrumented engine and
 /// dumps the observability surface: the process-global metrics registry
 /// (Prometheus text by default, JSON with --metrics=json) followed by the
-/// engine's per-annotation trace trees as JSON.
+/// engine's wide events as JSON lines.
 ///
 ///   nebula_obs_dump [--metrics=prometheus|json] [--metrics-only]
-///                   [--traces-only] [--threads=N] [--check]
+///                   [--events-only] [--threads=N] [--check]
 ///
 /// The batch insert runs on a worker pool (default 2 threads) so the
 /// thread-pool and shared-executor instruments light up too. Sections are
 /// delimited by "# ---- metrics ----" / "# ---- percentiles ----" /
-/// "# ---- traces ----" / "# ---- events ----" lines so the output is
-/// easy to split in scripts. The percentile section prints the
-/// p50..p999 ladder of every histogram family that saw observations;
-/// the events section is the engine's wide-event log as JSON lines.
+/// "# ---- events ----" lines so the output is easy to split in scripts.
+/// The percentile section prints the p50..p999 ladder of every histogram
+/// family that saw observations.
 /// --check additionally self-asserts the dump (nonempty percentile
-/// section with monotone ladders, an "insert" wide event present) and is
-/// what the ctest smoke runs.
+/// section with monotone ladders, exactly one insert event per inserted
+/// annotation carrying its Stage-1 phases, search mode and mini-db time)
+/// and is what the ctest smoke runs.
 
 #include <cstdio>
 #include <cstring>
@@ -80,7 +80,7 @@ size_t PrintPercentiles(bool* monotonic) {
 int main(int argc, char** argv) {
   obs::ExportFormat metrics_format = obs::ExportFormat::kPrometheus;
   bool dump_metrics = true;
-  bool dump_traces = true;
+  bool dump_events = true;
   bool check = false;
   size_t threads = 2;
   for (int i = 1; i < argc; ++i) {
@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics=json") {
       metrics_format = obs::ExportFormat::kJson;
     } else if (arg == "--metrics-only") {
-      dump_traces = false;
-    } else if (arg == "--traces-only") {
+      dump_events = false;
+    } else if (arg == "--events-only") {
       dump_metrics = false;
     } else if (arg == "--check") {
       check = true;
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--metrics=prometheus|json] [--metrics-only] "
-                   "[--traces-only] [--threads=N] [--check]\n",
+                   "[--events-only] [--threads=N] [--check]\n",
                    argv[0]);
       return 2;
     }
@@ -196,10 +196,7 @@ int main(int argc, char** argv) {
     percentile_lines = PrintPercentiles(&monotonic);
   }
   const std::string events = engine.DumpEvents();
-  if (dump_traces) {
-    std::printf("# ---- traces ----\n%s\n", engine.DumpTraces().c_str());
-    std::printf("# ---- events ----\n%s", events.c_str());
-  }
+  if (dump_events) std::printf("# ---- events ----\n%s", events.c_str());
 
   if (check) {
     // Self-assertions for the ctest smoke: the percentile pipeline must
@@ -214,10 +211,35 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "CHECK FAILED: percentile ladder decreased\n");
       return 1;
     }
-    if (obs::kEnabled &&
-        events.find("\"op\":\"insert\"") == std::string::npos) {
-      std::fprintf(stderr, "CHECK FAILED: no insert wide event\n");
-      return 1;
+    if (obs::kEnabled) {
+      // One record per operation: the i-th line is the insert event of the
+      // i-th annotation (stages 0, 2 and 3 run in request order), carrying
+      // its Stage-1 phases, search mode and mini-db time; nothing else.
+      size_t begin = 0;
+      bool ok = true;
+      for (const AnnotationReport& report : *reports) {
+        const size_t end = events.find('\n', begin);
+        const std::string line =
+            events.substr(begin, end == std::string::npos ? 0 : end - begin);
+        begin = end + 1;
+        const std::string id =
+            "\"annotation\":" + std::to_string(report.annotation) + ",";
+        ok = ok && line.find(id) != std::string::npos;
+        for (const char* field :
+             {"\"op\":\"insert\"", "\"map_generation_us\":",
+              "\"context_adjust_us\":", "\"query_formation_us\":",
+              "\"search_mode\":\"", "\"mini_db_us\":"}) {
+          ok = ok && line.find(field) != std::string::npos;
+        }
+      }
+      if (!ok || begin != events.size()) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: want exactly one insert event per "
+                     "annotation with the Stage-1, search-mode and mini-db "
+                     "fields, got:\n%s",
+                     events.c_str());
+        return 1;
+      }
     }
     std::fprintf(stderr, "[obs_dump] check ok\n");
   }

@@ -56,6 +56,10 @@ inline constexpr char kFaultKeywordResultCacheFill[] =
 inline constexpr char kFaultKeywordSharedStatement[] =
     "keyword.shared.statement";
 
+/// Word-score memo fill in NebulaMeta::ScoreWord; a fired fault skips
+/// memoizing the freshly computed scores (the caller still gets them).
+inline constexpr char kFaultMetaWordMemoFill[] = "meta.wordmemo.fill";
+
 /// Wide-event sink write in obs::EventLog::Record; a fired fault makes
 /// the write fail so the log degrades to dropped-events-with-counter
 /// (results are never affected).

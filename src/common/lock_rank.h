@@ -50,6 +50,11 @@ inline constexpr LockRank kLockRankCorePlanCache = {"core.plancache", 20};
 inline constexpr LockRank kLockRankKeywordResultCache =
     {"keyword.resultcache", 30};
 
+/// NebulaMeta's word-score memo (meta/nebula_meta.h). Taken under
+/// core.plancache, which is held across MapKeyword; scores are computed
+/// outside it.
+inline constexpr LockRank kLockRankMetaWordMemo = {"meta.wordmemo", 40};
+
 /// Table's lazy value-index publication lock (storage/table.h). Held
 /// across the index build, which probes fault points and may submit to
 /// the pool.

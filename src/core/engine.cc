@@ -269,6 +269,7 @@ Result<AnnotationReport> NebulaEngine::DiscoverWithQueries(
   report.annotation = annotation;
   report.queries = std::move(generated.queries);
   report.generation_timing = generated.timing;
+  report.timings.generation_us = generated.timing.total_us();
 
   // Stage 2: execute the queries, full-database or focal-spreading.
   search_engine_.params() = config_.search;
@@ -342,9 +343,8 @@ Result<AnnotationReport> NebulaEngine::Discover(
   QueryGenerator generator(meta_, config_.generation);
   Result<AnnotationReport> report =
       DiscoverWithQueries(annotation, focal, generator.Generate(ann->text));
-  if (report.ok()) {
-    report->timings.generation_us = report->generation_timing.total_us();
-    if constexpr (obs::kEnabled) {
+  if constexpr (obs::kEnabled) {
+    if (report.ok()) {
       RecordOperationEvent(&event_log_, "search", event_scope->op_id(),
                            *event_scope->context(), *report,
                            watch.ElapsedMicros(), /*verified=*/false);
@@ -483,33 +483,27 @@ Result<AnnotationReport> NebulaEngine::InsertOne(
   std::optional<obs::ScopedEventContext> event_scope;
   if constexpr (obs::kEnabled) event_scope.emplace(&event_log_);
 
-  StageTimings timings;
   Stopwatch stage;
 
   // Stage 0.
   NEBULA_ASSIGN_OR_RETURN(const AnnotationId id,
                           StoreWithFocal(text, focal, author));
-  timings.store_us = stage.ElapsedMicros();
+  const uint64_t store_us = stage.ElapsedMicros();
 
-  // Stage 1 (already ran on a pool worker under batch ingest; its time is
-  // then the generator's own phase total).
-  stage.Restart();
+  // Stage 1 (already ran on a pool worker under batch ingest). Either way
+  // its time is the generator's own phase total.
   QueryGenerationResult generated;
   if (pregenerated != nullptr) {
     generated = std::move(*pregenerated);
-    timings.generation_us = generated.timing.total_us();
   } else {
-    QueryGenerator generator(meta_, config_.generation);
-    generated = generator.Generate(text);
-    timings.generation_us = stage.ElapsedMicros();
+    generated = QueryGenerator(meta_, config_.generation).Generate(text);
   }
 
   // Stage 2.
   NEBULA_ASSIGN_OR_RETURN(
       AnnotationReport report,
       DiscoverWithQueries(id, focal, std::move(generated)));
-  report.timings.store_us = timings.store_us;
-  report.timings.generation_us = timings.generation_us;
+  report.timings.store_us = store_us;
 
   // Spam guard + Stage 3.
   stage.Restart();

@@ -29,6 +29,7 @@ struct PlanCacheMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
   obs::Gauge* entries;
+  obs::Gauge* bytes;
 };
 
 const PlanCacheMetrics& Metrics() {
@@ -41,9 +42,23 @@ const PlanCacheMetrics& Metrics() {
         r.GetCounter("nebula_plan_cache_total", {{"outcome", "miss"}}, "");
     out.entries = r.GetGauge("nebula_plan_cache_entries", {},
                              "Resident keyword->configuration plans");
+    out.bytes = r.GetGauge("nebula_plan_cache_bytes", {},
+                           "Resident bytes of the plan cache");
     return out;
   }();
   return m;
+}
+
+/// Charged size of a cache entry: the key, the statements and their
+/// predicates (short names and keyword values live inline in those), and
+/// the hash node.
+size_t EntryBytes(const std::string& key,
+                  const std::vector<GeneratedSql>& plan) {
+  size_t bytes = key.size() + 64 + plan.size() * sizeof(GeneratedSql);
+  for (const GeneratedSql& sql : plan) {
+    bytes += sql.query.predicates.size() * sizeof(Predicate);
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -71,6 +86,7 @@ std::vector<std::vector<GeneratedSql>> PlanCache::GetOrCompileGroup(
   const uint64_t version = meta_ != nullptr ? meta_->version() : 0;
   if (version != seen_version_ || !(engine.params() == seen_params_)) {
     plans_.clear();
+    bytes_ = 0;
     seen_version_ = version;
     seen_params_ = engine.params();
   }
@@ -99,13 +115,21 @@ std::vector<std::vector<GeneratedSql>> PlanCache::GetOrCompileGroup(
     std::vector<GeneratedSql> compiled = engine.CompileToSql(q, &mapping_cache);
     // Fault injection: a failed fill degrades to compile-every-time, it
     // must never poison the cache or the returned plans.
-    if (!NEBULA_FAULT_SHOULD_FAIL(kFaultCorePlanCacheFill)) {
+    const size_t charge = EntryBytes(key, compiled);
+    if (!NEBULA_FAULT_SHOULD_FAIL(kFaultCorePlanCacheFill) &&
+        charge <= budget_bytes_) {
+      if (bytes_ + charge > budget_bytes_) {
+        plans_.clear();
+        bytes_ = 0;
+      }
+      bytes_ += charge;
       plans_.emplace(std::move(key), compiled);
     }
     out.push_back(std::move(compiled));
   }
   if constexpr (obs::kEnabled) {
-    Metrics().entries->Set(static_cast<double>(plans_.size()));
+    Metrics().entries->Set(static_cast<int64_t>(plans_.size()));
+    Metrics().bytes->Set(static_cast<int64_t>(bytes_));
   }
   return out;
 }
@@ -115,9 +139,15 @@ size_t PlanCache::size() const {
   return plans_.size();
 }
 
+size_t PlanCache::bytes() const {
+  MutexLock lock(mutex_);
+  return bytes_;
+}
+
 void PlanCache::Clear() {
   MutexLock lock(mutex_);
   plans_.clear();
+  bytes_ = 0;
 }
 
 Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(

@@ -1,6 +1,7 @@
 #ifndef NEBULA_CORE_IDENTIFY_H_
 #define NEBULA_CORE_IDENTIFY_H_
 
+#include <cstddef>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -68,18 +69,26 @@ struct IdentifyParams {
 /// plus an embedded reference — recurs across the curation stream, and its
 /// plan only depends on NebulaMeta state and the engine's search knobs.
 ///
-/// Invalidation is wholesale and version-based: every lookup compares
-/// NebulaMeta::version() (bumped by each successful metadata mutation) and
-/// the engine's KeywordSearchParams against the values seen at fill time;
-/// any change drops the whole cache. There is deliberately no per-entry
-/// dependency tracking — metadata mutations are rare (curation setup), and
-/// a stale plan would silently change results.
+/// Invalidation is wholesale, the idiom NebulaMeta's word-score memo
+/// shares: every lookup compares NebulaMeta::version() (bumped by each
+/// successful metadata mutation) and the engine's KeywordSearchParams
+/// against the values seen at fill time, and any change drops the whole
+/// cache; so does a fill that would exceed the byte budget, and a plan
+/// larger than the whole budget is not kept. There is deliberately no
+/// per-entry dependency tracking — metadata mutations are rare (curation
+/// setup), and a stale plan would silently change results.
 ///
 /// Thread-safe; one instance is shared by every TupleIdentifier the owning
 /// NebulaEngine creates.
 class PlanCache {
  public:
-  explicit PlanCache(const NebulaMeta* meta) : meta_(meta) {}
+  /// Resident bytes of cached plans: about 1,400 plans of the Mid
+  /// corpus stream (370 charged bytes each).
+  static constexpr size_t kDefaultBudgetBytes = 512 * 1024;
+
+  explicit PlanCache(const NebulaMeta* meta,
+                     size_t budget_bytes = kDefaultBudgetBytes)
+      : meta_(meta), budget_bytes_(budget_bytes) {}
 
   /// Returns plans[i] == engine.CompileToSql(queries[i]) for every query,
   /// serving repeats from the cache. Cold compilations within one group
@@ -89,6 +98,7 @@ class PlanCache {
       const std::vector<KeywordQuery>& queries) EXCLUDES(mutex_);
 
   size_t size() const EXCLUDES(mutex_);
+  size_t bytes() const EXCLUDES(mutex_);
   void Clear() EXCLUDES(mutex_);
 
  private:
@@ -97,9 +107,11 @@ class PlanCache {
   static std::string KeyOf(const KeywordQuery& query);
 
   const NebulaMeta* meta_;
+  const size_t budget_bytes_;
   mutable Mutex mutex_{kLockRankCorePlanCache};
   uint64_t seen_version_ GUARDED_BY(mutex_) = 0;
   KeywordSearchParams seen_params_ GUARDED_BY(mutex_);
+  size_t bytes_ GUARDED_BY(mutex_) = 0;
   std::unordered_map<std::string, std::vector<GeneratedSql>> plans_
       GUARDED_BY(mutex_);
 };

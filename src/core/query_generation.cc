@@ -134,11 +134,10 @@ std::vector<KeywordQuery> QueryGenerator::ConceptMapToQueries(
 QueryGenerationResult QueryGenerator::Generate(
     const std::string& annotation_text) const {
   QueryGenerationResult result;
+  // Phase 1: pre-processing (tokenization) and signature-map generation.
+  Stopwatch watch;
   const std::vector<Token> tokens = Tokenize(annotation_text);
   SignatureMapBuilder builder(meta_);
-
-  Stopwatch watch;
-  // Phase 1: signature-map generation.
   SignatureMap concept_map = builder.BuildConceptMap(tokens, params_.epsilon);
   SignatureMap value_map = builder.BuildValueMap(tokens, params_.epsilon);
   result.timing.map_generation_us = watch.ElapsedMicros();

@@ -26,7 +26,7 @@ struct QueryGenerationParams {
 
 /// Timing breakdown of the three generation phases (Figure 11(a)).
 struct QueryGenerationTiming {
-  uint64_t map_generation_us = 0;      ///< Concept-Map + Value-Map.
+  uint64_t map_generation_us = 0;      ///< Tokenize + Concept/Value-Map.
   uint64_t context_adjust_us = 0;      ///< Overlay + weight adjustment.
   uint64_t query_formation_us = 0;     ///< Context-Map -> queries.
   uint64_t total_us() const {

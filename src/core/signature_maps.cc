@@ -38,14 +38,17 @@ SignatureMap SignatureMapBuilder::BuildConceptMap(
     const std::vector<Token>& tokens, double epsilon) const {
   SignatureMap map;
   map.words.reserve(tokens.size());
+  const std::vector<SchemaItem>& items = meta_->schema_items();
   for (const auto& token : tokens) {
     SigWord word;
     word.token = token;
     // Stopwords can never be concept references; skip the inner loop.
     if (!IsStopword(token.lower)) {
-      for (const auto& item : meta_->schema_items()) {
-        const double p = meta_->ConceptMatchScore(token.lower, item);
+      const auto scores = meta_->ScoreWord(token.text);
+      for (size_t i = 0; i < items.size(); ++i) {
+        const double p = scores->concept_scores[i];
         if (p < epsilon) continue;
+        const SchemaItem& item = items[i];
         WordMapping m;
         m.kind = item.kind == SchemaItem::Kind::kTable
                      ? WordMapping::Kind::kTable
@@ -65,13 +68,16 @@ SignatureMap SignatureMapBuilder::BuildValueMap(
     const std::vector<Token>& tokens, double epsilon) const {
   SignatureMap map;
   map.words.reserve(tokens.size());
+  const std::vector<ValueColumn>& columns = meta_->value_columns();
   for (const auto& token : tokens) {
     SigWord word;
     word.token = token;
     if (!IsStopword(token.lower)) {
-      for (const auto& vc : meta_->value_columns()) {
-        const double d = meta_->DomainMatchScore(token.text, vc);
+      const auto scores = meta_->ScoreWord(token.text);
+      for (size_t j = 0; j < columns.size(); ++j) {
+        const double d = scores->domain_scores[j];
         if (d < epsilon) continue;
+        const ValueColumn& vc = columns[j];
         WordMapping m;
         m.kind = WordMapping::Kind::kValue;
         m.table = vc.table;

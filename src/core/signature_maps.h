@@ -50,7 +50,8 @@ class SignatureMapBuilder {
   explicit SignatureMapBuilder(const NebulaMeta* meta) : meta_(meta) {}
 
   /// Step 1 — Concept-Map: words that likely reference a table or column
-  /// of ConceptRefs; mappings with p(w,c) >= epsilon survive.
+  /// of ConceptRefs; mappings with p(w,c) >= epsilon survive. Both steps
+  /// read each word's scores from NebulaMeta::ScoreWord.
   SignatureMap BuildConceptMap(const std::vector<Token>& tokens,
                                double epsilon) const;
 

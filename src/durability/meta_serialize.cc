@@ -232,6 +232,9 @@ Status MetaSerializer::LoadFromString(const std::string& blob,
     return Status::Corruption("truncated concept '" + pending_name + "'");
   }
   meta->version_ = saved_version;
+  // Whatever the fresh meta memoized scored an empty schema, and a blob
+  // may restore the version it was memoized under.
+  meta->word_memo_ = {};
   return Status::OK();
 }
 

@@ -120,11 +120,14 @@ std::vector<KeywordMapping> KeywordSearchEngine::MapKeyword(
     const std::string& word) const {
   std::vector<KeywordMapping> mappings;
   const std::string lower = ToLower(word);
+  const auto scores = meta_->ScoreWord(word);
 
   // (a) Schema-item mappings (table / column names) via NebulaMeta.
-  for (const auto& item : meta_->schema_items()) {
-    const double score = meta_->ConceptMatchScore(lower, item);
+  const std::vector<SchemaItem>& items = meta_->schema_items();
+  for (size_t i = 0; i < items.size(); ++i) {
+    const double score = scores->concept_scores[i];
     if (score < params_.min_mapping_score) continue;
+    const SchemaItem& item = items[i];
     KeywordMapping m;
     m.kind = item.kind == SchemaItem::Kind::kTable
                  ? KeywordMapping::Kind::kTableName
@@ -136,8 +139,10 @@ std::vector<KeywordMapping> KeywordSearchEngine::MapKeyword(
   }
 
   // (b) Declared value-domain mappings (ConceptRefs referencing columns).
-  for (const auto& vc : meta_->value_columns()) {
-    double score = meta_->DomainMatchScore(word, vc);
+  const std::vector<ValueColumn>& columns = meta_->value_columns();
+  for (size_t j = 0; j < columns.size(); ++j) {
+    const ValueColumn& vc = columns[j];
+    double score = scores->domain_scores[j];
     if (score < params_.min_mapping_score) continue;
     auto table_result = catalog_->GetTable(vc.table);
     bool unique_col = false;
@@ -171,7 +176,7 @@ std::vector<KeywordMapping> KeywordSearchEngine::MapKeyword(
       const double score = TextMappingScore(*table, c, lower);
       if (score < params_.min_mapping_score) continue;
       if (declared != nullptr &&
-          meta_->DomainMatchScore(word, *declared) >=
+          scores->domain_scores[declared - columns.data()] >=
               params_.min_mapping_score) {
         continue;
       }

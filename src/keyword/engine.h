@@ -61,7 +61,8 @@ class KeywordSearchEngine {
                                         ExecStats* stats) const;
 
   /// Step 1 — candidate mappings for a single keyword, best-first,
-  /// thresholded and truncated per params.
+  /// thresholded and truncated per params. Schema and value-domain scores
+  /// come from NebulaMeta::ScoreWord, the memo Stage 1 fills.
   std::vector<KeywordMapping> MapKeyword(const std::string& word) const;
 
   /// Memoization table for MapKeyword, scoped by the caller (the shared

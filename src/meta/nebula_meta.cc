@@ -1,10 +1,15 @@
 #include "meta/nebula_meta.h"
 
 #include <algorithm>
+#include <memory>
 
+#include "common/fault.h"
+#include "common/fault_points.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/sync.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -13,6 +18,33 @@
 #include "text/similarity.h"
 
 namespace nebula {
+
+namespace {
+
+/// Process-wide word-score memo instruments, resolved once.
+struct WordMemoMetrics {
+  obs::Counter* hit;
+  obs::Counter* miss;
+  obs::Gauge* bytes;
+};
+
+const WordMemoMetrics& Metrics() {
+  static const WordMemoMetrics m = [] {
+    auto& r = obs::MetricsRegistry::Global();
+    WordMemoMetrics out;
+    out.hit = r.GetCounter("nebula_meta_word_memo_total", {{"outcome", "hit"}},
+                           "Word-score memo outcomes: hit = scores served "
+                           "from the memo, miss = scored cold");
+    out.miss =
+        r.GetCounter("nebula_meta_word_memo_total", {{"outcome", "miss"}}, "");
+    out.bytes = r.GetGauge("nebula_meta_word_memo_bytes", {},
+                           "Resident bytes of the word-score memo");
+    return out;
+  }();
+  return m;
+}
+
+}  // namespace
 
 NebulaMeta::NebulaMeta(Lexicon lexicon) : lexicon_(std::move(lexicon)) {}
 
@@ -245,6 +277,62 @@ double NebulaMeta::DomainMatchScore(const std::string& word,
     score += best;
   }
   return std::min(score, 1.0);
+}
+
+std::shared_ptr<const WordScores> NebulaMeta::ScoreWord(
+    const std::string& word) const {
+  {
+    MutexLock lock(word_memo_.mutex);
+    word_memo_.Sync(version_);
+    auto it = word_memo_.words.find(word);
+    if (it != word_memo_.words.end()) {
+      if constexpr (obs::kEnabled) Metrics().hit->Increment();
+      return it->second;
+    }
+  }
+  if constexpr (obs::kEnabled) Metrics().miss->Increment();
+  auto scores = std::make_shared<WordScores>();
+  const std::string lower = ToLower(word);
+  scores->concept_scores.reserve(schema_items_.size());
+  for (const SchemaItem& item : schema_items_) {
+    scores->concept_scores.push_back(ConceptMatchScore(lower, item));
+  }
+  scores->domain_scores.reserve(value_columns_.size());
+  for (const ValueColumn& column : value_columns_) {
+    scores->domain_scores.push_back(DomainMatchScore(word, column));
+  }
+  // Charged: the key, the scores and the hash node. An entry larger than
+  // the whole budget (a hostile token) is not kept; one that would
+  // overflow it drops every entry first. A failed fill only costs the
+  // next caller a recomputation.
+  const size_t charge =
+      word.size() + 64 + sizeof(WordScores) +
+      sizeof(double) * (schema_items_.size() + value_columns_.size());
+  if (!NEBULA_FAULT_SHOULD_FAIL(kFaultMetaWordMemoFill) &&
+      charge <= kWordMemoBudgetBytes) {
+    MutexLock lock(word_memo_.mutex);
+    word_memo_.Sync(version_);
+    if (word_memo_.bytes + charge > kWordMemoBudgetBytes) word_memo_.Clear();
+    if (word_memo_.words.emplace(word, scores).second) {
+      word_memo_.bytes += charge;
+    }
+    if constexpr (obs::kEnabled) {
+      Metrics().bytes->Set(static_cast<int64_t>(word_memo_.bytes));
+    }
+  }
+  return scores;
+}
+
+size_t NebulaMeta::word_memo_size() const {
+  MutexLock lock(word_memo_.mutex);
+  word_memo_.Sync(version_);
+  return word_memo_.words.size();
+}
+
+size_t NebulaMeta::word_memo_bytes() const {
+  MutexLock lock(word_memo_.mutex);
+  word_memo_.Sync(version_);
+  return word_memo_.bytes;
 }
 
 }  // namespace nebula

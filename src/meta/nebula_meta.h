@@ -1,14 +1,18 @@
 #ifndef NEBULA_META_NEBULA_META_H_
 #define NEBULA_META_NEBULA_META_H_
 
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/lock_rank.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "storage/catalog.h"
 #include "storage/value.h"
 #include "text/lexicon.h"
@@ -96,6 +100,14 @@ struct MetaScoringParams {
   double sample_fuzzy_lo_scale = 0.35;
 };
 
+/// One surface word scored against the whole metadata (paper §5.2.1):
+/// `concept_scores[i]` is p(w, schema_items()[i]) and `domain_scores[j]`
+/// is d(w, value_columns()[j]).
+struct WordScores {
+  std::vector<double> concept_scores;
+  std::vector<double> domain_scores;
+};
+
 /// NebulaMeta — the auxiliary-information repository of §5.1.
 ///
 /// Aggregates: the ConceptRefs catalog, expert-provided equivalent names
@@ -136,8 +148,8 @@ class NebulaMeta {
   /// Monotonic mutation counter: bumped by every successful mutator
   /// (AddConcept, the alias adders, SetColumnPattern, SetColumnOntology,
   /// DrawColumnSamples). Caches keyed on metadata-derived state — the
-  /// core layer's keyword->configuration plan cache — compare versions
-  /// and invalidate wholesale on any change.
+  /// word-score memo below and the core layer's keyword->configuration
+  /// plan cache — compare versions and invalidate wholesale on any change.
   uint64_t version() const { return version_; }
 
   const std::vector<ConceptRef>& concepts() const { return concepts_; }
@@ -146,7 +158,6 @@ class NebulaMeta {
     return value_columns_;
   }
   const Lexicon& lexicon() const { return lexicon_; }
-  MetaScoringParams& scoring() { return scoring_; }
   const MetaScoringParams& scoring() const { return scoring_; }
 
   /// Finds a value column by (table, column); nullptr when absent.
@@ -164,6 +175,21 @@ class NebulaMeta {
   double DomainMatchScore(const std::string& word,
                           const ValueColumn& column) const;
 
+  /// Both scorers for surface word `word` against every schema item
+  /// (ConceptMatchScore on ToLower(word)) and every value column
+  /// (DomainMatchScore on `word` itself), computed once and then served
+  /// from a memo that Stage 1 and Stage 2 share. The memo drops
+  /// everything when version() moves or when an insert would exceed
+  /// kWordMemoBudgetBytes. Safe to call concurrently with other const
+  /// methods; scoring runs outside the memo lock.
+  std::shared_ptr<const WordScores> ScoreWord(const std::string& word) const;
+
+  /// Resident bytes the word-score memo may hold.
+  static constexpr size_t kWordMemoBudgetBytes = 512 * 1024;
+  /// Memoized words and their charged bytes, as of version().
+  size_t word_memo_size() const;
+  size_t word_memo_bytes() const;
+
  private:
   /// Durability snapshots persist/restore private state (version_, sample
   /// and alias internals) without widening the public mutator surface.
@@ -178,6 +204,34 @@ class NebulaMeta {
   std::unordered_map<std::string, size_t> value_column_index_;  // by Key()
   // item key -> set of alias tokens (lower-case).
   std::unordered_map<std::string, std::unordered_set<std::string>> aliases_;
+
+  /// Surface word -> its scores, as of meta version `version`; `bytes`
+  /// is the charged size of `words`. Derived state: a copy or move of the
+  /// meta starts with an empty memo, and snapshots never persist it.
+  struct WordMemo {
+    WordMemo() = default;
+    WordMemo(const WordMemo&) {}
+    WordMemo& operator=(const WordMemo&) {
+      MutexLock lock(mutex);
+      Clear();
+      return *this;
+    }
+    void Clear() REQUIRES(mutex) {
+      words.clear();
+      bytes = 0;
+    }
+    /// Drops every entry when the meta's version moved since the last call.
+    void Sync(uint64_t meta_version) REQUIRES(mutex) {
+      if (meta_version != version) Clear();
+      version = meta_version;
+    }
+    Mutex mutex{kLockRankMetaWordMemo};
+    uint64_t version GUARDED_BY(mutex) = 0;
+    size_t bytes GUARDED_BY(mutex) = 0;
+    std::unordered_map<std::string, std::shared_ptr<const WordScores>> words
+        GUARDED_BY(mutex);
+  };
+  mutable WordMemo word_memo_;
 };
 
 }  // namespace nebula

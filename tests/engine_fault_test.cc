@@ -287,6 +287,42 @@ TEST_F(EngineFaultTest, ResultCacheFillFaultDegradesToReexecution) {
   ExpectAcgConsistent(&engine);
 }
 
+TEST_F(EngineFaultTest, WordMemoFillFaultDegradesToRescoring) {
+  // Stage-1 generation runs on pool workers here, so the fault also fires
+  // there; candidates must still equal a clean run's bit for bit.
+  NebulaConfig config;
+  config.num_threads = 2;
+  auto clean_universe = check::BuildCheckUniverse(2026);
+  ASSERT_TRUE(clean_universe.ok());
+  NebulaEngine clean_engine(&(*clean_universe)->catalog,
+                            &(*clean_universe)->store,
+                            &(*clean_universe)->meta, config);
+  clean_engine.RebuildAcg();
+  const auto expected = clean_engine.InsertAnnotations(Requests());
+  ASSERT_TRUE(expected.ok());
+
+  NebulaEngine engine(&universe_->catalog, &universe_->store,
+                      &universe_->meta, config);
+  engine.RebuildAcg();
+  ScopedFault fault(kFaultMetaWordMemoFill);
+  const auto reports = engine.InsertAnnotations(Requests());
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  EXPECT_GT(FaultRegistry::Global().FireCount(kFaultMetaWordMemoFill), 0u);
+  EXPECT_EQ(universe_->meta.word_memo_size(), 0u);
+  ASSERT_EQ(reports->size(), expected->size());
+  for (size_t i = 0; i < reports->size(); ++i) {
+    ASSERT_EQ((*reports)[i].candidates.size(),
+              (*expected)[i].candidates.size());
+    for (size_t c = 0; c < (*reports)[i].candidates.size(); ++c) {
+      EXPECT_EQ((*reports)[i].candidates[c].tuple,
+                (*expected)[i].candidates[c].tuple);
+      EXPECT_EQ((*reports)[i].candidates[c].confidence,
+                (*expected)[i].candidates[c].confidence);
+    }
+  }
+  ExpectAcgConsistent(&engine);
+}
+
 TEST_F(EngineFaultTest, TableInsertFaultRejectsRowWithoutSideEffects) {
   Table* table = universe_->catalog.GetTableById(0);
   const uint64_t rows_before = table->num_rows();

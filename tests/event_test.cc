@@ -261,7 +261,7 @@ TEST(EngineEventTest, OneEventPerOperationUnderSharedExecution) {
     ASSERT_NE(line.find("\"op\":\"insert\""), std::string::npos) << line;
     ++inserts;
     EXPECT_NE(line.find("\"verification\":"), std::string::npos) << line;
-    EXPECT_LE(NumberField(line, "map_generation_us") +
+    EXPECT_EQ(NumberField(line, "map_generation_us") +
                   NumberField(line, "context_adjust_us") +
                   NumberField(line, "query_formation_us"),
               NumberField(line, "generation_us"))

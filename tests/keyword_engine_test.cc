@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/fault.h"
+#include "common/fault_points.h"
 #include "common/random.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
@@ -369,6 +374,51 @@ TEST_F(KeywordEngineTest, MappingCacheYieldsIdenticalPlans) {
   }
   // The cache holds one entry per distinct keyword.
   EXPECT_EQ(cache.size(), 3u);
+}
+
+/// MapKeyword's output for `words` and the plan for the whole sequence,
+/// scores and confidences as exact hex floats.
+std::string RenderMappingsAndPlan(const KeywordSearchEngine& engine,
+                                  const std::vector<std::string>& words) {
+  std::string out;
+  char score[32];
+  for (const std::string& w : words) {
+    out += w + ":";
+    for (const KeywordMapping& m : engine.MapKeyword(w)) {
+      std::snprintf(score, sizeof(score), "%a", m.score);
+      out += " " + std::to_string(static_cast<int>(m.kind)) + "/" + m.table +
+             "." + m.column + (m.exact_value ? "=" : "~") + score;
+    }
+    out += "\n";
+  }
+  for (const GeneratedSql& sql : engine.CompileToSql({words, 1.0, ""})) {
+    std::snprintf(score, sizeof(score), "%a", sql.confidence);
+    out += sql.CanonicalKey() + " " + score + "\n";
+  }
+  return out;
+}
+
+TEST_F(KeywordEngineTest, MapKeywordIdenticalColdWarmAndWithMemoFillRefused) {
+  const std::vector<std::string> words = {
+      // Schema names and declared values, in two cases.
+      "gene", "GENE", "protein", "JW0014", "jw0014", "grpC", "Actin", "kinase",
+      "P00001",
+      // Text-index words, a stopword and a miss.
+      "expression", "growth", "the", "nomatch"};
+  ASSERT_EQ(meta_.word_memo_size(), 0u);
+  const std::string cold = RenderMappingsAndPlan(*engine_, words);
+  EXPECT_GT(meta_.word_memo_size(), 0u);
+  EXPECT_NE(cold.find("JW0014: 2/gene.gid="), std::string::npos) << cold;
+  EXPECT_NE(cold.find("expression: 2/publication.abstract~"),
+            std::string::npos)
+      << cold;
+  EXPECT_EQ(RenderMappingsAndPlan(*engine_, words), cold);
+
+  NebulaMeta memo_less(meta_);
+  const KeywordSearchEngine engine(&catalog_, &memo_less);
+  ScopedFault fault(kFaultMetaWordMemoFill);
+  EXPECT_EQ(RenderMappingsAndPlan(engine, words), cold);
+  EXPECT_EQ(memo_less.word_memo_size(), 0u);
 }
 
 TEST_F(KeywordEngineTest, ScanContainmentModeSameAnswersMoreWork) {

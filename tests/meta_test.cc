@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/fault.h"
+#include "common/fault_points.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/string_util.h"
+#include "durability/meta_serialize.h"
 #include "meta/nebula_meta.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -221,6 +230,166 @@ TEST_F(MetaTest, DrawSamplesFillsColumnTypes) {
 TEST_F(MetaTest, ScoreCappedAtOne) {
   const ValueColumn* gid = meta_.FindValueColumn("gene", "gid");
   EXPECT_LE(meta_.DomainMatchScore("JW0013", *gid), 1.0);
+}
+
+// ----------------------- ScoreWord: the word-score memo -----------------
+
+/// ScoreWord(word) must equal the two scorers, bit for bit, whether the
+/// memo serves it cold or warm.
+void ExpectScoreWordMatchesScorers(const NebulaMeta& meta,
+                                   const std::string& word) {
+  SCOPED_TRACE("word of " + std::to_string(word.size()) + " bytes: " +
+               word.substr(0, 16));
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto scores = meta.ScoreWord(word);
+    ASSERT_EQ(scores->concept_scores.size(), meta.schema_items().size());
+    ASSERT_EQ(scores->domain_scores.size(), meta.value_columns().size());
+    for (size_t i = 0; i < meta.schema_items().size(); ++i) {
+      EXPECT_EQ(scores->concept_scores[i],
+                meta.ConceptMatchScore(ToLower(word), meta.schema_items()[i]))
+          << meta.schema_items()[i].Key();
+    }
+    for (size_t j = 0; j < meta.value_columns().size(); ++j) {
+      EXPECT_EQ(scores->domain_scores[j],
+                meta.DomainMatchScore(word, meta.value_columns()[j]))
+          << meta.value_columns()[j].Key();
+    }
+  }
+}
+
+std::vector<std::string> ScoreWordInputs() {
+  return {
+      // Case variants, a stem, an alias and a synonym.
+      "gene", "Gene", "GENE", "genes", "locus", "id", "JW0014", "jw0014",
+      "JW00014", "jw00014",
+      // Ontology and sample hits, exact and fuzzy.
+      "kinase", "KINASE", "Actin", "actin", "Tubulin2", "Actin2", "membrane",
+      // Stopwords, degenerate and hostile tokens.
+      "the", "of", "", "a", "7", std::string("gr\0pC", 6), "it's", "\"grpC\"",
+      "'; DROP TABLE gene; --", std::string(1 << 20, 'x')};
+}
+
+TEST_F(MetaTest, ScoreWordEqualsScorersColdAndWarm) {
+  Rng rng(7);
+  ASSERT_TRUE(meta_.DrawColumnSamples(catalog_, 10, &rng).ok());
+  ASSERT_FALSE(meta_.FindValueColumn("protein", "pname")->samples.empty());
+  const std::vector<std::string> inputs = ScoreWordInputs();
+  for (const std::string& word : inputs) {
+    ExpectScoreWordMatchesScorers(meta_, word);
+  }
+  // Every input is memoized except the 1 MB token, which alone exceeds
+  // the budget.
+  EXPECT_EQ(meta_.word_memo_size(), inputs.size() - 1);
+  EXPECT_LE(meta_.word_memo_bytes(), NebulaMeta::kWordMemoBudgetBytes);
+}
+
+TEST_F(MetaTest, WordMemoStaysWithinBudgetPastCapacity) {
+  size_t drops = 0;
+  size_t last_size = 0;
+  for (int i = 0; i < 20000; ++i) {
+    (void)meta_.ScoreWord("word" + std::to_string(i));
+    const size_t size = meta_.word_memo_size();
+    if (size < last_size) ++drops;
+    last_size = size;
+    ASSERT_LE(meta_.word_memo_bytes(), NebulaMeta::kWordMemoBudgetBytes);
+  }
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(meta_.word_memo_size(), 0u);
+  ExpectScoreWordMatchesScorers(meta_, "word19999");
+  ExpectScoreWordMatchesScorers(meta_, "word0");
+}
+
+TEST_F(MetaTest, WordMemoDropsOnEveryMutator) {
+  const std::vector<std::string> words = {
+      // Concept words the alias mutators rescore.
+      "gene", "locus", "family", "name", "enzyme",
+      // Value words the pattern, ontology and sample mutators rescore.
+      "F1", "JW0014", "JW00014", "kinase", "Actin"};
+  Rng rng(7);
+  const std::vector<std::pair<std::string, std::function<void()>>>
+      mutators = {
+          {"AddConcept",
+           [&] {
+             ASSERT_TRUE(meta_.AddConcept("Family", "gene", {{"family"}})
+                             .ok());
+           }},
+          {"AddTableAlias", [&] { meta_.AddTableAlias("gene", "locus"); }},
+          {"AddColumnAlias",
+           [&] { meta_.AddColumnAlias("gene", "name", "enzyme"); }},
+          {"SetColumnPattern",
+           [&] {
+             ASSERT_TRUE(
+                 meta_.SetColumnPattern("gene", "gid", "JW[0-9]{5}").ok());
+           }},
+          {"SetColumnOntology",
+           [&] {
+             ASSERT_TRUE(
+                 meta_.SetColumnOntology("protein", "ptype", {"enzyme"})
+                     .ok());
+           }},
+          {"DrawColumnSamples",
+           [&] {
+             ASSERT_TRUE(meta_.DrawColumnSamples(catalog_, 10, &rng).ok());
+           }},
+      };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    // The lookup path: each mutator changes some word's scores, so a memo
+    // that outlived it would fail the comparison.
+    for (const std::string& w : words) (void)meta_.ScoreWord(w);
+    const uint64_t before = meta_.version();
+    mutate();
+    EXPECT_GT(meta_.version(), before);
+    for (const std::string& w : words) ExpectScoreWordMatchesScorers(meta_, w);
+    // The drop itself, as the observers see it (every call bumps version).
+    ASSERT_EQ(meta_.word_memo_size(), words.size());
+    mutate();
+    EXPECT_EQ(meta_.word_memo_size(), 0u);
+    EXPECT_EQ(meta_.word_memo_bytes(), 0u);
+  }
+}
+
+TEST_F(MetaTest, WordMemoIsDerivedStateOnCopyMoveAndLoad) {
+  (void)meta_.ScoreWord("gene");
+  ASSERT_EQ(meta_.word_memo_size(), 1u);
+
+  NebulaMeta copy(meta_);
+  EXPECT_EQ(copy.word_memo_size(), 0u);
+  EXPECT_EQ(meta_.word_memo_size(), 1u);
+  ExpectScoreWordMatchesScorers(copy, "gene");
+
+  NebulaMeta target;
+  (void)target.ScoreWord("gene");
+  ASSERT_EQ(target.word_memo_size(), 1u);
+  target = std::move(copy);
+  EXPECT_EQ(target.word_memo_size(), 0u);
+  ExpectScoreWordMatchesScorers(target, "gene");
+
+  // A snapshot blob never carries the memo, and loading drops whatever
+  // the fresh meta memoized — even when the blob restores the version
+  // the memo was filled under.
+  std::string blob = durability::MetaSerializer::SaveToString(meta_);
+  const size_t tab = blob.rfind('\t', blob.find('\n'));
+  blob = blob.substr(0, tab + 1) + "0" + blob.substr(blob.find('\n'));
+  NebulaMeta loaded;
+  (void)loaded.ScoreWord("gene");
+  ASSERT_EQ(loaded.word_memo_size(), 1u);
+  ASSERT_TRUE(durability::MetaSerializer::LoadFromString(blob, &loaded).ok());
+  EXPECT_EQ(loaded.version(), 0u);
+  EXPECT_EQ(loaded.word_memo_size(), 0u);
+  ExpectScoreWordMatchesScorers(loaded, "gene");
+}
+
+TEST_F(MetaTest, WordMemoFillFaultServesColdScores) {
+  {
+    ScopedFault fault(kFaultMetaWordMemoFill);
+    ExpectScoreWordMatchesScorers(meta_, "gene");
+    ExpectScoreWordMatchesScorers(meta_, "JW0014");
+    EXPECT_GT(FaultRegistry::Global().FireCount(kFaultMetaWordMemoFill), 0u);
+    EXPECT_EQ(meta_.word_memo_size(), 0u);
+  }
+  (void)meta_.ScoreWord("gene");
+  EXPECT_EQ(meta_.word_memo_size(), 1u);
 }
 
 }  // namespace

@@ -397,7 +397,7 @@ TEST(EngineObsTest, InsertAnnotationRecordsStageTimingsInItsEvent) {
   ASSERT_EQ(events.size(), 1u);
   const std::string& event = events.front();
   const auto& phases = report->generation_timing;
-  EXPECT_LE(phases.total_us(), report->timings.generation_us);
+  EXPECT_EQ(phases.total_us(), report->timings.generation_us);
   const std::map<std::string, uint64_t> fields = {
       {"annotation", report->annotation},
       {"store_us", report->timings.store_us},

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
@@ -8,6 +11,7 @@
 #include "core/acg.h"
 #include "core/engine.h"
 #include "core/identify.h"
+#include "core/query_generation.h"
 #include "keyword/engine.h"
 #include "keyword/query_types.h"
 #include "keyword/shared_executor.h"
@@ -250,6 +254,72 @@ TEST_P(BatchIngestTest, BatchMatchesOneAtATime) {
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, BatchIngestTest,
                          ::testing::Values(0u, 1u, 2u, 8u));
+
+// ===================================================================
+// The word-score memo under concurrency: Stage-1 generation on pool
+// workers and Stage-2 keyword mapping on the caller share one meta's
+// memo. Four threads generate and map the same texts, each in its own
+// order; every result must equal a sequential run on a fresh copy.
+// ===================================================================
+
+/// Queries of `text` and MapKeyword's output for each of their keywords,
+/// weights and scores as exact hex floats.
+std::string GenerateAndMap(const NebulaMeta* meta,
+                           const KeywordSearchEngine& engine,
+                           const std::string& text) {
+  std::string out;
+  char num[32];
+  for (const KeywordQuery& q : QueryGenerator(meta).Generate(text).queries) {
+    std::snprintf(num, sizeof(num), "%a", q.weight);
+    out += q.label + " " + num + "\n";
+    for (const std::string& kw : q.keywords) {
+      for (const KeywordMapping& m : engine.MapKeyword(kw)) {
+        std::snprintf(num, sizeof(num), "%a", m.score);
+        out += "  " + kw + " " + m.table + "." + m.column + " " + num + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+TEST(WordMemoConcurrencyTest, GenerateAndMapKeywordMatchSequential) {
+  auto ds = GenerateBioDataset(DatasetSpec::Tiny());
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  std::vector<std::string> texts;
+  for (const WorkloadAnnotation& wa : (*ds)->workload.annotations) {
+    if (texts.size() == 24) break;
+    texts.push_back(wa.text);
+  }
+
+  NebulaMeta fresh((*ds)->meta);
+  const KeywordSearchEngine sequential_engine(&(*ds)->catalog, &fresh);
+  std::vector<std::string> expected;
+  for (const std::string& text : texts) {
+    expected.push_back(GenerateAndMap(&fresh, sequential_engine, text));
+  }
+
+  const NebulaMeta* shared = &(*ds)->meta;
+  const KeywordSearchEngine engine(&(*ds)->catalog, shared);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> got(
+      kThreads, std::vector<std::string>(texts.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < texts.size(); ++k) {
+        const size_t i = (k + t * 7) % texts.size();
+        got[t][i] = GenerateAndMap(shared, engine, texts[i]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < texts.size(); ++i) {
+      EXPECT_EQ(got[t][i], expected[i]) << "thread " << t << " text " << i;
+    }
+  }
+  EXPECT_GT(shared->word_memo_size(), 0u);
+}
 
 }  // namespace
 }  // namespace nebula

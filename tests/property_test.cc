@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 
 #include "annotation/annotation_store.h"
 #include "annotation/quality.h"
@@ -574,6 +575,40 @@ TEST_P(PlanCacheEquivalence, HitResultsBitIdenticalToCold) {
 
 INSTANTIATE_TEST_SUITE_P(WorkloadAnnotations, PlanCacheEquivalence,
                          ::testing::Values(0u, 9u, 21u, 33u, 45u, 57u));
+
+// ------ Property: a plan cache over budget still serves exact plans -----
+// A budget of a few plans forces wholesale drops group after group; every
+// plan it returns must still equal a fresh CompileToSql, and it must never
+// hold more than its budget.
+
+TEST(PlanCacheEviction, TinyBudgetPlansEqualCompileToSql) {
+  BioDataset* ds = SharedDataset();
+  ASSERT_NE(ds, nullptr);
+  KeywordSearchEngine engine(&ds->catalog, &ds->meta);
+  const size_t budget = 2048;
+  PlanCache cache(&ds->meta, budget);
+  QueryGenerator gen(&ds->meta);
+  std::set<std::vector<std::string>> distinct;
+  size_t peak = 0;
+  for (size_t a = 0; a < 40 && a < ds->workload.annotations.size(); ++a) {
+    const auto queries = gen.Generate(ds->workload.annotations[a].text).queries;
+    for (const KeywordQuery& q : queries) distinct.insert(q.keywords);
+    const auto plans = cache.GetOrCompileGroup(engine, queries);
+    peak = std::max(peak, cache.size());
+    ASSERT_LE(cache.bytes(), budget);
+    ASSERT_EQ(plans.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const auto fresh = engine.CompileToSql(queries[q]);
+      ASSERT_EQ(plans[q].size(), fresh.size()) << queries[q].label;
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(plans[q][i].CanonicalKey(), fresh[i].CanonicalKey());
+        EXPECT_EQ(plans[q][i].confidence, fresh[i].confidence);
+      }
+    }
+  }
+  EXPECT_GT(peak, 1u);
+  EXPECT_LT(peak, distinct.size());  // evicted along the way
+}
 
 // ------ Property: every NebulaMeta mutation invalidates the cache -------
 // Each successful mutator must bump version(), and a bumped version must

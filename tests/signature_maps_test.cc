@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/fault.h"
+#include "common/fault_points.h"
 #include "core/signature_maps.h"
 #include "meta/nebula_meta.h"
 #include "text/tokenizer.h"
@@ -127,6 +132,47 @@ TEST_F(SignatureMapTest, BestMappingPicksHighestWeight) {
   EXPECT_EQ(word.BestMapping()->table, "c");
   SigWord empty;
   EXPECT_EQ(empty.BestMapping(), nullptr);
+}
+
+/// Every word and mapping of a map, weights as exact hex floats.
+std::string Render(const SignatureMap& map) {
+  std::string out;
+  for (const SigWord& w : map.words) {
+    out += w.token.text + "@" + std::to_string(w.token.position) + ":";
+    for (const WordMapping& m : w.mappings) {
+      char weight[32];
+      std::snprintf(weight, sizeof(weight), "%a", m.weight);
+      out += " " + std::to_string(static_cast<int>(m.kind)) + "/" + m.table +
+             "." + m.column + "=" + weight;
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_F(SignatureMapTest, MapsIdenticalColdWarmAndWithMemoFillRefused) {
+  const auto tokens = Tokenize(
+      "The gene JW0014 (GENE grpC, genes jw0014) encodes the Kinase "
+      "protein P00001; the protein's receptor pid P0001 and JW0014 again.");
+  const double eps = 0.3;
+  ASSERT_EQ(meta_.word_memo_size(), 0u);
+  const std::string cold_concept =
+      Render(builder_->BuildConceptMap(tokens, eps));
+  const std::string cold_value = Render(builder_->BuildValueMap(tokens, eps));
+  EXPECT_GT(meta_.word_memo_size(), 0u);
+  EXPECT_NE(cold_concept.find("=0x1p+0"), std::string::npos);  // "gene"
+
+  EXPECT_EQ(Render(builder_->BuildConceptMap(tokens, eps)), cold_concept);
+  EXPECT_EQ(Render(builder_->BuildValueMap(tokens, eps)), cold_value);
+
+  // A copy starts with an empty memo; with every fill refused each word is
+  // scored cold on every call.
+  NebulaMeta memo_less(meta_);
+  const SignatureMapBuilder builder(&memo_less);
+  ScopedFault fault(kFaultMetaWordMemoFill);
+  EXPECT_EQ(Render(builder.BuildConceptMap(tokens, eps)), cold_concept);
+  EXPECT_EQ(Render(builder.BuildValueMap(tokens, eps)), cold_value);
+  EXPECT_EQ(memo_less.word_memo_size(), 0u);
 }
 
 TEST_F(SignatureMapTest, EmptyAnnotationYieldsEmptyMaps) {

@@ -7,11 +7,9 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/acg.h"
 #include "core/query_generation.h"
 #include "keyword/engine.h"
-#include "keyword/shared_executor.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 #include "workload/generator.h"
@@ -136,53 +134,6 @@ void BM_KeywordSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeywordSearch);
-
-/// Parallel Stage-2 shared execution: one large query group (all queries
-/// generated from the L^500 annotations) executed through the shared
-/// executor on a pool of `range(0)` workers; 0 = the sequential path.
-///
-/// scan_containment=true puts ms-scale LIKE-scan work behind every
-/// distinct statement (the paper's RDBMS cost model), so the per-
-/// statement parallelism is visible: on an N-core machine the 8-worker
-/// variant should run close to min(8, N)x faster than Arg(0). Timed with
-/// UseRealTime() because the calling thread mostly blocks on futures.
-void BM_SharedExecutionThreads(benchmark::State& state) {
-  BioDataset* ds = Dataset();
-  KeywordSearchParams params;
-  params.scan_containment = true;
-  KeywordSearchEngine engine(&ds->catalog, &ds->meta, params);
-
-  QueryGenerator generator(&ds->meta);
-  std::vector<KeywordQuery> group;
-  for (size_t idx : ds->workload.BySizeClass(500)) {
-    const auto generated =
-        generator.Generate(ds->workload.annotations[idx].text);
-    group.insert(group.end(), generated.queries.begin(),
-                 generated.queries.end());
-  }
-
-  const size_t num_threads = static_cast<size_t>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 0) pool = std::make_unique<ThreadPool>(num_threads);
-
-  size_t distinct = 0;
-  for (auto _ : state) {
-    SharedKeywordExecutor shared(&engine, pool.get());
-    std::vector<std::vector<SearchHit>> results;
-    benchmark::DoNotOptimize(shared.ExecuteGroup(group, &results));
-    distinct = shared.stats().distinct_sql;
-  }
-  state.counters["queries"] = static_cast<double>(group.size());
-  state.counters["distinct_sql"] = static_cast<double>(distinct);
-}
-BENCHMARK(BM_SharedExecutionThreads)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_AcgKHop(benchmark::State& state) {
   BioDataset* ds = Dataset();

@@ -61,8 +61,8 @@ QueryClassification ClassifyQueries(const WorkloadAnnotation& wa,
 /// One measured configuration of a benchmark, for the machine-readable
 /// sidecar file (the printed tables stay the human-facing output).
 struct BenchRecord {
-  std::string name;  ///< e.g. "shared_execution/threads=4"
-  /// Free-form configuration (epsilon, dataset, thread count, ...).
+  std::string name;  ///< e.g. "shared_execution/D_small/L^50/eps=0.6"
+  /// Free-form configuration (epsilon, dataset, ...).
   std::vector<std::pair<std::string, std::string>> params;
   uint64_t wall_us = 0;
   uint64_t rows_examined = 0;

@@ -51,8 +51,8 @@ inline constexpr char kFaultDurabilityWalTornTail[] =
 inline constexpr char kFaultKeywordResultCacheFill[] =
     "keyword.resultcache.fill";
 
-/// Per distinct statement in the shared keyword executor; fires on pool
-/// workers too.
+/// Per distinct statement in the shared keyword executor, on the thread
+/// running the annotation's Stage 2.
 inline constexpr char kFaultKeywordSharedStatement[] =
     "keyword.shared.statement";
 

@@ -10,8 +10,6 @@ namespace {
 std::atomic<const PoolEventSink*> g_pool_sink{nullptr};
 std::atomic<const LockdepEventSink*> g_lockdep_sink{nullptr};
 std::atomic<ThreadOrdinalFn> g_thread_ordinal{nullptr};
-std::atomic<TaskContextCaptureFn> g_ctx_capture{nullptr};
-std::atomic<TaskContextSwapFn> g_ctx_swap{nullptr};
 
 }  // namespace
 
@@ -29,21 +27,6 @@ void SetLockdepEventSink(const LockdepEventSink* sink) {
 
 const LockdepEventSink* GetLockdepEventSink() {
   return g_lockdep_sink.load(std::memory_order_acquire);
-}
-
-void SetTaskContextHooks(TaskContextCaptureFn capture, TaskContextSwapFn swap) {
-  g_ctx_capture.store(capture, std::memory_order_release);
-  g_ctx_swap.store(swap, std::memory_order_release);
-}
-
-uintptr_t CaptureTaskContext() {
-  const TaskContextCaptureFn fn = g_ctx_capture.load(std::memory_order_acquire);
-  return fn != nullptr ? fn() : 0;
-}
-
-uintptr_t SwapTaskContext(uintptr_t context) {
-  const TaskContextSwapFn fn = g_ctx_swap.load(std::memory_order_acquire);
-  return fn != nullptr ? fn(context) : 0;
 }
 
 void SetThreadOrdinalProvider(ThreadOrdinalFn fn) {

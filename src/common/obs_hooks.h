@@ -45,31 +45,6 @@ void SetPoolEventSink(const PoolEventSink* sink);
 /// pointer never changes after startup in production binaries.
 const PoolEventSink* GetPoolEventSink();
 
-/// Opaque per-task context handle propagated from ThreadPool::Submit to
-/// the worker that executes the task. The observability layer registers
-/// implementations that capture the submitting thread's current
-/// operation context (obs::EventContext) and install it around the
-/// task's execution, so pooled subtasks attribute their cache/row
-/// counters to the parent operation instead of vanishing at the pool
-/// boundary. `common` never interprets the value: 0 means "no context".
-using TaskContextCaptureFn = uintptr_t (*)();
-/// Installs `context` as the calling thread's current context and
-/// returns the previously installed one (workers restore it after the
-/// task so contexts never leak across tasks).
-using TaskContextSwapFn = uintptr_t (*)(uintptr_t context);
-
-/// Registers both task-context hooks (obs does this from its static
-/// registrar). Passing nullptrs unregisters.
-void SetTaskContextHooks(TaskContextCaptureFn capture, TaskContextSwapFn swap);
-
-/// Captured context of the calling thread, or 0 when no hook is
-/// registered (or no context is installed).
-uintptr_t CaptureTaskContext();
-
-/// Swaps the calling thread's context; no-op returning 0 when no hook is
-/// registered.
-uintptr_t SwapTaskContext(uintptr_t context);
-
 /// Events emitted by the lockdep witness (common/lockdep.cc,
 /// -DNEBULA_LOCKDEP=ON). Callbacks must be cheap, non-blocking, and must
 /// not acquire any nebula::Mutex: they run inside the witness itself.

@@ -32,7 +32,6 @@ bool ThreadPool::Enqueue(std::function<void()> task) {
     if (stopping_) return false;
     QueueItem item;
     item.fn = std::move(task);
-    item.context = hooks::CaptureTaskContext();
     if (sink_ != nullptr) {
       item.enqueued = std::chrono::steady_clock::now();
     }
@@ -80,12 +79,7 @@ void ThreadPool::WorkerLoop() {
                     .count()));
       }
     }
-    // Run the task under the submitter's context so pooled subtasks
-    // attribute cache/row counters to the parent operation; restore the
-    // previous context afterwards so it never leaks across tasks.
-    const uintptr_t prev_context = hooks::SwapTaskContext(item.context);
     item.fn();  // packaged_task captures exceptions into the future
-    hooks::SwapTaskContext(prev_context);
     if (sink_ != nullptr) {
       sink_->task_executed();
     }

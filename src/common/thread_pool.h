@@ -18,8 +18,10 @@
 namespace nebula {
 
 /// A fixed-size worker pool with a FIFO task queue and futures-based
-/// submission — the concurrency substrate of the parallel Stage-2 executor
-/// and the batch-ingest pipeline (see DESIGN.md "Concurrency model").
+/// submission. Its one engine use is the batch-ingest pipeline, which runs
+/// each request's Stage-1 query generation ahead of the stateful stages
+/// (see DESIGN.md "Concurrency model"). Tasks run with no operation
+/// context: nothing of the submitting thread's state travels with them.
 ///
 /// Semantics:
 ///  - `Submit` enqueues a callable and returns a `std::future` of its
@@ -66,13 +68,10 @@ class ThreadPool {
 
  private:
   /// A queued task plus its submission time (for the queue-wait
-  /// histogram; unused when observability is compiled out) and the
-  /// submitter's opaque task context (hooks::CaptureTaskContext), so the
-  /// executing worker attributes its work to the parent operation.
+  /// histogram; unused when observability is compiled out).
   struct QueueItem {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued;
-    uintptr_t context = 0;
   };
 
   /// Returns false when the pool is already stopped.

@@ -281,7 +281,7 @@ Result<AnnotationReport> NebulaEngine::DiscoverWithQueries(
     search_engine_.params().memoize_sql_results = false;
     identify_params.use_plan_cache = false;
   }
-  TupleIdentifier identifier(&search_engine_, &acg_, identify_params, pool(),
+  TupleIdentifier identifier(&search_engine_, &acg_, identify_params,
                              &plan_cache_);
   FocalSpreading spreading(&acg_, config_.spreading);
 
@@ -478,8 +478,8 @@ Status NebulaEngine::SubmitCandidates(AnnotationReport* report) {
 Result<AnnotationReport> NebulaEngine::InsertOne(
     const std::string& text, const std::vector<TupleId>& focal,
     const std::string& author, QueryGenerationResult* pregenerated) {
-  // Attribution context for the wide event: every cache probe, SQL
-  // execution, and pooled subtask below charges its counters here.
+  // Attribution context for the wide event: every cache probe and SQL
+  // execution below charges its counters here, on this thread.
   std::optional<obs::ScopedEventContext> event_scope;
   if constexpr (obs::kEnabled) event_scope.emplace(&event_log_);
 

@@ -55,12 +55,12 @@ struct NebulaConfig {
   /// excessive share of the database, skip verification submission.
   bool enable_spam_guard = true;
   SpamGuardParams spam_guard;
-  /// Size of the engine-owned worker pool for parallel Stage-2 execution
-  /// and batch ingest. 0 keeps everything sequential — bit-for-bit the
-  /// historical behavior. N >= 1 executes each query group's distinct SQL
-  /// (and the batch's Stage-1 generation) on N workers; results and stats
-  /// stay identical to the sequential path (see DESIGN.md "Concurrency
-  /// model").
+  /// Width of the batch Stage-1 pipeline: InsertAnnotations generates the
+  /// batch's keyword queries on this many engine-owned workers while the
+  /// stateful stages run in request order on the caller. 0 runs the batch
+  /// one annotation at a time. Every other operation, and all of Stage 2,
+  /// runs on the calling thread; results and stats are identical either
+  /// way (see DESIGN.md "Concurrency model").
   size_t num_threads = 0;
   /// Wide-event log (one JSON-lines record per insert and per search;
   /// DESIGN.md §7). `event_capacity` bounds the
@@ -144,8 +144,8 @@ class NebulaEngine {
   /// each request in order (reports come back in request order), but with
   /// config().num_threads > 0 the batch's Stage-1 query generation — a
   /// pure function of the metadata and the text — runs ahead on the worker
-  /// pool while the stateful stages (0, 2, 3) proceed in request order,
-  /// and each annotation's Stage 2 executes its SQL on the same pool.
+  /// pool, one task per request, while the stateful stages (0, 2, 3)
+  /// proceed in request order on the calling thread.
   [[nodiscard]] Result<std::vector<AnnotationReport>> InsertAnnotations(
       std::span<const AnnotationRequest> requests);
 
@@ -185,11 +185,6 @@ class NebulaEngine {
   VerificationManager& verification() { return verification_; }
   NebulaConfig& config() { return config_; }
   const NebulaConfig& config() const { return config_; }
-
-  /// The engine-owned worker pool sized per config().num_threads; nullptr
-  /// when sequential (num_threads == 0). Lazily (re)built when the knob
-  /// changes.
-  ThreadPool* pool();
 
   // --- Observability surface ---
 
@@ -232,6 +227,9 @@ class NebulaEngine {
                                      const std::vector<TupleId>& focal,
                                      const std::string& author,
                                      QueryGenerationResult* pregenerated);
+  /// The batch Stage-1 pool sized per config().num_threads; nullptr when
+  /// num_threads == 0. Lazily (re)built when the knob changes.
+  ThreadPool* pool();
 
   Catalog* catalog_;
   AnnotationStore* store_;

@@ -1,7 +1,6 @@
 #include "core/identify.h"
 
 #include <algorithm>
-#include <future>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -100,7 +99,7 @@ std::vector<std::vector<GeneratedSql>> PlanCache::GetOrCompileGroup(
       if constexpr (obs::kEnabled) {
         Metrics().hits->Increment();
         if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-          ctx->plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
+          ++ctx->plan_cache_hits;
         }
       }
       out.push_back(it->second);
@@ -109,7 +108,7 @@ std::vector<std::vector<GeneratedSql>> PlanCache::GetOrCompileGroup(
     if constexpr (obs::kEnabled) {
       Metrics().misses->Increment();
       if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-        ctx->plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
+        ++ctx->plan_cache_misses;
       }
     }
     std::vector<GeneratedSql> compiled = engine.CompileToSql(q, &mapping_cache);
@@ -166,43 +165,9 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
   }
   std::vector<std::vector<SearchHit>> per_query;
   if (params_.shared_execution) {
-    SharedKeywordExecutor shared(engine_, pool_);
+    SharedKeywordExecutor shared(engine_);
     NEBULA_RETURN_NOT_OK(shared.ExecuteGroup(queries, &per_query, mini_db,
                                              use_plans ? &plans : nullptr));
-  } else if (pool_ != nullptr && queries.size() > 1) {
-    // Isolated queries are independent of each other: run each whole
-    // query on the pool; collect answers and fold stats in query order so
-    // the outcome matches sequential execution exactly.
-    struct QueryOutcome {
-      Result<std::vector<SearchHit>> hits = std::vector<SearchHit>{};
-      ExecStats stats;
-    };
-    std::vector<std::future<QueryOutcome>> outcomes;
-    outcomes.reserve(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const KeywordQuery& q = queries[qi];
-      outcomes.push_back(
-          pool_->Submit([this, &q, qi, mini_db, use_plans, &plans] {
-            QueryOutcome out;
-            out.hits = use_plans
-                           ? engine_->SearchPlan(plans[qi], mini_db, &out.stats)
-                           : engine_->Search(q, mini_db, &out.stats);
-            return out;
-          }));
-    }
-    per_query.resize(queries.size());
-    // Join all tasks before any early return: workers reference `queries`.
-    Status status = Status::OK();
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      QueryOutcome out = outcomes[qi].get();
-      engine_->AccumulateStats(out.stats);
-      if (!out.hits.ok()) {
-        if (status.ok()) status = out.hits.status();
-        continue;
-      }
-      per_query[qi] = std::move(out.hits).value();
-    }
-    NEBULA_RETURN_NOT_OK(status);
   } else {
     per_query.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {

@@ -9,7 +9,6 @@
 #include "common/lock_rank.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "core/acg.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
@@ -121,21 +120,11 @@ class PlanCache {
 /// §6.2 focal-based confidence adjustment).
 class TupleIdentifier {
  public:
-  /// `pool`, when given, parallelizes query execution: the shared executor
-  /// runs its distinct statements on the pool, and the isolated path runs
-  /// whole queries on it. Candidates (order and confidences) and engine
-  /// ExecStats totals are identical to the sequential path.
-  ///
   /// `plan_cache`, when given, serves the group's compiled plans (subject
   /// to params.use_plan_cache); results are identical to recompiling.
   TupleIdentifier(KeywordSearchEngine* engine, const Acg* acg,
-                  IdentifyParams params = {}, ThreadPool* pool = nullptr,
-                  PlanCache* plan_cache = nullptr)
-      : engine_(engine),
-        acg_(acg),
-        params_(params),
-        pool_(pool),
-        plan_cache_(plan_cache) {}
+                  IdentifyParams params = {}, PlanCache* plan_cache = nullptr)
+      : engine_(engine), acg_(acg), params_(params), plan_cache_(plan_cache) {}
 
   /// Runs the algorithm. `focal` is Foc(a); `mini_db`, when given,
   /// restricts the search (focal-spreading mode). Candidates are returned
@@ -151,7 +140,6 @@ class TupleIdentifier {
   KeywordSearchEngine* engine_;
   const Acg* acg_;
   IdentifyParams params_;
-  ThreadPool* pool_;
   PlanCache* plan_cache_;
 };
 

@@ -441,11 +441,9 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
         // Per-operation attribution: a hit replays the cold run's
         // counters, so the operation's totals match an uncached run.
         if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-          ctx->result_cache_hits.fetch_add(1, std::memory_order_relaxed);
-          ctx->rows_examined.fetch_add(it->second.stats.rows_examined,
-                                       std::memory_order_relaxed);
-          ctx->index_lookups.fetch_add(it->second.stats.index_lookups,
-                                       std::memory_order_relaxed);
+          ++ctx->result_cache_hits;
+          ctx->rows_examined += it->second.stats.rows_examined;
+          ctx->index_lookups += it->second.stats.index_lookups;
         }
       }
       return ScaleHits(it->second.unit_hits, sql.confidence);
@@ -455,15 +453,15 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
     if (cacheable) {
       Metrics().result_miss->Increment();
       if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-        ctx->result_cache_misses.fetch_add(1, std::memory_order_relaxed);
+        ++ctx->result_cache_misses;
       }
     }
   }
 
   // Cold path, at unit confidence (scaled at the very end so the memo can
   // serve every confidence). A per-call executor keeps this path free of
-  // shared mutable state, so pool workers can run statements of the same
-  // group concurrently.
+  // shared mutable state, so concurrent const Search callers can run it
+  // at once.
   QueryExecutor executor(catalog_);
   executor.set_use_value_index(params_.use_value_index);
   Stopwatch watch;
@@ -477,11 +475,9 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
   if constexpr (obs::kEnabled) {
     if (obs::EventContext* ctx = obs::CurrentEventContext()) {
       const ExecStats& exec = executor.stats();
-      ctx->sql_executed.fetch_add(1, std::memory_order_relaxed);
-      ctx->rows_examined.fetch_add(exec.rows_examined,
-                                   std::memory_order_relaxed);
-      ctx->index_lookups.fetch_add(exec.index_lookups,
-                                   std::memory_order_relaxed);
+      ++ctx->sql_executed;
+      ctx->rows_examined += exec.rows_examined;
+      ctx->index_lookups += exec.index_lookups;
     }
     const IndexPathStats& paths = executor.path_stats();
     const KeywordEngineMetrics& m = Metrics();

@@ -49,7 +49,7 @@ class KeywordSearchEngine {
   /// Thread-safe variant of Search: touches only shared-immutable engine
   /// state and reports execution counters into `stats` (may be null)
   /// instead of the engine's accumulator. Safe to call concurrently from
-  /// worker threads; fold the counters back with AccumulateStats.
+  /// several threads; fold the counters back with AccumulateStats.
   ///
   /// `*stats` is OVERWRITTEN with this call's counters, never
   /// accumulated into: a caller that reuses one ExecStats across calls
@@ -105,9 +105,9 @@ class KeywordSearchEngine {
 
   const ExecStats& stats() const { return executor_.stats(); }
   void ResetStats() { executor_.ResetStats(); }
-  /// Folds per-worker counters into the engine's accumulator. The parallel
-  /// executor calls this after joining its tasks, in plan order, so the
-  /// totals match sequential execution exactly.
+  /// Folds counters reported by the const Search/SearchPlan/ExecuteSql
+  /// overloads into the engine's accumulator. Stage 2 calls it after each
+  /// statement, in plan order.
   void AccumulateStats(const ExecStats& stats) {
     executor_.AccumulateStats(stats);
   }
@@ -147,8 +147,8 @@ class KeywordSearchEngine {
   KeywordSearchParams params_;
   QueryExecutor executor_;
   /// CanonicalKey -> memoized execution. Mutable + internally locked: the
-  /// const thread-safe Search/ExecuteSql overloads run concurrently on
-  /// pool workers and all share the memo.
+  /// const thread-safe Search/ExecuteSql overloads may run concurrently
+  /// from several caller threads, and all share the memo.
   mutable Mutex result_cache_mutex_{kLockRankKeywordResultCache};
   mutable std::unordered_map<std::string, CachedSqlResult> result_cache_
       GUARDED_BY(result_cache_mutex_);

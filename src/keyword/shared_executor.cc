@@ -1,6 +1,5 @@
 #include "keyword/shared_executor.h"
 
-#include <future>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -29,8 +28,7 @@ struct PlannedSql {
 };
 
 /// Hands one executed statement's row set to all consuming queries with
-/// their own confidences. Called in plan order on both execution paths so
-/// the per-query hit sequences are identical.
+/// their own confidences, in plan order.
 void Distribute(const PlannedSql& planned, const std::vector<SearchHit>& hits,
                 std::vector<std::vector<std::vector<SearchHit>>>* per_query) {
   for (const auto& [qi, conf] : planned.consumers) {
@@ -122,7 +120,7 @@ Status SharedKeywordExecutor::ExecuteGroup(
     m.sql_executed->Increment(stats_.distinct_sql);
     m.sql_shared->Increment(stats_.total_sql - stats_.distinct_sql);
     // Per-table breakdown of the planned statements (counted at planning
-    // time, off the worker hot path).
+    // time).
     auto& registry = obs::MetricsRegistry::Global();
     for (const PlannedSql& planned : plan) {
       registry
@@ -133,73 +131,30 @@ Status SharedKeywordExecutor::ExecuteGroup(
     }
   }
 
-  // Runs one planned statement (on the caller's thread or a pool
-  // worker), timing it for the duration histogram.
-  auto run_planned = [this, mini_db](const PlannedSql& planned,
-                                     ExecStats* stats)
-      -> Result<std::vector<SearchHit>> {
+  // Phase 2: execute each distinct statement once, in plan order; hand the
+  // row set to all consumers with their own confidences.
+  std::vector<std::vector<std::vector<SearchHit>>> per_query_hits(
+      queries.size());
+  for (const PlannedSql& planned : plan) {
     // Fault injection: lets tests fail an individual distinct statement
-    // (possibly on a pool worker) mid-group.
+    // mid-group.
     NEBULA_INJECT_FAULT(kFaultKeywordSharedStatement);
     // Execute with confidence 1; scale per consumer on distribution.
     GeneratedSql unit = planned.sql;
     unit.confidence = 1.0;
+    ExecStats one;
     Stopwatch watch;
     Result<std::vector<SearchHit>> hits =
-        engine_->ExecuteSql(unit, mini_db, stats);
+        engine_->ExecuteSql(unit, mini_db, &one);
     if constexpr (obs::kEnabled) {
       Metrics().sql_duration_us->Observe(watch.ElapsedMicros());
     }
-    return hits;
-  };
-
-  // Phase 2: execute each distinct statement once; hand the row set to all
-  // consumers with their own confidences. The statements are independent
-  // after compilation, so with a pool they run concurrently; distribution
-  // and stats folding happen in plan order after the join, making the
-  // output bit-identical to sequential execution.
-  std::vector<std::vector<std::vector<SearchHit>>> per_query_hits(
-      queries.size());
-  if (pool_ != nullptr && plan.size() > 1) {
-    struct SqlOutcome {
-      Result<std::vector<SearchHit>> hits = std::vector<SearchHit>{};
-      ExecStats stats;
-    };
-    std::vector<std::future<SqlOutcome>> outcomes;
-    outcomes.reserve(plan.size());
-    for (const PlannedSql& planned : plan) {
-      outcomes.push_back(pool_->Submit([&run_planned, &planned] {
-        SqlOutcome out;
-        out.hits = run_planned(planned, &out.stats);
-        return out;
-      }));
-    }
-    // Join every task before acting on any result: an early return while
-    // workers still reference `plan` would dangle. The first (plan-order)
-    // error wins, matching the sequential abort-on-first-error contract.
-    Status status = Status::OK();
-    for (size_t pi = 0; pi < plan.size(); ++pi) {
-      SqlOutcome out = outcomes[pi].get();
-      engine_->AccumulateStats(out.stats);
-      stats_.exec += out.stats;
-      if (!out.hits.ok()) {
-        if (status.ok()) status = out.hits.status();
-        continue;
-      }
-      if (status.ok()) Distribute(plan[pi], *out.hits, &per_query_hits);
-    }
-    NEBULA_RETURN_NOT_OK(status);
-  } else {
-    for (const PlannedSql& planned : plan) {
-      ExecStats one;
-      Result<std::vector<SearchHit>> hits = run_planned(planned, &one);
-      // Fold before the error check: a failing statement's partial
-      // counters still count (same as the historical in-engine path).
-      engine_->AccumulateStats(one);
-      stats_.exec += one;
-      NEBULA_RETURN_NOT_OK(hits.status());
-      Distribute(planned, *hits, &per_query_hits);
-    }
+    // Fold before the error check: a failing statement's partial
+    // counters still count (same as the historical in-engine path).
+    engine_->AccumulateStats(one);
+    stats_.exec += one;
+    NEBULA_RETURN_NOT_OK(hits.status());
+    Distribute(planned, *hits, &per_query_hits);
   }
 
   if constexpr (obs::kEnabled) {
@@ -207,8 +162,7 @@ Status SharedKeywordExecutor::ExecuteGroup(
     // The distinct-statement executions already charged the calling
     // operation's context through ExecuteSql; only sharing is counted here.
     if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-      ctx->sql_shared.fetch_add(stats_.total_sql - stats_.distinct_sql,
-                                std::memory_order_relaxed);
+      ctx->sql_shared += stats_.total_sql - stats_.distinct_sql;
     }
   }
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
@@ -44,20 +43,17 @@ struct SharedExecutionStats {
 /// distinct statement exactly once, and distributes the cached result to
 /// every (query, statement) pair.
 ///
-/// When constructed with a ThreadPool, the distinct statements — which are
-/// independent after compilation — execute concurrently on the pool.
-/// Results, per-query hit order, and all statistics are identical to the
-/// sequential path: hits are distributed and counters folded in plan
-/// order after the join (see DESIGN.md "Concurrency model").
+/// The group runs on the calling thread: distinct statements execute in
+/// plan order, and hits are distributed and counters folded as each one
+/// finishes (see DESIGN.md "Concurrency model").
 ///
 /// Observability: every group feeds the nebula_shared_exec_* counters and
 /// the nebula_sql_duration_us histogram, and charges its shared-statement
 /// count to the calling operation's wide event.
 class SharedKeywordExecutor {
  public:
-  explicit SharedKeywordExecutor(KeywordSearchEngine* engine,
-                                 ThreadPool* pool = nullptr)
-      : engine_(engine), pool_(pool) {}
+  explicit SharedKeywordExecutor(KeywordSearchEngine* engine)
+      : engine_(engine) {}
 
   /// Executes all queries; `results[i]` are the merged hits of queries[i]
   /// (identical to what engine->Search(queries[i]) would return).
@@ -77,7 +73,6 @@ class SharedKeywordExecutor {
 
  private:
   KeywordSearchEngine* engine_;
-  ThreadPool* pool_;
   SharedExecutionStats stats_;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/fault.h"
 #include "common/fault_points.h"
-#include "common/obs_hooks.h"
 #include "obs/export.h"
 
 namespace nebula {
@@ -46,33 +45,8 @@ void AppendField(std::string* out, const char* key, bool value, bool* first) {
   *out += value ? "true" : "false";
 }
 
-/// The calling thread's installed context. Pooled workers inherit the
-/// submitter's pointer through the common-layer task-context hooks
-/// below, so one EventContext may be shared by several threads at once —
-/// which is why its counters are atomics.
+/// The calling thread's installed context (see EventContext).
 thread_local EventContext* t_current_context = nullptr;
-
-uintptr_t CaptureContext() {
-  return reinterpret_cast<uintptr_t>(t_current_context);
-}
-
-uintptr_t SwapContext(uintptr_t context) {
-  EventContext* previous = t_current_context;
-  t_current_context = reinterpret_cast<EventContext*>(context);
-  return reinterpret_cast<uintptr_t>(previous);
-}
-
-/// Binds the ThreadPool's task-context propagation to the thread-local
-/// above. Linking obs pulls this translation unit in (the engine
-/// references EventLog), so registration happens before main().
-struct EventHookRegistrar {
-  EventHookRegistrar() {
-    if constexpr (kEnabled) {
-      hooks::SetTaskContextHooks(&CaptureContext, &SwapContext);
-    }
-  }
-};
-const EventHookRegistrar g_event_hook_registrar;
 
 }  // namespace
 
@@ -113,18 +87,14 @@ std::string WideEventToJson(const WideEvent& event) {
 EventContext* CurrentEventContext() { return t_current_context; }
 
 void FillEventFromContext(WideEvent* event, const EventContext& context) {
-  event->plan_cache_hits =
-      context.plan_cache_hits.load(std::memory_order_relaxed);
-  event->plan_cache_misses =
-      context.plan_cache_misses.load(std::memory_order_relaxed);
-  event->result_cache_hits =
-      context.result_cache_hits.load(std::memory_order_relaxed);
-  event->result_cache_misses =
-      context.result_cache_misses.load(std::memory_order_relaxed);
-  event->index_lookups = context.index_lookups.load(std::memory_order_relaxed);
-  event->rows_examined = context.rows_examined.load(std::memory_order_relaxed);
-  event->sql_executed = context.sql_executed.load(std::memory_order_relaxed);
-  event->sql_shared = context.sql_shared.load(std::memory_order_relaxed);
+  event->plan_cache_hits = context.plan_cache_hits;
+  event->plan_cache_misses = context.plan_cache_misses;
+  event->result_cache_hits = context.result_cache_hits;
+  event->result_cache_misses = context.result_cache_misses;
+  event->index_lookups = context.index_lookups;
+  event->rows_examined = context.rows_examined;
+  event->sql_executed = context.sql_executed;
+  event->sql_shared = context.sql_shared;
 }
 
 ScopedEventContext::ScopedEventContext(EventLog* log) {

@@ -27,9 +27,8 @@ namespace obs {
 /// lines, so the log can be shipped, grepped, and mined later to
 /// re-weight configurations (see DESIGN.md §7).
 
-/// One record. Counter fields are totals attributed to the operation,
-/// including work done by pooled subtasks (the ThreadPool propagates the
-/// submitting operation's EventContext to its workers).
+/// One record. Counter fields are totals attributed to the operation;
+/// all of that work runs on the operation's own thread.
 struct WideEvent {
   std::string op;           ///< "insert" | "search"
   uint64_t op_id = 0;       ///< unique within one EventLog, 1-based
@@ -73,23 +72,24 @@ std::string WideEventToJson(const WideEvent& event);
 /// calling thread's current context for the duration of an operation
 /// (ScopedEventContext); instrumentation sites deep in the stack — the
 /// plan cache, the SQL result cache, the shared executor — bump its
-/// counters via CurrentEventContext(). Counters are relaxed atomics
-/// because pooled subtasks share the parent's context concurrently.
+/// counters via CurrentEventContext(). A context is reached only from the
+/// thread that installed it: nothing carries it to another thread, and
+/// all Stage-2 work runs on the operation's own thread. So the counters
+/// are plain integers.
 struct EventContext {
   uint64_t op_id = 0;
-  std::atomic<uint64_t> plan_cache_hits{0};
-  std::atomic<uint64_t> plan_cache_misses{0};
-  std::atomic<uint64_t> result_cache_hits{0};
-  std::atomic<uint64_t> result_cache_misses{0};
-  std::atomic<uint64_t> index_lookups{0};
-  std::atomic<uint64_t> rows_examined{0};
-  std::atomic<uint64_t> sql_executed{0};
-  std::atomic<uint64_t> sql_shared{0};
+  uint64_t plan_cache_hits = 0;
+  uint64_t plan_cache_misses = 0;
+  uint64_t result_cache_hits = 0;
+  uint64_t result_cache_misses = 0;
+  uint64_t index_lookups = 0;
+  uint64_t rows_examined = 0;
+  uint64_t sql_executed = 0;
+  uint64_t sql_shared = 0;
 };
 
 /// The calling thread's current context, or nullptr when no operation is
-/// in flight (instrumentation sites must null-check). Pooled workers see
-/// the submitting operation's context while running its task.
+/// in flight on this thread (instrumentation sites must null-check).
 EventContext* CurrentEventContext();
 
 /// Copies the context's counters into the matching event fields.

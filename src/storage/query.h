@@ -142,10 +142,10 @@ class QueryExecutor {
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  /// Folds counters measured by a detached (per-task) executor into this
-  /// one. The parallel Stage-2 path gives every worker task its own
-  /// executor and merges after the join, keeping the shared accumulator
-  /// race-free and the totals identical to sequential execution.
+  /// Folds counters measured by a detached (per-call) executor into this
+  /// one. The keyword engine's const execution paths each run their own
+  /// executor, so concurrent callers never share an accumulator; the
+  /// caller folds their counters back here.
   void AccumulateStats(const ExecStats& other) { stats_ += other; }
 
   /// Which access path served this executor's Execute calls.

@@ -81,8 +81,8 @@ const Value& Table::GetCell(RowId row_id, size_t column) const {
 
 const Table::HashIndex& Table::GetOrBuildIndex(size_t column) const {
   assert(column < schema_.num_columns());
-  // Double-checked locking: parallel Stage-2 workers may race to trigger
-  // the same lazy build, so the build is serialized and completion is
+  // Double-checked locking: concurrent readers (const searches on several
+  // threads) may race to trigger the same lazy build, so the build is serialized and completion is
   // published through the acquire/release flag.
   if (!index_built_[column].load(std::memory_order_acquire)) {
     MutexLock lock(index_build_mutex_);

@@ -353,7 +353,8 @@ Result<Divergence> DifferentialRunner::RunPair(
     case ConfigPair::kLockdep:
       // Identical configs; the two sides differ only in whether the
       // process-global lockdep witness observes the run (armed around
-      // the B side below). Pool workers exercise the deep lock chains.
+      // the B side below). Stage-1 pool workers run concurrently with the
+      // caller's Stage 2, so the witness sees both threads' lock chains.
       batch_a = batch_b = true;
       config_a.num_threads = options_.num_threads;
       config_b.num_threads = options_.num_threads;

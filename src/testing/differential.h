@@ -18,12 +18,14 @@ namespace nebula::check {
 /// fixes the workload and varies exactly one engine knob; the two runs
 /// must agree on everything the knob promises not to change.
 enum class ConfigPair {
-  /// Sequential (num_threads=0) vs pooled (num_threads=N) batch ingest.
-  /// Exact equivalence: reports, final attachments, verification tasks,
-  /// and the ACG fingerprint must match bit for bit.
+  /// Sequential (num_threads=0) vs pooled (num_threads=N) batch ingest:
+  /// the pool pipelines the batch's Stage 1 while the caller runs the
+  /// stateful stages. Exact equivalence: reports, final attachments,
+  /// verification tasks, and the ACG fingerprint must match bit for bit.
   kThreads,
   /// One InsertAnnotation call per annotation vs a single
-  /// InsertAnnotations batch, both pooled. Exact equivalence.
+  /// InsertAnnotations batch, both with num_threads=N (only the batch
+  /// submits pool tasks). Exact equivalence.
   kBatch,
   /// Observability quiet (event_capacity=0, no dumps) vs exercised (a
   /// sampled event log with a counting sink, DumpMetrics/DumpEvents
@@ -50,9 +52,11 @@ enum class ConfigPair {
   /// results: exact equivalence — the durability-off-bit-identical proof
   /// runs A with the pre-durability configuration.
   kDurability,
-  /// Lockdep witness off vs armed (report mode; src/common/lockdep.h).
-  /// Witnessing every mutex acquire must be invisible to results AND
-  /// produce zero violations on the real lock graph: exact equivalence,
+  /// Lockdep witness off vs armed (report mode; src/common/lockdep.h),
+  /// both sides pooled batch ingest, so Stage-1 workers take the meta and
+  /// pool locks while the caller's Stage 2 takes the plan-cache and memo
+  /// chains. Witnessing every mutex acquire must be invisible to results
+  /// AND produce zero violations on the real lock graph: exact equivalence,
   /// with any recorded violation appended to the B transcript so an
   /// inversion diverges the digest. In builds without
   /// -DNEBULA_LOCKDEP=ON both sides run unwitnessed (still exact).
@@ -81,7 +85,8 @@ void AppendStateLines(const AnnotationStore& store, NebulaEngine& engine,
                       std::vector<std::string>* lines);
 
 struct DiffOptions {
-  /// Pool size of the parallel side of kThreads / both sides of kBatch.
+  /// Batch Stage-1 pool size of the pooled side of kThreads and of both
+  /// sides of kBatch and kLockdep.
   size_t num_threads = 3;
   /// Test hook: deliberately mis-configures the B side (different epsilon
   /// and grouping) so the harness's own divergence detection, shrinking,

@@ -119,7 +119,7 @@ TEST_F(EngineFaultTest, SharedExecutorFaultDoesNotPoisonTheBatch) {
     ScopedFault fault("keyword.shared.statement", spec);
     const auto reports = engine.InsertAnnotations(Requests());
     // The one poisoned annotation fails the batch call with a clean
-    // error; nothing crashes even with pool workers hitting the fault.
+    // error; nothing crashes while Stage-1 workers still run ahead.
     ASSERT_FALSE(reports.ok());
   }
   ExpectAcgConsistent(&engine);

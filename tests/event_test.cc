@@ -1,21 +1,18 @@
 /// Wide-event layer tests: the JSON record shape, the EventLog's
-/// sampling / slow-query / ring / sink semantics, context install and
-/// pool propagation, and the engine-level integration (every insert and
+/// sampling / slow-query / ring / sink semantics, context install, and
+/// the engine-level integration (every insert and
 /// every search records exactly one wide event, and nothing else does).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <future>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "annotation/annotation_store.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
@@ -152,7 +149,7 @@ TEST(EventLogTest, FailingSinkDropsEventAndCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Context install + pool propagation
+// Context install
 // ---------------------------------------------------------------------
 
 TEST(EventContextTest, ScopedInstallAndRestore) {
@@ -174,39 +171,16 @@ TEST(EventContextTest, ScopedInstallAndRestore) {
 
 TEST(EventContextTest, FillEventCopiesCounters) {
   EventContext context;
-  context.plan_cache_hits.store(3);
-  context.result_cache_misses.store(2);
-  context.rows_examined.store(77);
-  context.sql_shared.store(5);
+  context.plan_cache_hits = 3;
+  context.result_cache_misses = 2;
+  context.rows_examined = 77;
+  context.sql_shared = 5;
   WideEvent event;
   FillEventFromContext(&event, context);
   EXPECT_EQ(event.plan_cache_hits, 3u);
   EXPECT_EQ(event.result_cache_misses, 2u);
   EXPECT_EQ(event.rows_examined, 77u);
   EXPECT_EQ(event.sql_shared, 5u);
-}
-
-TEST(EventContextTest, PooledTasksAttributeToSubmitterContext) {
-  if (!kEnabled) GTEST_SKIP() << "hooks compiled out under NEBULA_OBS=OFF";
-  EventLog log({/*capacity=*/4, 1.0, 0, 0});
-  ThreadPool pool(4);
-  {
-    ScopedEventContext scope(&log);
-    std::vector<std::future<void>> done;
-    for (int t = 0; t < 32; ++t) {
-      done.push_back(pool.Submit([] {
-        // Worker threads must see the submitting operation's context.
-        EventContext* context = CurrentEventContext();
-        ASSERT_NE(context, nullptr);
-        context->rows_examined.fetch_add(1, std::memory_order_relaxed);
-      }));
-    }
-    for (auto& f : done) f.get();
-    EXPECT_EQ(scope.context()->rows_examined.load(), 32u);
-  }
-  // A task submitted outside any scope carries no context — a worker's
-  // previously swapped-in pointer must not leak into later tasks.
-  pool.Submit([] { EXPECT_EQ(CurrentEventContext(), nullptr); }).get();
 }
 
 // ---------------------------------------------------------------------

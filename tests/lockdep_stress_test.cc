@@ -1,10 +1,11 @@
 // Concurrency stress over the ranked-lock chains the lockdep witness
 // guards: table lookups racing the lazy hash/value index builds
-// (storage.index_build), shared keyword execution fanning out on the
-// pool (common.pool -> keyword.resultcache -> obs.*), and an exclusive
-// writer hammering Insert's incremental index maintenance on its own
-// table — Table's documented single-writer contract is honored by
-// giving the writer a private table no reader ever touches.
+// (storage.index_build), shared keyword execution on the main thread
+// racing concurrent const searchers over the statement memo
+// (keyword.resultcache -> obs.*), and an exclusive writer hammering
+// Insert's incremental index maintenance on its own table — Table's
+// documented single-writer contract is honored by giving the writer a
+// private table no reader ever touches.
 //
 // Runs under two labels:
 //   tsan     — a -DNEBULA_SANITIZE=thread build race-checks the paths;
@@ -25,7 +26,6 @@
 #include "common/lock_rank.h"
 #include "common/string_util.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "keyword/engine.h"
 #include "keyword/query_types.h"
 #include "keyword/shared_executor.h"
@@ -206,15 +206,11 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
     }
   });
 
-  // Main thread: shared group execution fanning out on the pool. The
-  // pool is reserved for ExecuteGroup's distinct statements — the
-  // long-running reader loops live on raw threads so they can never
-  // starve the futures ExecuteGroup joins on.
-  ThreadPool pool(4);
+  // Main thread: shared group execution, alongside the threads above.
   for (int round = 0; round < kGroupRounds; ++round) {
     const auto queries = StressGroup(round);
     std::vector<std::vector<SearchHit>> results;
-    SharedKeywordExecutor shared(engine_.get(), &pool);
+    SharedKeywordExecutor shared(engine_.get());
     ASSERT_TRUE(shared.ExecuteGroup(queries, &results).ok());
     ASSERT_EQ(results.size(), queries.size());
     EXPECT_FALSE(results[0].empty()) << "round " << round;

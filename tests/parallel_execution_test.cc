@@ -1,175 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "core/acg.h"
+#include "common/fault.h"
+#include "common/fault_points.h"
 #include "core/engine.h"
-#include "core/identify.h"
 #include "core/query_generation.h"
 #include "keyword/engine.h"
 #include "keyword/query_types.h"
-#include "keyword/shared_executor.h"
 #include "meta/nebula_meta.h"
-#include "storage/catalog.h"
-#include "storage/query.h"
-#include "storage/table.h"
-#include "storage/value.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
 namespace nebula {
 namespace {
-
-// ===================================================================
-// ExecuteGroup determinism: for every pool size the shared executor
-// must produce byte-identical hits, scores, SharedExecutionStats, and
-// engine ExecStats totals as the sequential (no-pool) path.
-// ===================================================================
-
-class ParallelSharedExecutionTest : public ::testing::TestWithParam<size_t> {
- protected:
-  void SetUp() override {
-    gene_ = *catalog_.CreateTable(
-        "gene", Schema({{"gid", DataType::kString, true},
-                        {"name", DataType::kString, true}}));
-    for (int i = 0; i < 26; ++i) {
-      ASSERT_TRUE(gene_
-                      ->Insert({Value(StrFormat("JW%04d", i)),
-                                Value(StrFormat("ab%cX", 'a' + i))})
-                      .ok());
-    }
-    ASSERT_TRUE(meta_.AddConcept("Gene", "gene", {{"gid"}, {"name"}}).ok());
-    ASSERT_TRUE(meta_.SetColumnPattern("gene", "gid", "JW[0-9]{4}").ok());
-    ASSERT_TRUE(meta_.SetColumnPattern("gene", "name", "[a-z]{3}[A-Z]").ok());
-    engine_ = std::make_unique<KeywordSearchEngine>(&catalog_, &meta_);
-  }
-
-  static std::vector<KeywordQuery> MakeGroup() {
-    return {
-        {{"gene", "JW0003"}, 1.0, "q0"},
-        {{"gene", "JW0003"}, 0.8, "q1"},  // duplicate content, lower weight
-        {{"gene", "abcX"}, 0.9, "q2"},
-        {{"JW0007"}, 0.7, "q3"},
-        {{"gene", "abdX"}, 0.6, "q4"},
-        {{"JW0003"}, 0.5, "q5"},
-    };
-  }
-
-  Catalog catalog_;
-  NebulaMeta meta_;
-  Table* gene_ = nullptr;
-  std::unique_ptr<KeywordSearchEngine> engine_;
-};
-
-TEST_P(ParallelSharedExecutionTest, IdenticalToSequentialExecution) {
-  const auto queries = MakeGroup();
-
-  // Baseline: sequential shared execution.
-  engine_->ResetStats();
-  SharedKeywordExecutor sequential(engine_.get());
-  std::vector<std::vector<SearchHit>> expected;
-  ASSERT_TRUE(sequential.ExecuteGroup(queries, &expected).ok());
-  const SharedExecutionStats expected_shared = sequential.stats();
-  const ExecStats expected_exec = engine_->stats();
-
-  // Parallel run on a pool of GetParam() workers.
-  ThreadPool pool(GetParam());
-  engine_->ResetStats();
-  SharedKeywordExecutor parallel(engine_.get(), &pool);
-  std::vector<std::vector<SearchHit>> actual;
-  ASSERT_TRUE(parallel.ExecuteGroup(queries, &actual).ok());
-
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t qi = 0; qi < expected.size(); ++qi) {
-    ASSERT_EQ(actual[qi].size(), expected[qi].size()) << "query " << qi;
-    for (size_t h = 0; h < expected[qi].size(); ++h) {
-      EXPECT_EQ(actual[qi][h].tuple, expected[qi][h].tuple);
-      // Bit-identical, not merely close: the parallel path runs the same
-      // FP operations in the same order.
-      EXPECT_EQ(actual[qi][h].confidence, expected[qi][h].confidence);
-    }
-  }
-  EXPECT_EQ(parallel.stats().total_sql, expected_shared.total_sql);
-  EXPECT_EQ(parallel.stats().distinct_sql, expected_shared.distinct_sql);
-  EXPECT_DOUBLE_EQ(parallel.stats().sharing_ratio(),
-                   expected_shared.sharing_ratio());
-  EXPECT_EQ(engine_->stats().rows_examined, expected_exec.rows_examined);
-  EXPECT_EQ(engine_->stats().index_lookups, expected_exec.index_lookups);
-  EXPECT_EQ(engine_->stats().matches, expected_exec.matches);
-}
-
-TEST_P(ParallelSharedExecutionTest, StressRoundsStayDeterministic) {
-  const auto queries = MakeGroup();
-  SharedKeywordExecutor sequential(engine_.get());
-  std::vector<std::vector<SearchHit>> expected;
-  ASSERT_TRUE(sequential.ExecuteGroup(queries, &expected).ok());
-
-  ThreadPool pool(GetParam());
-  for (int round = 0; round < 25; ++round) {
-    SharedKeywordExecutor parallel(engine_.get(), &pool);
-    std::vector<std::vector<SearchHit>> actual;
-    ASSERT_TRUE(parallel.ExecuteGroup(queries, &actual).ok());
-    ASSERT_EQ(actual.size(), expected.size()) << "round " << round;
-    for (size_t qi = 0; qi < expected.size(); ++qi) {
-      ASSERT_EQ(actual[qi].size(), expected[qi].size());
-      for (size_t h = 0; h < expected[qi].size(); ++h) {
-        EXPECT_EQ(actual[qi][h].tuple, expected[qi][h].tuple);
-        EXPECT_EQ(actual[qi][h].confidence, expected[qi][h].confidence);
-      }
-    }
-  }
-}
-
-TEST_P(ParallelSharedExecutionTest, LazyIndexBuildRaceFree) {
-  // First touch of the catalog happens *inside* the pool workers: the
-  // concurrent statements race to lazily build the same hash indexes.
-  // Under -DNEBULA_SANITIZE=thread this exercises the double-checked
-  // locking in Table::GetOrBuildIndex.
-  ThreadPool pool(GetParam());
-  SharedKeywordExecutor parallel(engine_.get(), &pool);
-  std::vector<std::vector<SearchHit>> hits;
-  ASSERT_TRUE(parallel.ExecuteGroup(MakeGroup(), &hits).ok());
-
-  SharedKeywordExecutor sequential(engine_.get());
-  std::vector<std::vector<SearchHit>> expected;
-  ASSERT_TRUE(sequential.ExecuteGroup(MakeGroup(), &expected).ok());
-  ASSERT_EQ(hits.size(), expected.size());
-  for (size_t qi = 0; qi < expected.size(); ++qi) {
-    ASSERT_EQ(hits[qi].size(), expected[qi].size());
-  }
-}
-
-TEST_P(ParallelSharedExecutionTest, IsolatedIdentifyMatchesSequential) {
-  // The non-shared Stage-2 path parallelizes at whole-query granularity;
-  // candidates must still match the sequential path exactly.
-  const auto queries = MakeGroup();
-  Acg acg;
-  IdentifyParams params;
-  params.shared_execution = false;
-
-  TupleIdentifier sequential(engine_.get(), &acg, params);
-  const auto expected = *sequential.Identify(queries, {});
-
-  ThreadPool pool(GetParam());
-  TupleIdentifier parallel(engine_.get(), &acg, params, &pool);
-  const auto actual = *parallel.Identify(queries, {});
-
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].tuple, expected[i].tuple);
-    EXPECT_EQ(actual[i].confidence, expected[i].confidence);
-    EXPECT_EQ(actual[i].evidence, expected[i].evidence);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelSharedExecutionTest,
-                         ::testing::Values(1u, 2u, 8u));
 
 // ===================================================================
 // Batch ingest: InsertAnnotations must report the same per-annotation
@@ -254,6 +103,48 @@ TEST_P(BatchIngestTest, BatchMatchesOneAtATime) {
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, BatchIngestTest,
                          ::testing::Values(0u, 1u, 2u, 8u));
+
+// ===================================================================
+// The pool's one job: batch Stage 1. Single inserts and discoveries run
+// all of Stage 2 on the caller and submit nothing; a batch submits one
+// Stage-1 task per request, with isolated or shared execution alike.
+// A "threadpool.submit" fault armed never to fire still counts every
+// submission, with or without observability compiled in.
+// ===================================================================
+
+class PoolContractTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PoolContractTest, OnlyBatchStageOneRunsOnThePool) {
+  auto ds = GenerateBioDataset(DatasetSpec::Tiny());
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  NebulaConfig config;
+  config.num_threads = 2;
+  config.identify.shared_execution = GetParam();
+  NebulaEngine engine(&(*ds)->catalog, &(*ds)->store, &(*ds)->meta, config);
+  engine.RebuildAcg();
+  const auto requests = MakeRequests(**ds, 6);
+  ASSERT_GE(requests.size(), 2u);
+
+  FaultSpec never;
+  never.skip_calls = std::numeric_limits<uint64_t>::max();
+  ScopedFault count(kFaultThreadPoolSubmit, never);
+  const auto submissions = [] {
+    return FaultRegistry::Global().CallCount(kFaultThreadPoolSubmit);
+  };
+  for (const AnnotationRequest& r : requests) {
+    auto report = engine.InsertAnnotation(r.text, r.focal, r.author);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(engine.Discover(report->annotation, r.focal).ok());
+  }
+  EXPECT_EQ(submissions(), 0u);
+
+  auto batch = engine.InsertAnnotations(requests);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(submissions(), requests.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedExecution, PoolContractTest,
+                         ::testing::Bool());
 
 // ===================================================================
 // The word-score memo under concurrency: Stage-1 generation on pool

@@ -552,8 +552,8 @@ TEST_P(PlanCacheEquivalence, HitResultsBitIdenticalToCold) {
   IdentifyParams cached_params;
   IdentifyParams uncached_params;
   uncached_params.use_plan_cache = false;
-  TupleIdentifier cached(&engine, &acg, cached_params, nullptr, &cache);
-  TupleIdentifier uncached(&engine, &acg, uncached_params, nullptr, &cache);
+  TupleIdentifier cached(&engine, &acg, cached_params, &cache);
+  TupleIdentifier uncached(&engine, &acg, uncached_params, &cache);
 
   const std::vector<TupleId> focal{wa.ideal_tuples.front()};
   const auto cold = *cached.Identify(queries, focal);    // fills the cache

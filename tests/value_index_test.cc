@@ -138,7 +138,9 @@ TEST_P(IndexVsScanExecution, IdenticalRowsAndReplayedStats) {
   // Half the seeds also get a text index on title, covering the replayed
   // text-index cost model; the other half replay the scan cost model.
   const bool text_indexed = (GetParam() & 1) != 0;
-  if (text_indexed) ASSERT_TRUE(table->BuildTextIndex(1).ok());
+  if (text_indexed) {
+    ASSERT_TRUE(table->BuildTextIndex(1).ok());
+  }
 
   for (int round = 0; round < 20; ++round) {
     SelectQuery query;

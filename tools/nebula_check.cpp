@@ -41,7 +41,8 @@ void PrintUsage(std::ostream& out) {
          "  --start N       first seed of the sweep (default 1)\n"
          "  --seeds N       number of seeds to sweep (default 20)\n"
          "  --pair P        one config pair below, or all (default all)\n"
-         "  --threads N     pool size for the parallel sides (default 3)\n"
+         "  --threads N     batch Stage-1 pool size of the pooled sides "
+         "(default 3)\n"
          "  --no-shrink     report divergences without minimizing them\n"
          "  --hostile       seed-stable adversarial workload: a root-table "
          "row and one stream token per annotation carry SQL "

@@ -2,7 +2,7 @@
 /// substrate for every server/sharding claim (ROADMAP item 1).
 ///
 ///   nebula_loadgen [--mode closed|open] [--duration 2s] [--qps 100]
-///                  [--threads N] [--seed N] [--insert-ratio 0.6]
+///                  [--seed N] [--insert-ratio 0.6]
 ///                  [--interval-ms 1000] [--slow-us N] [--sample P]
 ///
 /// The harness builds the NebulaCheck universe for --seed, then drives a
@@ -50,7 +50,6 @@ struct Options {
   bool closed_loop = true;
   uint64_t duration_us = 2'000'000;
   double qps = 0;  // closed: 0 = unthrottled; open: defaults to 100
-  size_t threads = 2;
   uint64_t seed = 2026;
   double insert_ratio = 0.6;
   uint64_t interval_us = 1'000'000;
@@ -61,7 +60,7 @@ struct Options {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--mode closed|open] [--duration 2s|500ms]\n"
-               "  [--qps N] [--threads N] [--seed N] [--insert-ratio R]\n"
+               "  [--qps N] [--seed N] [--insert-ratio R]\n"
                "  [--interval-ms N] [--slow-us N] [--sample P]\n",
                argv0);
   return 2;
@@ -112,8 +111,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       if (opts->duration_us == 0) return false;
     } else if (flag == "--qps") {
       opts->qps = std::strtod(value.c_str(), nullptr);
-    } else if (flag == "--threads") {
-      opts->threads = std::strtoul(value.c_str(), nullptr, 10);
     } else if (flag == "--seed") {
       opts->seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (flag == "--insert-ratio") {
@@ -206,11 +203,10 @@ bool EmitSidecar(const Options& opts, const std::vector<OpSeries*>& series) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "    {\"name\": \"%s\", \"params\": {\"mode\": \"%s\", "
-                  "\"threads\": \"%zu\", \"qps\": \"%g\", "
-                  "\"duration_ms\": \"%" PRIu64 "\", "
+                  "\"qps\": \"%g\", \"duration_ms\": \"%" PRIu64 "\", "
                   "\"insert_ratio\": \"%g\"}",
-                  s.name, opts.closed_loop ? "closed" : "open", opts.threads,
-                  opts.qps, opts.duration_us / 1000, opts.insert_ratio);
+                  s.name, opts.closed_loop ? "closed" : "open", opts.qps,
+                  opts.duration_us / 1000, opts.insert_ratio);
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   ", \"wall_us\": %" PRIu64 ", \"rows_examined\": %" PRIu64
@@ -257,7 +253,6 @@ int main(int argc, char** argv) {
   }
 
   NebulaConfig config;
-  config.num_threads = opts.threads;
   config.identify.shared_execution = true;
   config.slow_query_us = opts.slow_us;
   config.event_sample_rate = opts.sample_rate;
@@ -267,10 +262,10 @@ int main(int argc, char** argv) {
   engine.RebuildAcg();
 
   std::printf(
-      "[loadgen] mode=%s duration=%" PRIu64 "ms qps=%g threads=%zu "
-      "seed=%" PRIu64 " insert_ratio=%g\n",
+      "[loadgen] mode=%s duration=%" PRIu64 "ms qps=%g seed=%" PRIu64
+      " insert_ratio=%g\n",
       opts.closed_loop ? "closed" : "open", opts.duration_us / 1000, opts.qps,
-      opts.threads, opts.seed, opts.insert_ratio);
+      opts.seed, opts.insert_ratio);
 
   // --- Drive ----------------------------------------------------------
   OpSeries insert_series("insert");

@@ -6,7 +6,8 @@
 ///   nebula_obs_dump [--metrics=prometheus|json] [--metrics-only]
 ///                   [--events-only] [--threads=N] [--check]
 ///
-/// The batch insert runs on a worker pool (default 2 threads) so the
+/// The batch insert pipelines its Stage 1 on a worker pool (default 2
+/// threads) and runs Stage 2 through the shared executor, so the
 /// thread-pool and shared-executor instruments light up too. Sections are
 /// delimited by "# ---- metrics ----" / "# ---- percentiles ----" /
 /// "# ---- events ----" lines so the output is easy to split in scripts.

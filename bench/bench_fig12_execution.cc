@@ -186,6 +186,7 @@ int main() {
 
   for (const auto& sized : sizes) {
     auto ds = LoadDataset(sized.label, sized.spec);
+    WarmIndexes(ds->catalog);
     KeywordSearchEngine engine(&ds->catalog, &ds->meta);
     Acg acg;
     acg.BuildFromStore(ds->store);

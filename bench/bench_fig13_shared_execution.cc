@@ -27,12 +27,13 @@ int main() {
   };
 
   TablePrinter table({"dataset", "set", "eps", "isolated_ms", "shared_ms",
-                      "warm_ms", "speedup", "sql_dedup", "memo_entries",
-                      "rows_examined", "outputs_equal"});
+                      "speedup", "sql_dedup", "rows_examined",
+                      "outputs_equal"});
   std::vector<BenchRecord> records;
 
   for (const auto& sized : sizes) {
     auto ds = LoadDataset(sized.label, sized.spec);
+    WarmIndexes(ds->catalog);
     KeywordSearchEngine engine(&ds->catalog, &ds->meta);
 
     for (size_t m : kSizeClasses) {
@@ -47,7 +48,6 @@ int main() {
 
         double isolated_ms = 0;
         double shared_ms = 0;
-        double warm_ms = 0;
         double sharing_sum = 0;
         size_t groups = 0;
         bool all_equal = true;
@@ -57,8 +57,7 @@ int main() {
           const auto queries = generator.Generate(wa.text).queries;
           if (queries.empty()) continue;
 
-          // (a) Isolated execution, statement memo cold.
-          engine.ClearResultCache();
+          // (a) Isolated execution.
           std::vector<std::vector<SearchHit>> isolated(queries.size());
           Stopwatch sw;
           for (size_t q = 0; q < queries.size(); ++q) {
@@ -67,54 +66,39 @@ int main() {
           }
           isolated_ms += sw.ElapsedMillis();
 
-          // (b) Shared execution, memo cold again: the measured saving is
-          // canonicalization + dedup alone, the paper's Figure 13 claim.
-          engine.ClearResultCache();
+          // (b) Shared execution: the measured saving is canonicalization
+          // + dedup alone, the paper's Figure 13 claim.
           SharedKeywordExecutor shared(&engine);
           std::vector<std::vector<SearchHit>> shared_results;
           sw.Restart();
           if (!shared.ExecuteGroup(queries, &shared_results).ok()) continue;
           shared_ms += sw.ElapsedMillis();
           sharing_sum += shared.stats().sharing_ratio();
-
-          // (c) Same group again with the statement memo (b) just filled:
-          // the cross-group fragment cache the engine layers on top.
-          SharedKeywordExecutor warm(&engine);
-          std::vector<std::vector<SearchHit>> warm_results;
-          sw.Restart();
-          if (!warm.ExecuteGroup(queries, &warm_results).ok()) continue;
-          warm_ms += sw.ElapsedMillis();
           ++groups;
 
-          // Identity check: per-query hit sets must match exactly, on
-          // both the cold-shared and memo-warm paths.
+          // Identity check: per-query hit sets must match exactly.
           for (size_t q = 0; q < queries.size(); ++q) {
-            if (shared_results[q].size() != isolated[q].size() ||
-                warm_results[q].size() != isolated[q].size()) {
+            if (shared_results[q].size() != isolated[q].size()) {
               all_equal = false;
               continue;
             }
             for (size_t h = 0; h < isolated[q].size(); ++h) {
-              if (!(shared_results[q][h].tuple == isolated[q][h].tuple) ||
-                  !(warm_results[q][h].tuple == isolated[q][h].tuple)) {
+              if (!(shared_results[q][h].tuple == isolated[q][h].tuple)) {
                 all_equal = false;
               }
             }
           }
         }
         if (groups == 0) continue;
-        const size_t memo_entries = engine.result_cache_size();
         table.AddRow({sized.label, Fmt("L^%zu", m), Fmt("%.1f", eps),
                       Fmt("%.3f", isolated_ms / groups),
                       Fmt("%.3f", shared_ms / groups),
-                      Fmt("%.3f", warm_ms / groups),
                       shared_ms > 0
                           ? Fmt("%.0f%%",
                                 100.0 * (isolated_ms - shared_ms) /
                                     isolated_ms)
                           : "-",
                       Fmt("%.0f%%", 100.0 * sharing_sum / groups),
-                      Fmt("%zu", memo_entries),
                       Fmt("%llu", static_cast<unsigned long long>(
                                       engine.stats().rows_examined)),
                       all_equal ? "yes" : "NO"});
@@ -127,8 +111,6 @@ int main() {
                       {"epsilon", Fmt("%.1f", eps)},
                       {"groups", Fmt("%zu", groups)},
                       {"isolated_ms", Fmt("%.3f", isolated_ms)},
-                      {"warm_ms", Fmt("%.3f", warm_ms)},
-                      {"memo_entries", Fmt("%zu", memo_entries)},
                       {"outputs_equal", all_equal ? "yes" : "no"}};
         rec.wall_us = static_cast<uint64_t>(shared_ms * 1000.0);
         rec.rows_examined = engine.stats().rows_examined;

@@ -7,6 +7,8 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "storage/table.h"
+#include "storage/value.h"
 
 namespace nebula {
 namespace bench {
@@ -36,6 +38,15 @@ std::unique_ptr<BioDataset> LoadDataset(const char* label, DatasetSpec spec) {
       (*result)->store.num_annotations(), (*result)->store.num_attachments(),
       sw.ElapsedSeconds());
   return std::move(*result);
+}
+
+void WarmIndexes(const Catalog& catalog) {
+  for (const auto& table : catalog.tables()) {
+    (void)table->TryValueIndex();
+    for (size_t c = 0; c < table->schema().num_columns(); ++c) {
+      (void)table->Lookup(c, Value());
+    }
+  }
 }
 
 void Banner(const std::string& title) {

@@ -46,11 +46,6 @@ inline constexpr char kFaultDurabilityWalAppend[] = "durability.wal.append";
 inline constexpr char kFaultDurabilityWalTornTail[] =
     "durability.wal.torn_tail";
 
-/// SQL result-cache fill in the keyword engine; a fired fault skips
-/// memoizing the executed statement (results are unaffected).
-inline constexpr char kFaultKeywordResultCacheFill[] =
-    "keyword.resultcache.fill";
-
 /// Per distinct statement in the shared keyword executor, on the thread
 /// running the annotation's Stage 2.
 inline constexpr char kFaultKeywordSharedStatement[] =

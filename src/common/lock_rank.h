@@ -46,10 +46,6 @@ inline constexpr LockRank kLockRankEngine = {"engine", 10};
 /// across plan compilation, which probes fault points and bumps metrics.
 inline constexpr LockRank kLockRankCorePlanCache = {"core.plancache", 20};
 
-/// KeywordSearchEngine's statement-result memo (keyword/engine.h).
-inline constexpr LockRank kLockRankKeywordResultCache =
-    {"keyword.resultcache", 30};
-
 /// NebulaMeta's word-score memo (meta/nebula_meta.h). Taken under
 /// core.plancache, which is held across MapKeyword; scores are computed
 /// outside it.

@@ -273,16 +273,13 @@ Result<AnnotationReport> NebulaEngine::DiscoverWithQueries(
 
   // Stage 2: execute the queries, full-database or focal-spreading.
   search_engine_.params() = config_.search;
-  IdentifyParams identify_params = config_.identify;
+  // Master legacy switch: off means no index fast path and no plan cache,
+  // the bit-identical historical execution everywhere.
   if (!config_.use_value_index) {
-    // Master legacy switch: no index fast path, no statement-result memo,
-    // no plan cache — the bit-identical historical execution everywhere.
     search_engine_.params().use_value_index = false;
-    search_engine_.params().memoize_sql_results = false;
-    identify_params.use_plan_cache = false;
   }
-  TupleIdentifier identifier(&search_engine_, &acg_, identify_params,
-                             &plan_cache_);
+  TupleIdentifier identifier(&search_engine_, &acg_, config_.identify,
+                             config_.use_value_index ? &plan_cache_ : nullptr);
   FocalSpreading spreading(&acg_, config_.spreading);
 
   Stopwatch watch;

@@ -158,7 +158,7 @@ Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
   // With a plan cache attached, the whole group's compilation is resolved
   // up front (cached or cold) and every execution path below consumes the
   // precompiled plans; candidates are identical either way.
-  const bool use_plans = plan_cache_ != nullptr && params_.use_plan_cache;
+  const bool use_plans = plan_cache_ != nullptr;
   std::vector<std::vector<GeneratedSql>> plans;
   if (use_plans) {
     plans = plan_cache_->GetOrCompileGroup(*engine_, queries);

@@ -55,11 +55,6 @@ struct IdentifyParams {
   /// Execute the query group through the shared multi-query executor
   /// instead of one-query-at-a-time.
   bool shared_execution = false;
-  /// Consult the keyword->configuration PlanCache (when one is attached)
-  /// before compiling. Off forces recompilation on every group — the
-  /// differential harness's scan-vs-index pair also turns this off so the
-  /// legacy side exercises the historical end-to-end path.
-  bool use_plan_cache = true;
 };
 
 /// Keyword -> configuration plan cache: memoizes CompileToSql results (the
@@ -120,8 +115,8 @@ class PlanCache {
 /// §6.2 focal-based confidence adjustment).
 class TupleIdentifier {
  public:
-  /// `plan_cache`, when given, serves the group's compiled plans (subject
-  /// to params.use_plan_cache); results are identical to recompiling.
+  /// `plan_cache`, when given, serves the group's compiled plans; without
+  /// one every group is recompiled. Results are identical either way.
   TupleIdentifier(KeywordSearchEngine* engine, const Acg* acg,
                   IdentifyParams params = {}, PlanCache* plan_cache = nullptr)
       : engine_(engine), acg_(acg), params_(params), plan_cache_(plan_cache) {}

@@ -6,8 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/fault.h"
-#include "common/fault_points.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -27,40 +25,17 @@ namespace nebula {
 
 namespace {
 
-/// Scales unit-confidence hits to a statement's confidence. Bitwise
-/// identical to executing at that confidence directly: 1.0 * c == c and
-/// IEEE multiplication is commutative, so cached (unit) and cold paths
-/// produce the same doubles.
-std::vector<SearchHit> ScaleHits(const std::vector<SearchHit>& unit,
-                                 double confidence) {
-  std::vector<SearchHit> scaled;
-  scaled.reserve(unit.size());
-  for (const SearchHit& h : unit) {
-    scaled.push_back({h.tuple, h.confidence * confidence});
-  }
-  return scaled;
-}
-
-/// Process-wide cache / value-index instruments, resolved once.
+/// Process-wide value-index instruments, resolved once.
 struct KeywordEngineMetrics {
-  obs::Counter* result_hit;
-  obs::Counter* result_miss;
   obs::Counter* probe_index;
   obs::Counter* probe_legacy;
   obs::Histogram* index_lookup_us;
-  obs::Gauge* result_entries;
 };
 
 const KeywordEngineMetrics& Metrics() {
   static const KeywordEngineMetrics m = [] {
     auto& r = obs::MetricsRegistry::Global();
     KeywordEngineMetrics out;
-    out.result_hit = r.GetCounter(
-        "nebula_sql_result_cache_total", {{"outcome", "hit"}},
-        "SQL result-cache outcomes: hit = statement served from the memo, "
-        "miss = executed cold");
-    out.result_miss = r.GetCounter("nebula_sql_result_cache_total",
-                                   {{"outcome", "miss"}}, "");
     out.probe_index = r.GetCounter(
         "nebula_value_index_probe_total", {{"path", "index"}},
         "Statement executions by access path: index = value-index "
@@ -70,9 +45,6 @@ const KeywordEngineMetrics& Metrics() {
     out.index_lookup_us =
         r.GetHistogram("nebula_value_index_lookup_us", {},
                        "Wall time of one value-index-served statement");
-    out.result_entries =
-        r.GetGauge("nebula_sql_result_cache_entries", {},
-                   "Memoized statements in the SQL result cache");
     return out;
   }();
   return m;
@@ -86,9 +58,9 @@ std::string GeneratedSql::CanonicalKey() const {
   for (const auto& p : query.predicates) preds.push_back(p.ToString());
   std::sort(preds.begin(), preds.end());
   // Escaped pieces keep the key injective: a hostile table name or
-  // predicate value carrying '|' / '&' / quotes can no longer collide
-  // two distinct statements onto one memo entry. Identity for the
-  // alphanumeric names the check universe generates.
+  // predicate value carrying '|' / '&' / quotes can no longer merge two
+  // distinct statements into one. Identity for the alphanumeric names
+  // the check universe generates.
   std::string key = sql::QuoteIdent(ToLower(query.table));
   key += "|";
   for (size_t i = 0; i < preds.size(); ++i) {
@@ -106,7 +78,7 @@ KeywordSearchEngine::KeywordSearchEngine(const Catalog* catalog,
 double KeywordSearchEngine::TextMappingScore(const Table& table,
                                              size_t column,
                                              const std::string& token) const {
-  const auto postings = table.LookupToken(column, token);
+  const auto& postings = table.LookupToken(column, token);
   if (postings.empty()) return 0.0;
   const double n = static_cast<double>(table.num_rows());
   const double df = static_cast<double>(postings.size());
@@ -340,14 +312,11 @@ std::vector<GeneratedSql> KeywordSearchEngine::CompileToSql(
       double sum = 0.0;
       bool ok = true;
       for (size_t c = 0; c < combo.size(); ++c) {
-        const ValueColumn* vc =
-            meta_->FindValueColumn(cref.table_name, combo[c]);
         KeywordMapping m;
         m.kind = KeywordMapping::Kind::kValue;
         m.table = cref.table_name;
         m.column = combo[c];
         m.exact_value = true;
-        (void)vc;
         auto preds = make_predicates(chosen[c].first, m);
         if (preds.empty()) {
           ok = false;
@@ -387,29 +356,6 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
   return hits;
 }
 
-bool KeywordSearchEngine::CacheEntryValid(const CachedSqlResult& entry,
-                                          uint64_t rows) const {
-  // Tables are append-only, so an unchanged row count means unchanged
-  // contents; the knob fingerprint catches parameter flips between fills
-  // (a mismatch falls through to a cold execution that overwrites).
-  return entry.table_rows == rows &&
-         entry.scan_containment == params_.scan_containment &&
-         entry.use_value_index == params_.use_value_index &&
-         entry.fk_expansion == params_.fk_expansion &&
-         entry.fk_decay == params_.fk_decay &&
-         entry.fk_fanout_cap == params_.fk_fanout_cap;
-}
-
-void KeywordSearchEngine::ClearResultCache() {
-  MutexLock lock(result_cache_mutex_);
-  result_cache_.clear();
-}
-
-size_t KeywordSearchEngine::result_cache_size() const {
-  MutexLock lock(result_cache_mutex_);
-  return result_cache_.size();
-}
-
 Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
     const GeneratedSql& sql, const MiniDb* mini_db, ExecStats* stats) const {
   NEBULA_ASSIGN_OR_RETURN(const Table* table,
@@ -424,44 +370,8 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
     }
   }
 
-  // Result memoization: full-database statements only (mini-db subsets
-  // vary per annotation). A hit replays the cold run's counters, keeping
-  // ExecStats totals identical to an uncached execution sequence.
-  const bool cacheable = params_.memoize_sql_results && mini_db == nullptr;
-  std::string key;
-  if (cacheable) {
-    key = sql.CanonicalKey();
-    MutexLock lock(result_cache_mutex_);
-    auto it = result_cache_.find(key);
-    if (it != result_cache_.end() &&
-        CacheEntryValid(it->second, table->num_rows())) {
-      if (stats != nullptr) *stats = it->second.stats;
-      if constexpr (obs::kEnabled) {
-        Metrics().result_hit->Increment();
-        // Per-operation attribution: a hit replays the cold run's
-        // counters, so the operation's totals match an uncached run.
-        if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-          ++ctx->result_cache_hits;
-          ctx->rows_examined += it->second.stats.rows_examined;
-          ctx->index_lookups += it->second.stats.index_lookups;
-        }
-      }
-      return ScaleHits(it->second.unit_hits, sql.confidence);
-    }
-  }
-  if constexpr (obs::kEnabled) {
-    if (cacheable) {
-      Metrics().result_miss->Increment();
-      if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-        ++ctx->result_cache_misses;
-      }
-    }
-  }
-
-  // Cold path, at unit confidence (scaled at the very end so the memo can
-  // serve every confidence). A per-call executor keeps this path free of
-  // shared mutable state, so concurrent const Search callers can run it
-  // at once.
+  // A per-call executor keeps this path free of shared mutable state, so
+  // concurrent const Search callers can run it at once.
   QueryExecutor executor(catalog_);
   executor.set_use_value_index(params_.use_value_index);
   Stopwatch watch;
@@ -489,14 +399,14 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
   }
   NEBULA_ASSIGN_OR_RETURN(std::vector<Table::RowId> rows,
                           std::move(rows_result));
-  std::vector<SearchHit> unit_hits;
-  unit_hits.reserve(rows.size());
+  std::vector<SearchHit> hits;
+  hits.reserve(rows.size());
   for (Table::RowId r : rows) {
-    unit_hits.push_back({TupleId{table->id(), r}, 1.0});
+    hits.push_back({TupleId{table->id(), r}, sql.confidence});
   }
   if (params_.fk_expansion) {
     std::vector<SearchHit> expanded;
-    for (const auto& hit : unit_hits) {
+    for (const auto& hit : hits) {
       size_t added = 0;
       for (const TupleId& nb : catalog_->FkNeighbors(hit.tuple)) {
         if (added >= params_.fk_fanout_cap) break;
@@ -505,26 +415,9 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
         ++added;
       }
     }
-    unit_hits.insert(unit_hits.end(), expanded.begin(), expanded.end());
+    hits.insert(hits.end(), expanded.begin(), expanded.end());
   }
-  if (cacheable && !NEBULA_FAULT_SHOULD_FAIL(kFaultKeywordResultCacheFill)) {
-    CachedSqlResult entry;
-    entry.unit_hits = unit_hits;
-    entry.stats = executor.stats();
-    entry.table_rows = table->num_rows();
-    entry.scan_containment = params_.scan_containment;
-    entry.use_value_index = params_.use_value_index;
-    entry.fk_expansion = params_.fk_expansion;
-    entry.fk_decay = params_.fk_decay;
-    entry.fk_fanout_cap = params_.fk_fanout_cap;
-    MutexLock lock(result_cache_mutex_);
-    result_cache_[key] = std::move(entry);
-    if constexpr (obs::kEnabled) {
-      Metrics().result_entries->Set(
-          static_cast<int64_t>(result_cache_.size()));
-    }
-  }
-  return ScaleHits(unit_hits, sql.confidence);
+  return hits;
 }
 
 std::vector<SearchHit> KeywordSearchEngine::MergeHits(

@@ -5,9 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/lock_rank.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
 #include "meta/nebula_meta.h"
@@ -115,29 +113,7 @@ class KeywordSearchEngine {
   KeywordSearchParams& params() { return params_; }
   const NebulaMeta* meta() const { return meta_; }
 
-  /// Drops every memoized statement result. Tests use this; production
-  /// entries self-invalidate (table growth / knob changes are detected
-  /// per entry on lookup).
-  void ClearResultCache() EXCLUDES(result_cache_mutex_);
-  size_t result_cache_size() const EXCLUDES(result_cache_mutex_);
-
  private:
-  /// One memoized statement execution: hits at unit confidence (scaled
-  /// per caller on a hit — bitwise identical to a cold execution because
-  /// IEEE multiplication is commutative and 1.0 * c == c), the cold run's
-  /// counters for replay, and the validity fingerprint.
-  struct CachedSqlResult {
-    std::vector<SearchHit> unit_hits;
-    ExecStats stats;
-    uint64_t table_rows = 0;   ///< table size at fill (tables append-only)
-    bool scan_containment = false;
-    bool use_value_index = true;
-    bool fk_expansion = false;
-    double fk_decay = 0.0;
-    size_t fk_fanout_cap = 0;
-  };
-  bool CacheEntryValid(const CachedSqlResult& entry, uint64_t rows) const;
-
   /// idf-weighted score for `token` appearing in a text-indexed column.
   double TextMappingScore(const Table& table, size_t column,
                           const std::string& token) const;
@@ -146,12 +122,6 @@ class KeywordSearchEngine {
   const NebulaMeta* meta_;
   KeywordSearchParams params_;
   QueryExecutor executor_;
-  /// CanonicalKey -> memoized execution. Mutable + internally locked: the
-  /// const thread-safe Search/ExecuteSql overloads may run concurrently
-  /// from several caller threads, and all share the memo.
-  mutable Mutex result_cache_mutex_{kLockRankKeywordResultCache};
-  mutable std::unordered_map<std::string, CachedSqlResult> result_cache_
-      GUARDED_BY(result_cache_mutex_);
 };
 
 }  // namespace nebula

@@ -79,11 +79,6 @@ struct KeywordSearchParams {
   /// way; off forces the legacy execution path. Composes with
   /// scan_containment: the replayed counters then model the scan.
   bool use_value_index = true;
-  /// Memoize executed statements (canonical SQL -> unit-confidence hits +
-  /// counters) across Search / shared-executor calls, invalidated when
-  /// the target table grows or the execution knobs change. Full-database
-  /// statements only; mini-db (focal spreading) runs always execute.
-  bool memoize_sql_results = true;
 
   bool operator==(const KeywordSearchParams&) const = default;
   /// Optional FK one-hop expansion of answers (off by default; see

@@ -69,8 +69,6 @@ std::string WideEventToJson(const WideEvent& event) {
   AppendField(&out, "verification_us", event.verification_us, &first);
   AppendField(&out, "plan_cache_hits", event.plan_cache_hits, &first);
   AppendField(&out, "plan_cache_misses", event.plan_cache_misses, &first);
-  AppendField(&out, "result_cache_hits", event.result_cache_hits, &first);
-  AppendField(&out, "result_cache_misses", event.result_cache_misses, &first);
   AppendField(&out, "index_lookups", event.index_lookups, &first);
   AppendField(&out, "rows_examined", event.rows_examined, &first);
   AppendField(&out, "sql_executed", event.sql_executed, &first);
@@ -89,8 +87,6 @@ EventContext* CurrentEventContext() { return t_current_context; }
 void FillEventFromContext(WideEvent* event, const EventContext& context) {
   event->plan_cache_hits = context.plan_cache_hits;
   event->plan_cache_misses = context.plan_cache_misses;
-  event->result_cache_hits = context.result_cache_hits;
-  event->result_cache_misses = context.result_cache_misses;
   event->index_lookups = context.index_lookups;
   event->rows_examined = context.rows_examined;
   event->sql_executed = context.sql_executed;

@@ -51,8 +51,6 @@ struct WideEvent {
   // Cache / index path.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
   uint64_t index_lookups = 0;  ///< hash/text-index driver probes
   uint64_t rows_examined = 0;
   uint64_t sql_executed = 0;  ///< distinct statements actually executed
@@ -71,7 +69,7 @@ std::string WideEventToJson(const WideEvent& event);
 /// Per-operation attribution context. The engine installs one as the
 /// calling thread's current context for the duration of an operation
 /// (ScopedEventContext); instrumentation sites deep in the stack — the
-/// plan cache, the SQL result cache, the shared executor — bump its
+/// plan cache, statement execution, the shared executor — bump its
 /// counters via CurrentEventContext(). A context is reached only from the
 /// thread that installed it: nothing carries it to another thread, and
 /// all Stage-2 work runs on the operation's own thread. So the counters
@@ -80,8 +78,6 @@ struct EventContext {
   uint64_t op_id = 0;
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
   uint64_t index_lookups = 0;
   uint64_t rows_examined = 0;
   uint64_t sql_executed = 0;

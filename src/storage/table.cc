@@ -139,12 +139,13 @@ bool Table::HasTextIndex(size_t column) const {
   return column < text_index_built_.size() && text_index_built_[column];
 }
 
-std::vector<Table::RowId> Table::LookupToken(size_t column,
-                                             const std::string& token) const {
-  if (!HasTextIndex(column)) return {};
+const std::vector<Table::RowId>& Table::LookupToken(
+    size_t column, const std::string& token) const {
+  static const std::vector<RowId> kNone;
+  if (!HasTextIndex(column)) return kNone;
   const auto& index = text_indexes_[column];
   auto it = index.find(ToLower(token));
-  return it == index.end() ? std::vector<RowId>{} : it->second;
+  return it == index.end() ? kNone : it->second;
 }
 
 std::vector<Table::RowId> Table::Scan(

@@ -67,9 +67,11 @@ class Table {
   bool HasTextIndex(size_t column) const;
 
   /// Rows whose indexed text column contains `token` (lower-cased exact
-  /// token match). Returns empty when the column has no text index.
-  std::vector<RowId> LookupToken(size_t column,
-                                 const std::string& token) const;
+  /// token match). Returns an empty list when the column has no text
+  /// index. The reference stays valid until the next mutation, which the
+  /// exclusive-writer contract already keeps away from readers.
+  const std::vector<RowId>& LookupToken(size_t column,
+                                        const std::string& token) const;
 
   /// Full scan with a caller predicate; returns matching row ids.
   std::vector<RowId> Scan(

@@ -155,8 +155,8 @@ const char* ConfigPairDescription(ConfigPair pair) {
     case ConfigPair::kSpreading:
       return "full-database search vs focal spreading (subset check)";
     case ConfigPair::kValueIndex:
-      return "legacy scan path vs value-index acceleration (exact, "
-             "including ExecStats)";
+      return "legacy scan-and-recompile path vs value index + plan cache "
+             "(exact, including ExecStats)";
     case ConfigPair::kDurability:
       return "durability off vs WAL+snapshots (exact equivalence)";
     case ConfigPair::kLockdep:

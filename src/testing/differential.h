@@ -42,10 +42,10 @@ enum class ConfigPair {
   /// never crash or corrupt state. Soundness: Stage 1 is a pure function
   /// of text+meta, and the mini-db only *restricts* where Stage 2 looks.
   kSpreading,
-  /// Legacy execution (no value index, no statement memo, no plan cache)
-  /// vs the accelerated Stage-2 path. The acceleration structures promise
-  /// bit-identical results AND ExecStats (the fast path replays the legacy
-  /// cost model), so this is exact equivalence — the index-vs-scan proof.
+  /// Legacy execution (no value index, no plan cache) vs the accelerated
+  /// Stage-2 path. The two acceleration structures promise bit-identical
+  /// results AND ExecStats (the fast path replays the legacy cost model),
+  /// so this is exact equivalence — the index-vs-scan proof.
   kValueIndex,
   /// Durability off vs on (WAL + snapshots into a scratch directory with
   /// a tight snapshot cadence). Journal-before-apply must be invisible to
@@ -54,12 +54,12 @@ enum class ConfigPair {
   kDurability,
   /// Lockdep witness off vs armed (report mode; src/common/lockdep.h),
   /// both sides pooled batch ingest, so Stage-1 workers take the meta and
-  /// pool locks while the caller's Stage 2 takes the plan-cache and memo
-  /// chains. Witnessing every mutex acquire must be invisible to results
-  /// AND produce zero violations on the real lock graph: exact equivalence,
-  /// with any recorded violation appended to the B transcript so an
-  /// inversion diverges the digest. In builds without
-  /// -DNEBULA_LOCKDEP=ON both sides run unwitnessed (still exact).
+  /// pool locks while the caller's Stage 2 takes the plan-cache,
+  /// word-memo and index-build chains. Witnessing every mutex acquire
+  /// must be invisible to results AND produce zero violations on the real
+  /// lock graph: exact equivalence, with any recorded violation appended
+  /// to the B transcript so an inversion diverges the digest. In builds
+  /// without -DNEBULA_LOCKDEP=ON both sides run unwitnessed (still exact).
   /// --inject-bug arms the common.lockdep.check fault on the B side to
   /// plant an inversion the harness must catch, shrink, and replay.
   kLockdep,

@@ -251,42 +251,6 @@ TEST_F(EngineFaultTest, PlanCacheFillFaultDegradesToRecompile) {
   EXPECT_GT(engine.plan_cache().size(), 0u);
 }
 
-TEST_F(EngineFaultTest, ResultCacheFillFaultDegradesToReexecution) {
-  // Candidates under a refused statement-result memo must equal a clean
-  // run's bit for bit — the memo may only ever change wall time.
-  auto clean_universe = check::BuildCheckUniverse(2026);
-  ASSERT_TRUE(clean_universe.ok());
-  NebulaConfig config;
-  NebulaEngine clean_engine(&(*clean_universe)->catalog,
-                            &(*clean_universe)->store,
-                            &(*clean_universe)->meta, config);
-  clean_engine.RebuildAcg();
-  const auto expected = clean_engine.InsertAnnotations(Requests());
-  ASSERT_TRUE(expected.ok());
-
-  NebulaEngine engine(&universe_->catalog, &universe_->store,
-                      &universe_->meta, config);
-  engine.RebuildAcg();
-  ScopedFault fault("keyword.resultcache.fill");
-  const auto reports = engine.InsertAnnotations(Requests());
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-  EXPECT_GT(FaultRegistry::Global().FireCount("keyword.resultcache.fill"),
-            0u);
-  EXPECT_EQ(engine.search_engine().result_cache_size(), 0u);
-  ASSERT_EQ(reports->size(), expected->size());
-  for (size_t i = 0; i < reports->size(); ++i) {
-    ASSERT_EQ((*reports)[i].candidates.size(),
-              (*expected)[i].candidates.size());
-    for (size_t c = 0; c < (*reports)[i].candidates.size(); ++c) {
-      EXPECT_EQ((*reports)[i].candidates[c].tuple,
-                (*expected)[i].candidates[c].tuple);
-      EXPECT_DOUBLE_EQ((*reports)[i].candidates[c].confidence,
-                       (*expected)[i].candidates[c].confidence);
-    }
-  }
-  ExpectAcgConsistent(&engine);
-}
-
 TEST_F(EngineFaultTest, WordMemoFillFaultDegradesToRescoring) {
   // Stage-1 generation runs on pool workers here, so the fault also fires
   // there; candidates must still equal a clean run's bit for bit.

@@ -255,5 +255,26 @@ TEST_F(EngineIntegrationTest, BoundsSettingFindsReasonableBounds) {
   EXPECT_LE(result.best.lower, result.best.upper);
 }
 
+TEST_F(EngineIntegrationTest, PlanCacheServesOnlyTheAcceleratedPath) {
+  // use_value_index = false is the legacy side: it compiles every group
+  // and never fills the plan cache.
+  for (const bool use_value_index : {false, true}) {
+    NebulaConfig config;
+    config.use_value_index = use_value_index;
+    auto engine = MakeEngine(config);
+    for (size_t idx : dataset_->workload.BySizeClass(100)) {
+      const WorkloadAnnotation& wa = dataset_->workload.annotations[idx];
+      ASSERT_TRUE(
+          engine->InsertAnnotation(wa.text, {wa.ideal_tuples.front()}, "pc")
+              .ok());
+    }
+    if (use_value_index) {
+      EXPECT_GT(engine->plan_cache().size(), 0u);
+    } else {
+      EXPECT_EQ(engine->plan_cache().size(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nebula

@@ -172,13 +172,13 @@ TEST(EventContextTest, ScopedInstallAndRestore) {
 TEST(EventContextTest, FillEventCopiesCounters) {
   EventContext context;
   context.plan_cache_hits = 3;
-  context.result_cache_misses = 2;
+  context.sql_executed = 2;
   context.rows_examined = 77;
   context.sql_shared = 5;
   WideEvent event;
   FillEventFromContext(&event, context);
   EXPECT_EQ(event.plan_cache_hits, 3u);
-  EXPECT_EQ(event.result_cache_misses, 2u);
+  EXPECT_EQ(event.sql_executed, 2u);
   EXPECT_EQ(event.rows_examined, 77u);
   EXPECT_EQ(event.sql_shared, 5u);
 }
@@ -303,6 +303,34 @@ TEST(EngineEventTest, DiscoverEmitsSearchEvent) {
       dump.substr(search_at, line_end - search_at);
   EXPECT_EQ(search_line.find("\"verification\":\""), std::string::npos)
       << search_line;
+}
+
+TEST(EngineEventTest, SearchExecutesTheStatementsItsInsertExecuted) {
+  // No statement outlives its operation: re-discovering an annotation
+  // runs every statement its insert ran, none is replayed.
+  if (!kEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  auto universe = check::BuildCheckUniverse(12);
+  ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+  const check::CheckWorkload workload =
+      check::GenerateCheckWorkload(12, **universe);
+  ASSERT_FALSE(workload.annotations.empty());
+
+  NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
+                      &(*universe)->meta, {});
+  engine.RebuildAcg();
+  const check::CheckAnnotation& a = workload.annotations.front();
+  auto inserted = engine.InsertAnnotation(a.text, a.focal, a.author);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  ASSERT_TRUE(engine.Discover(inserted->annotation, a.focal).ok());
+
+  const std::vector<std::string> lines = engine.event_log().Snapshot();
+  ASSERT_EQ(lines.size(), 2u);
+  ASSERT_NE(lines[0].find("\"op\":\"insert\""), std::string::npos);
+  ASSERT_NE(lines[1].find("\"op\":\"search\""), std::string::npos);
+  EXPECT_GT(NumberField(lines[0], "sql_executed"), 0u) << lines[0];
+  EXPECT_EQ(NumberField(lines[1], "sql_executed"),
+            NumberField(lines[0], "sql_executed"))
+      << lines[1];
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Concurrency stress over the ranked-lock chains the lockdep witness
 // guards: table lookups racing the lazy hash/value index builds
 // (storage.index_build), shared keyword execution on the main thread
-// racing concurrent const searchers over the statement memo
-// (keyword.resultcache -> obs.*), and an exclusive writer hammering
-// Insert's incremental index maintenance on its own table — Table's
-// documented single-writer contract is honored by giving the writer a
-// private table no reader ever touches.
+// racing concurrent const searchers over the word-score memo and the
+// index builds (meta.wordmemo, storage.index_build -> obs.*), and an
+// exclusive writer hammering Insert's incremental index maintenance on
+// its own table — Table's documented single-writer contract is honored
+// by giving the writer a private table no reader ever touches.
 //
 // Runs under two labels:
 //   tsan     — a -DNEBULA_SANITIZE=thread build race-checks the paths;
@@ -171,7 +171,8 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
   }
 
   // Searchers: the engine's thread-safe Search overload shares the
-  // result-cache memo (keyword.resultcache) across threads.
+  // word-score memo (meta.wordmemo) and the lazy index builds
+  // (storage.index_build) across threads.
   for (int t = 0; t < kSearchThreads; ++t) {
     readers.emplace_back([this, t, &stop, &search_errors] {
       int round = t;

@@ -549,11 +549,8 @@ TEST_P(PlanCacheEquivalence, HitResultsBitIdenticalToCold) {
   acg.BuildFromStore(ds->store);
   PlanCache cache(&ds->meta);
 
-  IdentifyParams cached_params;
-  IdentifyParams uncached_params;
-  uncached_params.use_plan_cache = false;
-  TupleIdentifier cached(&engine, &acg, cached_params, &cache);
-  TupleIdentifier uncached(&engine, &acg, uncached_params, &cache);
+  TupleIdentifier cached(&engine, &acg, {}, &cache);
+  TupleIdentifier uncached(&engine, &acg, {}, /*plan_cache=*/nullptr);
 
   const std::vector<TupleId> focal{wa.ideal_tuples.front()};
   const auto cold = *cached.Identify(queries, focal);    // fills the cache

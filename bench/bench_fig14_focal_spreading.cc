@@ -10,7 +10,15 @@
 ///   14(a) execution time: basic full-database search vs shared execution
 ///         vs focal spreading (expected ~8-15x faster than basic);
 ///   14(b) produced candidate tuples (expected ~an order of magnitude
-///         fewer under focal spreading).
+///         fewer under focal spreading);
+///   14(a') the same comparison under the paper's RDBMS cost model, where
+///         containment probes are scans.
+///
+/// Indexes are warmed before any timing, so no configuration pays a lazy
+/// index build. Writes BENCH_fig14_focal_spreading.json: one record for
+/// the Fig. 7 profile pass (wall_us = the whole HopDistance loop), then
+/// one per 14(a) and 14(a') row (wall_us and rows_examined are averages
+/// per annotation, as printed).
 
 #include "bench/bench_util.h"
 #include "core/focal_spreading.h"
@@ -20,7 +28,9 @@ using namespace nebula;
 using namespace nebula::bench;
 
 int main() {
-  auto ds = LoadDataset("D_large", DatasetSpec::Large());
+  const char* const kDataset = "D_large";
+  auto ds = LoadDataset(kDataset, DatasetSpec::Large());
+  WarmIndexes(ds->catalog);
   KeywordSearchEngine engine(&ds->catalog, &ds->meta);
   Acg acg;
   acg.BuildFromStore(ds->store);
@@ -31,18 +41,36 @@ int main() {
   QueryGenerator generator(&ds->meta, gen_params);
 
   const auto annotation_set = ds->workload.BySizeClass(100);
+  const size_t count = annotation_set.size();
+  std::vector<BenchRecord> records;
+  auto record = [&](std::string name,
+                    std::vector<std::pair<std::string, std::string>> params,
+                    double ms, uint64_t rows) {
+    BenchRecord rec;
+    rec.name = std::move(name);
+    rec.params = {{"dataset", kDataset},
+                  {"annotations", Fmt("%zu", count)}};
+    rec.params.insert(rec.params.end(), params.begin(), params.end());
+    rec.wall_us = static_cast<uint64_t>(ms * 1000.0);
+    rec.rows_examined = rows;
+    records.push_back(std::move(rec));
+  };
 
   // ---- Figure 7: hop-distance profile --------------------------------
   // The profile records, for every discovered attachment, how many hops
   // it was from the annotation's focal. Here it is fed from the workload
   // ground truth (candidate tuple vs the Delta=1 focal).
+  size_t profile_points = 0;
+  Stopwatch profile_sw;
   for (size_t idx : annotation_set) {
     const WorkloadAnnotation& wa = ds->workload.annotations[idx];
     const std::vector<TupleId> focal{wa.ideal_tuples.front()};
     for (size_t i = 1; i < wa.ideal_tuples.size(); ++i) {
       acg.RecordProfilePoint(acg.HopDistance(focal, wa.ideal_tuples[i]));
+      ++profile_points;
     }
   }
+  const double profile_ms = profile_sw.ElapsedMillis();
   Banner("Figure 7: hop-distance profile of true attachments");
   {
     uint64_t total = 0;
@@ -61,14 +89,22 @@ int main() {
     profile.Print();
     std::printf("profile-driven K for 71%% recall: %zu; for 93%%: %zu\n",
                 acg.SelectK(0.71), acg.SelectK(0.93));
+    std::printf("%zu HopDistance calls in %.3f ms\n", profile_points,
+                profile_ms);
+    record("fig7/profile",
+           {{"points", Fmt("%zu", profile_points)},
+            {"k_recall_71", Fmt("%zu", acg.SelectK(0.71))},
+            {"k_recall_93", Fmt("%zu", acg.SelectK(0.93))}},
+           profile_ms, 0);
   }
 
   // ---- Baselines: basic and shared full-database search --------------
   double basic_ms = 0;
   double shared_ms = 0;
   size_t basic_tuples = 0;
-  size_t count = 0;
+  size_t shared_tuples = 0;
   uint64_t basic_rows = 0;
+  uint64_t shared_rows = 0;
   for (size_t idx : annotation_set) {
     const WorkloadAnnotation& wa = ds->workload.annotations[idx];
     const std::vector<TupleId> focal{wa.ideal_tuples.front()};
@@ -84,11 +120,22 @@ int main() {
     IdentifyParams shared_params;
     shared_params.shared_execution = true;
     TupleIdentifier shared_identifier(&engine, &acg, shared_params);
+    engine.ResetStats();
     sw.Restart();
-    (void)shared_identifier.Identify(queries, focal);
+    auto shared = shared_identifier.Identify(queries, focal);
     shared_ms += sw.ElapsedMillis();
-    ++count;
+    shared_rows += engine.stats().rows_examined;
+    if (shared.ok()) shared_tuples += shared->size();
   }
+  const auto per_annotation = [count](double total) {
+    return Fmt("%.1f", total / static_cast<double>(count));
+  };
+  record("fig14a/basic",
+         {{"tuples", per_annotation(basic_tuples)}, {"minidb_tuples", "-"}},
+         basic_ms / count, basic_rows / count);
+  record("fig14a/shared",
+         {{"tuples", per_annotation(shared_tuples)}, {"minidb_tuples", "-"}},
+         shared_ms / count, shared_rows / count);
 
   // ---- Focal spreading over Delta x K ---------------------------------
   TablePrinter fig14a({"config", "time_ms", "vs_basic", "vs_shared",
@@ -99,7 +146,10 @@ int main() {
                                       basic_rows / count)),
                  "1.0x", "-"});
   fig14a.AddRow({"shared (full DB)", Fmt("%.3f", shared_ms / count),
-                 Fmt("%.1fx", basic_ms / shared_ms), "1.0x", "-", "-", "-"});
+                 Fmt("%.1fx", basic_ms / shared_ms), "1.0x",
+                 Fmt("%llu", static_cast<unsigned long long>(
+                                 shared_rows / count)),
+                 "-", "-"});
 
   for (size_t delta : {1u, 2u, 3u}) {
     for (size_t k : {2u, 3u, 4u}) {
@@ -138,11 +188,15 @@ int main() {
                                                  rows)
                               : "-",
                      Fmt("%zu", mini_sizes / count)});
-      fig14b.AddRow({config, Fmt("%.1f", static_cast<double>(tuples) / count),
-                     Fmt("%.1f", static_cast<double>(basic_tuples) / count),
+      fig14b.AddRow({config, per_annotation(tuples),
+                     per_annotation(basic_tuples),
                      Fmt("%.1fx", tuples ? static_cast<double>(basic_tuples) /
                                                tuples
                                          : 0.0)});
+      record(Fmt("fig14a/Delta=%zu/K=%zu", delta, k),
+             {{"tuples", per_annotation(tuples)},
+              {"minidb_tuples", per_annotation(mini_sizes)}},
+             ms / count, rows / count);
     }
   }
 
@@ -154,14 +208,16 @@ int main() {
   // ---- RDBMS cost model ------------------------------------------------
   // The paper's substrate executes the search technique's generated SQL
   // on an RDBMS where containment predicates are LIKE-style scans. Under
-  // that cost model (scan_containment = true) the full-database search
-  // pays for every scanned row, and focal spreading's restriction of the
+  // that cost model (scan_containment = true, on the legacy execution
+  // path so the value index cannot answer) the full-database search pays
+  // for every scanned row, and focal spreading's restriction of the
   // search space translates directly into wall-clock time — this is the
   // regime in which the paper reports its ~15x speedup.
   Banner("Figure 14(a'): RDBMS cost model (containment probes as scans)");
   {
     KeywordSearchParams scan_params;
     scan_params.scan_containment = true;
+    scan_params.use_value_index = false;
     KeywordSearchEngine scan_engine(&ds->catalog, &ds->meta, scan_params);
     TupleIdentifier scan_identifier(&scan_engine, &acg);
 
@@ -183,6 +239,8 @@ int main() {
                   "1.0x",
                   Fmt("%llu", static_cast<unsigned long long>(
                                   scan_basic_rows / count))});
+    record("fig14a_rdbms/basic", {{"minidb_tuples", "-"}},
+           scan_basic_ms / count, scan_basic_rows / count);
     for (size_t k : {2u, 3u, 4u}) {
       FocalSpreadingParams sp;
       sp.require_stable_acg = false;
@@ -190,6 +248,7 @@ int main() {
       sp.fixed_k = k;
       FocalSpreading spreading(&acg, sp);
       double ms = 0;
+      size_t mini_sizes = 0;
       scan_engine.ResetStats();
       for (size_t idx : annotation_set) {
         const WorkloadAnnotation& wa = ds->workload.annotations[idx];
@@ -199,19 +258,26 @@ int main() {
         const MiniDb mini = spreading.BuildMiniDb(focal);
         (void)scan_identifier.Identify(queries, focal, &mini);
         ms += sw.ElapsedMillis();
+        mini_sizes += mini.size();
       }
+      const uint64_t rows = scan_engine.stats().rows_examined;
       prime.AddRow({Fmt("Delta=1 K=%zu", k), Fmt("%.2f", ms / count),
                     Fmt("%.1fx", scan_basic_ms / ms),
                     Fmt("%llu", static_cast<unsigned long long>(
-                                    scan_engine.stats().rows_examined /
-                                    count))});
+                                    rows / count))});
+      record(Fmt("fig14a_rdbms/Delta=1/K=%zu", k),
+             {{"minidb_tuples", per_annotation(mini_sizes)}}, ms / count,
+             rows / count);
     }
     prime.Print();
   }
+  EmitBenchJson("fig14_focal_spreading", records);
   std::printf(
-      "\nPaper-shape checks: focal spreading should be roughly an order\n"
-      "of magnitude faster than the basic search and produce roughly an\n"
-      "order of magnitude fewer candidates; time and tuples grow with\n"
-      "both Delta and K.\n");
+      "\nPaper-shape checks: focal spreading should produce roughly an\n"
+      "order of magnitude fewer candidates, and time and tuples grow with\n"
+      "both Delta and K. Under the RDBMS cost model it should be roughly\n"
+      "an order of magnitude faster than the basic search; under the\n"
+      "value index a warm basic search is a few posting-list probes, so\n"
+      "it may stay cheaper than building the mini database.\n");
   return 0;
 }

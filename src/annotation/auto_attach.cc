@@ -41,7 +41,7 @@ Result<size_t> AutoAttachRegistry::AddRule(AnnotationId annotation,
 Result<size_t> AutoAttachRegistry::OnInsert(const TupleId& tuple) {
   const Table* table = catalog_->GetTableById(tuple.table_id);
   size_t attached = 0;
-  const std::unordered_set<Table::RowId> just_this{tuple.row};
+  const std::vector<Table::RowId> just_this{tuple.row};
   for (const auto& rule : rules_) {
     if (!EqualsIgnoreCase(rule.predicate.table, table->name())) continue;
     NEBULA_ASSIGN_OR_RETURN(std::vector<Table::RowId> rows,

@@ -1,8 +1,10 @@
 #include "core/acg.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "annotation/annotation_store.h"
 #include "obs/metrics.h"
@@ -56,40 +58,91 @@ const AcgMetrics& Metrics() {
   }();
   return m;
 }
+
+/// First entry of a sorted adjacency list whose neighbour id is >= `to`.
+template <typename List>
+auto LowerBound(List& list, uint32_t to) {
+  return std::lower_bound(list.begin(), list.end(), to,
+                          [](const auto& e, uint32_t id) { return e.to < id; });
+}
 }  // namespace
 
 Acg::Acg(AcgStabilityConfig stability)
     : stability_(stability), profile_(kProfileBuckets, 0) {}
 
-void Acg::AddEdgeCount(const TupleId& a, const TupleId& b, bool* created) {
-  auto& common_a = nodes_[a].common;
-  auto [it, inserted] = common_a.emplace(b, 1);
-  if (!inserted) ++it->second;
-  auto& common_b = nodes_[b].common;
-  auto [it2, inserted2] = common_b.emplace(a, 1);
-  if (!inserted2) ++it2->second;
+uint32_t Acg::Find(const TupleId& t) const {
+  auto it = ids_.find(t);
+  return it == ids_.end() ? kNoNode : it->second;
+}
+
+uint32_t Acg::Intern(const TupleId& t) {
+  auto [it, inserted] =
+      ids_.emplace(t, static_cast<uint32_t>(tuples_.size()));
   if (inserted) {
+    tuples_.push_back(t);
+    annotation_count_.push_back(0);
+    adj_.emplace_back();
+  }
+  return it->second;
+}
+
+std::vector<uint32_t> Acg::FocalIds(const std::vector<TupleId>& focal,
+                                    std::vector<bool>* seen) const {
+  std::vector<uint32_t> out;
+  for (const auto& f : focal) {
+    const uint32_t id = Find(f);
+    if (id == kNoNode || (*seen)[id]) continue;
+    (*seen)[id] = true;
+    out.push_back(id);
+  }
+  return out;
+}
+
+void Acg::AddEdgeCount(uint32_t a, uint32_t b, bool* created) {
+  auto bump = [](std::vector<Edge>* list, uint32_t to) {
+    auto it = LowerBound(*list, to);
+    if (it != list->end() && it->to == to) {
+      ++it->common;
+      return false;
+    }
+    list->insert(it, Edge{to, 1});
+    return true;
+  };
+  if (bump(&adj_[a], b)) {
     ++num_edges_;
     *created = true;
   }
+  bump(&adj_[b], a);
+}
+
+double Acg::Weight(uint32_t a, uint32_t b, uint32_t common) const {
+  const size_t total = annotation_count_[a] + annotation_count_[b] - common;
+  return total == 0 ? 0.0
+                    : static_cast<double>(common) / static_cast<double>(total);
 }
 
 void Acg::BuildFromStore(const AnnotationStore& store) {
-  nodes_.clear();
+  ids_.clear();
+  tuples_.clear();
+  annotation_count_.clear();
+  adj_.clear();
   num_edges_ = 0;
+  std::vector<uint32_t> ids;
   for (size_t a = 0; a < store.num_annotations(); ++a) {
-    const std::vector<TupleId> tuples =
-        store.AttachedTuples(a, /*true_only=*/true);
-    for (const auto& t : tuples) ++nodes_[t].annotation_count;
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      for (size_t j = i + 1; j < tuples.size(); ++j) {
+    ids.clear();
+    for (const auto& t : store.AttachedTuples(a, /*true_only=*/true)) {
+      ids.push_back(Intern(t));
+      ++annotation_count_[ids.back()];
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (size_t j = i + 1; j < ids.size(); ++j) {
         bool created = false;
-        AddEdgeCount(tuples[i], tuples[j], &created);
+        AddEdgeCount(ids[i], ids[j], &created);
       }
     }
   }
   if constexpr (obs::kEnabled) {
-    Metrics().nodes->Set(static_cast<int64_t>(nodes_.size()));
+    Metrics().nodes->Set(static_cast<int64_t>(tuples_.size()));
     Metrics().edges->Set(static_cast<int64_t>(num_edges_));
   }
 }
@@ -120,45 +173,43 @@ void Acg::AddAttachment(AnnotationId annotation, const TupleId& tuple,
   ++batch_attachments_;
   batch_annotations_.insert(annotation);
 
-  ++nodes_[tuple].annotation_count;
+  const uint32_t id = Intern(tuple);
+  ++annotation_count_[id];
   for (const auto& s : siblings) {
     if (s == tuple) continue;
     bool created = false;
-    AddEdgeCount(tuple, s, &created);
+    AddEdgeCount(id, Intern(s), &created);
     if (created) ++batch_new_edges_;
   }
   if constexpr (obs::kEnabled) {
     Metrics().attachments->Increment();
-    Metrics().nodes->Set(static_cast<int64_t>(nodes_.size()));
+    Metrics().nodes->Set(static_cast<int64_t>(tuples_.size()));
     Metrics().edges->Set(static_cast<int64_t>(num_edges_));
   }
 }
 
 double Acg::EdgeWeight(const TupleId& a, const TupleId& b) const {
-  auto it = nodes_.find(a);
-  if (it == nodes_.end()) return 0.0;
-  auto edge = it->second.common.find(b);
-  if (edge == it->second.common.end()) return 0.0;
-  const size_t common = edge->second;
-  auto itb = nodes_.find(b);
-  const size_t total = it->second.annotation_count +
-                       (itb == nodes_.end() ? 0 : itb->second.annotation_count) -
-                       common;
-  return total == 0 ? 0.0
-                    : static_cast<double>(common) / static_cast<double>(total);
+  const uint32_t ia = Find(a);
+  if (ia == kNoNode) return 0.0;
+  const uint32_t ib = Find(b);
+  if (ib == kNoNode) return 0.0;
+  // Both endpoints store the edge; b's list is the one callers keep hot.
+  const std::vector<Edge>& list = adj_[ib];
+  auto it = LowerBound(list, ia);
+  if (it == list.end() || it->to != ia) return 0.0;
+  return Weight(ia, ib, it->common);
 }
 
-bool Acg::HasNode(const TupleId& t) const { return nodes_.count(t) > 0; }
+bool Acg::HasNode(const TupleId& t) const { return ids_.count(t) > 0; }
 
 std::vector<std::pair<TupleId, double>> Acg::Neighbors(
     const TupleId& t) const {
   std::vector<std::pair<TupleId, double>> out;
-  auto it = nodes_.find(t);
-  if (it == nodes_.end()) return out;
-  out.reserve(it->second.common.size());
-  // nebula-lint: order-insensitive — neighbors are sorted below
-  for (const auto& [nb, _] : it->second.common) {
-    out.emplace_back(nb, EdgeWeight(t, nb));
+  const uint32_t id = Find(t);
+  if (id == kNoNode) return out;
+  out.reserve(adj_[id].size());
+  for (const Edge& e : adj_[id]) {
+    out.emplace_back(tuples_[e.to], Weight(id, e.to, e.common));
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -167,88 +218,95 @@ std::vector<std::pair<TupleId, double>> Acg::Neighbors(
 
 std::vector<TupleId> Acg::KHopNeighborhood(const std::vector<TupleId>& focal,
                                            size_t k) const {
-  std::unordered_map<TupleId, size_t, TupleIdHash> dist;
-  std::deque<TupleId> frontier;
-  for (const auto& f : focal) {
-    if (nodes_.count(f) == 0) continue;
-    if (dist.emplace(f, 0).second) frontier.push_back(f);
-  }
-  while (!frontier.empty()) {
-    const TupleId cur = frontier.front();
-    frontier.pop_front();
-    const size_t d = dist[cur];
-    if (d >= k) continue;
-    auto it = nodes_.find(cur);
-    if (it == nodes_.end()) continue;
-    // nebula-lint: order-insensitive — BFS layer discovery is set-semantics
-    for (const auto& [nb, _] : it->second.common) {
-      if (dist.emplace(nb, d + 1).second) frontier.push_back(nb);
+  // Layered BFS: `reached` lists node ids in discovery order, and hop h's
+  // layer is the slice appended while expanding hop h-1's.
+  std::vector<bool> seen(tuples_.size());
+  std::vector<uint32_t> reached = FocalIds(focal, &seen);
+  size_t layer_begin = 0;
+  for (size_t hop = 0; hop < k && layer_begin < reached.size(); ++hop) {
+    const size_t layer_end = reached.size();
+    for (size_t i = layer_begin; i < layer_end; ++i) {
+      for (const Edge& e : adj_[reached[i]]) {
+        if (seen[e.to]) continue;
+        seen[e.to] = true;
+        reached.push_back(e.to);
+      }
     }
+    layer_begin = layer_end;
   }
   std::vector<TupleId> out;
-  out.reserve(dist.size());
-  // nebula-lint: order-insensitive — members are sorted below
-  for (const auto& [t, _] : dist) out.push_back(t);
+  out.reserve(reached.size());
+  for (uint32_t id : reached) out.push_back(tuples_[id]);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 int Acg::HopDistance(const std::vector<TupleId>& focal,
                      const TupleId& t) const {
-  if (nodes_.count(t) == 0) return -1;
+  const uint32_t target = Find(t);
+  if (target == kNoNode) return -1;
   for (const auto& f : focal) {
     if (f == t) return 0;
   }
-  // BFS outward from the focal set until t is reached.
-  std::unordered_set<TupleId, TupleIdHash> visited;
-  std::deque<std::pair<TupleId, int>> frontier;
-  for (const auto& f : focal) {
-    if (nodes_.count(f) == 0) continue;
-    if (visited.insert(f).second) frontier.push_back({f, 0});
-  }
-  while (!frontier.empty()) {
-    const auto [cur, d] = frontier.front();
-    frontier.pop_front();
-    auto it = nodes_.find(cur);
-    if (it == nodes_.end()) continue;
-    // nebula-lint: order-insensitive — layer distance is order-independent
-    for (const auto& [nb, _] : it->second.common) {
-      if (nb == t) return d + 1;
-      if (visited.insert(nb).second) frontier.push_back({nb, d + 1});
+  // Bidirectional layered BFS: side 0 grows from the focal set, side 1
+  // from `t`, and each round expands the smaller frontier by one whole
+  // layer. Until the sides meet, every focal-to-t path is longer than
+  // depth[0] + depth[1]; so the first edge into the other side's reached
+  // set closes a shortest path.
+  std::vector<bool> reached[2] = {std::vector<bool>(tuples_.size()),
+                                  std::vector<bool>(tuples_.size())};
+  std::vector<uint32_t> layer[2] = {FocalIds(focal, &reached[0]), {target}};
+  if (layer[0].empty()) return -1;
+  reached[1][target] = true;
+  int depth[2] = {0, 0};
+  std::vector<uint32_t> grown;
+  while (!layer[0].empty() && !layer[1].empty()) {
+    const int side = layer[0].size() <= layer[1].size() ? 0 : 1;
+    const std::vector<bool>& other = reached[1 - side];
+    std::vector<bool>& mine = reached[side];
+    grown.clear();
+    for (uint32_t u : layer[side]) {
+      for (const Edge& e : adj_[u]) {
+        if (other[e.to]) return depth[0] + depth[1] + 1;
+        if (mine[e.to]) continue;
+        mine[e.to] = true;
+        grown.push_back(e.to);
+      }
     }
+    layer[side].swap(grown);
+    ++depth[side];
   }
   return -1;
 }
 
 double Acg::PathWeight(const std::vector<TupleId>& focal, const TupleId& t,
                        size_t max_hops) const {
-  if (nodes_.count(t) == 0) return 0.0;
+  const uint32_t target = Find(t);
+  if (target == kNoNode) return 0.0;
   // Layered relaxation from the focal set: best[v] = max product of edge
   // weights reaching v in <= layer hops. Weights are in [0,1], so longer
   // paths can only lose, but a heavier 2-hop path may beat a feeble
   // direct edge — which is exactly the semantic the paper debates.
-  std::unordered_map<TupleId, double, TupleIdHash> best;
+  std::unordered_map<uint32_t, double> best;
   for (const auto& f : focal) {
-    if (nodes_.count(f) > 0) best[f] = 1.0;
+    const uint32_t id = Find(f);
+    if (id != kNoNode) best[id] = 1.0;
   }
   if (best.empty()) return 0.0;
-  double answer = best.count(t) > 0 ? 1.0 : 0.0;
-  std::unordered_map<TupleId, double, TupleIdHash> frontier = best;
+  double answer = best.count(target) > 0 ? 1.0 : 0.0;
+  std::unordered_map<uint32_t, double> frontier = best;
   for (size_t hop = 0; hop < max_hops && !frontier.empty(); ++hop) {
-    std::unordered_map<TupleId, double, TupleIdHash> next;
+    std::unordered_map<uint32_t, double> next;
     // nebula-lint: order-insensitive — max-product relaxation is commutative
     for (const auto& [node, product] : frontier) {
-      auto it = nodes_.find(node);
-      if (it == nodes_.end()) continue;
-      // nebula-lint: order-insensitive — max-product relaxation is commutative
-      for (const auto& [nb, _] : it->second.common) {
-        const double w = product * EdgeWeight(node, nb);
+      for (const Edge& e : adj_[node]) {
+        const double w = product * Weight(node, e.to, e.common);
         if (w <= 0.0) continue;
-        auto [bit, inserted] = best.emplace(nb, w);
+        auto [bit, inserted] = best.emplace(e.to, w);
         if (!inserted && w <= bit->second) continue;
         bit->second = w;
-        next[nb] = w;
-        if (nb == t) answer = std::max(answer, w);
+        next[e.to] = w;
+        if (e.to == target) answer = std::max(answer, w);
       }
     }
     frontier = std::move(next);
@@ -284,7 +342,7 @@ size_t Acg::SelectK(double desired_recall, size_t fallback) const {
 
 uint64_t Acg::Fingerprint() const {
   // FNV-1a over the sorted (node, count) and (edge, count) streams, so the
-  // digest is independent of hash-map iteration order.
+  // digest is independent of the order in which nodes got their ids.
   constexpr uint64_t kOffset = 1469598103934665603ULL;
   constexpr uint64_t kPrime = 1099511628211ULL;
   auto mix = [](uint64_t h, uint64_t v) {
@@ -296,9 +354,10 @@ uint64_t Acg::Fingerprint() const {
   };
 
   std::vector<std::pair<TupleId, size_t>> nodes;
-  nodes.reserve(nodes_.size());
-  // nebula-lint: order-insensitive — nodes are sorted below
-  for (const auto& [t, info] : nodes_) nodes.emplace_back(t, info.annotation_count);
+  nodes.reserve(tuples_.size());
+  for (uint32_t id = 0; id < tuples_.size(); ++id) {
+    nodes.emplace_back(tuples_[id], annotation_count_[id]);
+  }
   std::sort(nodes.begin(), nodes.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
@@ -313,12 +372,11 @@ uint64_t Acg::Fingerprint() const {
   };
   std::vector<EdgeRec> edges;
   edges.reserve(num_edges_);
-  // nebula-lint: order-insensitive — edges are sorted below
-  for (const auto& [t, info] : nodes_) {
-    // nebula-lint: order-insensitive — edges are sorted below
-    for (const auto& [nb, common] : info.common) {
-      if (nb < t) continue;  // count each undirected edge once
-      edges.push_back({t, nb, common});
+  for (uint32_t id = 0; id < tuples_.size(); ++id) {
+    for (const Edge& e : adj_[id]) {
+      // Count each undirected edge once.
+      if (tuples_[e.to] < tuples_[id]) continue;
+      edges.push_back({tuples_[id], tuples_[e.to], e.common});
     }
   }
   std::sort(edges.begin(), edges.end());

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "annotation/annotation_store.h"
@@ -28,6 +29,12 @@ struct AcgStabilityConfig {
 /// incrementally as attachments arrive, tracks its own stability, and
 /// owns the hop-distance profile histogram (Figure 7) that guides the
 /// selection of K for focal-spreading search.
+///
+/// Layout: every node has a dense id, the order in which its tuple first
+/// joined the graph, and one adjacency vector sorted by neighbour id. A
+/// TupleId is hashed only to resolve an API argument; the searches walk
+/// the vectors. The const queries keep their visited sets in locals, so any
+/// number of readers may run them at once while no writer is active.
 class Acg {
  public:
   explicit Acg(AcgStabilityConfig stability = {});
@@ -44,11 +51,13 @@ class Acg {
   void AddAttachment(AnnotationId annotation, const TupleId& tuple,
                      const std::vector<TupleId>& siblings);
 
-  /// Edge weight between two tuples; 0 when no edge.
+  /// Edge weight between two tuples; 0 when no edge. Binary-searches b's
+  /// adjacency list, so a caller scoring many candidates against one
+  /// focal tuple passes the focal as `b` and keeps that list cached.
   double EdgeWeight(const TupleId& a, const TupleId& b) const;
 
   bool HasNode(const TupleId& t) const;
-  size_t num_nodes() const { return nodes_.size(); }
+  size_t num_nodes() const { return tuples_.size(); }
   size_t num_edges() const { return num_edges_; }
 
   /// Weighted neighbors of a tuple (deterministic order).
@@ -60,7 +69,9 @@ class Acg {
                                         size_t k) const;
 
   /// Smallest hop count from `t` to any focal tuple (unweighted), or -1
-  /// when unreachable / absent from the graph.
+  /// when unreachable / absent from the graph. A bidirectional BFS, so an
+  /// unreachable target stops as soon as either side's component is
+  /// exhausted.
   int HopDistance(const std::vector<TupleId>& focal, const TupleId& t) const;
 
   /// The §6.2 extension the paper describes but does not enable: the best
@@ -105,14 +116,29 @@ class Acg {
   uint64_t Fingerprint() const;
 
  private:
-  struct NodeInfo {
-    size_t annotation_count = 0;  // annotations attached to this tuple
-    std::unordered_map<TupleId, size_t, TupleIdHash> common;  // shared count
+  /// One adjacency entry: the neighbour's node id and the number of
+  /// annotations the two tuples share.
+  struct Edge {
+    uint32_t to;
+    uint32_t common;
   };
+  static constexpr uint32_t kNoNode = UINT32_MAX;
 
-  void AddEdgeCount(const TupleId& a, const TupleId& b, bool* created);
+  /// The node id of `t`, or kNoNode when `t` is not in the graph.
+  uint32_t Find(const TupleId& t) const;
+  /// The node id of `t`, adding `t` as a node with no annotations first.
+  uint32_t Intern(const TupleId& t);
+  /// Ids of the focal tuples in the graph, each once.
+  std::vector<uint32_t> FocalIds(const std::vector<TupleId>& focal,
+                                 std::vector<bool>* seen) const;
+  void AddEdgeCount(uint32_t a, uint32_t b, bool* created);
+  /// Jaccard weight of an edge whose endpoints share `common` annotations.
+  double Weight(uint32_t a, uint32_t b, uint32_t common) const;
 
-  std::unordered_map<TupleId, NodeInfo, TupleIdHash> nodes_;
+  std::unordered_map<TupleId, uint32_t, TupleIdHash> ids_;
+  std::vector<TupleId> tuples_;            // by node id
+  std::vector<size_t> annotation_count_;   // by node id
+  std::vector<std::vector<Edge>> adj_;     // by node id, sorted by `to`
   size_t num_edges_ = 0;
 
   AcgStabilityConfig stability_;

@@ -360,7 +360,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
     const GeneratedSql& sql, const MiniDb* mini_db, ExecStats* stats) const {
   NEBULA_ASSIGN_OR_RETURN(const Table* table,
                           catalog_->GetTable(sql.query.table));
-  const std::unordered_set<Table::RowId>* restrict = nullptr;
+  const std::vector<Table::RowId>* restrict = nullptr;
   if (mini_db != nullptr) {
     restrict = mini_db->ForTable(table->id());
     if (restrict == nullptr) {

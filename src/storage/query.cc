@@ -203,8 +203,7 @@ bool QueryExecutor::RowMatches(const Table& table, Table::RowId row,
 }
 
 Result<std::vector<Table::RowId>> QueryExecutor::Execute(
-    const SelectQuery& query,
-    const std::unordered_set<Table::RowId>* restrict,
+    const SelectQuery& query, const std::vector<Table::RowId>* restrict,
     bool allow_text_index) {
   NEBULA_INJECT_FAULT(kFaultStorageQueryExecute);
   NEBULA_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(query.table));
@@ -256,7 +255,10 @@ Result<std::vector<Table::RowId>> QueryExecutor::Execute(
 
   std::vector<Table::RowId> result;
   auto consider = [&](Table::RowId r) {
-    if (restrict != nullptr && restrict->count(r) == 0) return;
+    if (restrict != nullptr &&
+        !std::binary_search(restrict->begin(), restrict->end(), r)) {
+      return;
+    }
     if (RowMatches(*table, r, query.predicates, ordinals)) {
       result.push_back(r);
     }
@@ -273,9 +275,7 @@ Result<std::vector<Table::RowId>> QueryExecutor::Execute(
     for (Table::RowId r : candidates) consider(r);
   } else if (restrict != nullptr) {
     // Scan only the restricted subset.
-    std::vector<Table::RowId> rows(restrict->begin(), restrict->end());
-    std::sort(rows.begin(), rows.end());
-    for (Table::RowId r : rows) {
+    for (Table::RowId r : *restrict) {
       if (r < table->num_rows() &&
           RowMatches(*table, r, query.predicates, ordinals)) {
         result.push_back(r);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -100,7 +99,10 @@ struct IndexPathStats {
 /// and verify the residue; if a kContainsToken predicate has a text index,
 /// probe that; otherwise fall back to a scan. An optional row restriction
 /// (`restrict`) confines evaluation to a subset of rows — this is how the
-/// focal-spreading miniDB search reuses the same executor.
+/// focal-spreading miniDB search reuses the same executor. A restriction
+/// must be sorted ascending and duplicate-free (MiniDb::ForTable's lists
+/// are): index probes binary-search it, and a restricted scan walks it in
+/// place, skipping ids at or past `num_rows()`.
 ///
 /// Value-index fast path: with `use_value_index` (the default) an
 /// unrestricted query whose predicates are token-containment probes (plus
@@ -121,12 +123,14 @@ class QueryExecutor {
   void set_use_value_index(bool use) { use_value_index_ = use; }
   bool use_value_index() const { return use_value_index_; }
 
-  /// `allow_text_index = false` forces kContainsToken predicates onto the
-  /// scan path even when an inverted index exists — modeling an RDBMS
-  /// that must evaluate LIKE-style predicates by scanning.
+  /// `restrict`, when given, is the sorted, duplicate-free list of rows
+  /// the query may return. `allow_text_index = false` forces
+  /// kContainsToken predicates onto the scan path even when an inverted
+  /// index exists — modeling an RDBMS that must evaluate LIKE-style
+  /// predicates by scanning.
   [[nodiscard]] Result<std::vector<Table::RowId>> Execute(
       const SelectQuery& query,
-      const std::unordered_set<Table::RowId>* restrict = nullptr,
+      const std::vector<Table::RowId>* restrict = nullptr,
       bool allow_text_index = true);
 
   /// Executes an FK join: returns (left row, right row) pairs satisfying

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "annotation/annotation_store.h"
 #include "core/acg.h"
 #include "storage/schema.h"
@@ -81,6 +84,21 @@ TEST(AcgTest, IncrementalAddMatchesBatchBuild) {
   EXPECT_EQ(incremental.num_edges(), batch.num_edges());
   EXPECT_NEAR(incremental.EdgeWeight(kT0, kT1), batch.EdgeWeight(kT0, kT1),
               1e-9);
+  EXPECT_EQ(incremental.Fingerprint(), batch.Fingerprint());
+
+  // Replaying every attachment backwards gives the nodes other ids; the
+  // fingerprint must not see that.
+  Acg reversed;
+  for (AnnotationId a = store.num_annotations(); a-- > 0;) {
+    std::vector<TupleId> tuples = store.AttachedTuples(a, true);
+    std::reverse(tuples.begin(), tuples.end());
+    std::vector<TupleId> seen;
+    for (const TupleId& t : tuples) {
+      reversed.AddAttachment(a, t, seen);
+      seen.push_back(t);
+    }
+  }
+  EXPECT_EQ(reversed.Fingerprint(), batch.Fingerprint());
 }
 
 TEST(AcgTest, NeighborsSortedAndWeighted) {

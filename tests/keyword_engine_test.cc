@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/fault_points.h"
@@ -256,6 +258,49 @@ TEST_F(KeywordEngineTest, MiniDbAllowsContainedRows) {
   const auto hits = *engine_->Search({{"gene", "JW0014"}, 1.0, ""}, &mini);
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].tuple.row, 1u);
+}
+
+TEST(MiniDbTest, AddKeepsEachTableSortedAndUnique) {
+  MiniDb mini;
+  for (uint64_t row : {7u, 2u, 9u, 2u, 0u, 7u, 9u, 5u}) mini.Add({1, row});
+  mini.Add({3, 4});
+  mini.Add({3, 4});
+  ASSERT_NE(mini.ForTable(1), nullptr);
+  EXPECT_EQ(*mini.ForTable(1), (std::vector<Table::RowId>{0, 2, 5, 7, 9}));
+  ASSERT_NE(mini.ForTable(3), nullptr);
+  EXPECT_EQ(*mini.ForTable(3), (std::vector<Table::RowId>{4}));
+  EXPECT_EQ(mini.size(), 6u);
+}
+
+TEST(MiniDbTest, ForTableIsNullWithoutRows) {
+  MiniDb mini;
+  EXPECT_EQ(mini.ForTable(0), nullptr);
+  EXPECT_TRUE(mini.empty());
+  mini.Add({2, 1});
+  EXPECT_EQ(mini.ForTable(0), nullptr);  // below an added id, no rows
+  EXPECT_EQ(mini.ForTable(1), nullptr);
+  EXPECT_NE(mini.ForTable(2), nullptr);
+  EXPECT_EQ(mini.ForTable(3), nullptr);  // past every id added
+  EXPECT_EQ(mini.ForTable(1000), nullptr);
+  EXPECT_FALSE(mini.Contains({3, 1}));
+}
+
+TEST(MiniDbTest, ContainsAndSizeAgreeWithSetOracle) {
+  Rng rng(17);
+  MiniDb mini;
+  std::set<TupleId> oracle;
+  for (int i = 0; i < 400; ++i) {
+    const TupleId id{static_cast<uint32_t>(rng.Uniform(4)), rng.Uniform(60)};
+    mini.Add(id);
+    oracle.insert(id);
+    ASSERT_EQ(mini.size(), oracle.size());
+  }
+  for (uint32_t table = 0; table < 6; ++table) {
+    for (uint64_t row = 0; row < 64; ++row) {
+      EXPECT_EQ(mini.Contains({table, row}), oracle.count({table, row}) > 0)
+          << table << ":" << row;
+    }
+  }
 }
 
 TEST_F(KeywordEngineTest, FkExpansionAddsNeighbors) {

@@ -1,19 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "annotation/annotation_store.h"
 #include "common/fault.h"
 #include "common/fault_points.h"
+#include "common/random.h"
+#include "core/acg.h"
 #include "core/engine.h"
 #include "core/query_generation.h"
 #include "keyword/engine.h"
 #include "keyword/query_types.h"
 #include "meta/nebula_meta.h"
+#include "storage/schema.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
@@ -210,6 +216,86 @@ TEST(WordMemoConcurrencyTest, GenerateAndMapKeywordMatchSequential) {
     }
   }
   EXPECT_GT(shared->word_memo_size(), 0u);
+}
+
+// ===================================================================
+// The ACG's const queries keep their visited sets in locals: readers sharing
+// one graph get the sequential answers, and TSan sees no shared write.
+// ===================================================================
+
+struct AcgQuery {
+  std::vector<TupleId> focal;
+  TupleId target;
+  size_t k = 0;
+};
+
+struct AcgAnswer {
+  std::vector<TupleId> hood;
+  int hops = 0;
+  double edge = 0.0;
+  double path = 0.0;
+  std::vector<std::pair<TupleId, double>> neighbors;
+  bool operator==(const AcgAnswer&) const = default;
+};
+
+AcgAnswer Ask(const Acg& acg, const AcgQuery& q) {
+  return {acg.KHopNeighborhood(q.focal, q.k), acg.HopDistance(q.focal, q.target),
+          acg.EdgeWeight(q.focal.front(), q.target),
+          acg.PathWeight(q.focal, q.target, 3), acg.Neighbors(q.target)};
+}
+
+TEST(AcgConcurrencyTest, ConstQueriesMatchSequential) {
+  Rng rng(11);
+  auto tuple = [&] {
+    const uint64_t i = rng.Uniform(150);
+    return TupleId{static_cast<uint32_t>(i % 2), i};
+  };
+  AnnotationStore store;
+  for (size_t a = 0; a < 120; ++a) {
+    const AnnotationId id = store.AddAnnotation("x");
+    for (size_t n = 1 + rng.Uniform(3); n > 0; --n) {
+      const TupleId t = tuple();
+      if (store.HasAttachment(id, t)) continue;
+      ASSERT_TRUE(store.Attach(id, t).ok());
+    }
+  }
+  Acg acg;
+  acg.BuildFromStore(store);
+
+  std::vector<AcgQuery> queries;
+  for (size_t i = 0; i < 64; ++i) {
+    AcgQuery q;
+    for (size_t n = 1 + rng.Uniform(3); n > 0; --n) q.focal.push_back(tuple());
+    q.target = tuple();
+    q.k = i % 5;
+    queries.push_back(std::move(q));
+  }
+  std::vector<AcgAnswer> expected;
+  int farthest = -1;
+  for (const AcgQuery& q : queries) {
+    expected.push_back(Ask(acg, q));
+    farthest = std::max(farthest, expected.back().hops);
+  }
+  ASSERT_GE(farthest, 2);  // the BFS walks more than one layer
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<AcgAnswer>> got(
+      kThreads, std::vector<AcgAnswer>(queries.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < queries.size(); ++k) {
+        const size_t i = (k + t * 7) % queries.size();
+        got[t][i] = Ask(acg, queries[i]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_TRUE(got[t][i] == expected[i]) << "thread " << t << " query " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -321,6 +323,88 @@ TEST_P(AcgWeightProperty, HopDistanceConsistentWithNeighborhood) {
       const int d = acg.HopDistance(focal, t);
       EXPECT_GE(d, 0);
       EXPECT_LE(static_cast<size_t>(d), k);
+    }
+  }
+}
+
+/// Hop distance from `focal` to every reachable node, by a plain
+/// one-directional BFS over Neighbors(): the oracle for the ACG's own
+/// searches.
+std::map<TupleId, int> ReferenceDistances(const Acg& acg,
+                                          const std::vector<TupleId>& focal) {
+  std::map<TupleId, int> dist;
+  std::deque<TupleId> queue;
+  for (const TupleId& f : focal) {
+    if (acg.HasNode(f) && dist.emplace(f, 0).second) queue.push_back(f);
+  }
+  while (!queue.empty()) {
+    const TupleId cur = queue.front();
+    queue.pop_front();
+    const int d = dist.at(cur);
+    for (const auto& [nb, _] : acg.Neighbors(cur)) {
+      if (dist.emplace(nb, d + 1).second) queue.push_back(nb);
+    }
+  }
+  return dist;
+}
+
+TEST_P(AcgWeightProperty, HopSearchesMatchReferenceBfs) {
+  // Three disjoint tuple groups over two tables, so the graph has several
+  // components; tuples no annotation touches stay out of the graph.
+  Rng rng(GetParam());
+  constexpr uint64_t kGroups = 3, kGroupSize = 12;
+  auto tuple = [](uint64_t i) {
+    return TupleId{static_cast<uint32_t>(i % 2), i};
+  };
+  AnnotationStore store;
+  for (size_t a = 0; a < 30; ++a) {
+    const AnnotationId id = store.AddAnnotation("x");
+    const uint64_t group = rng.Uniform(kGroups);
+    for (uint64_t t : rng.SampleWithoutReplacement(kGroupSize,
+                                                   1 + rng.Uniform(3))) {
+      ASSERT_TRUE(store.Attach(id, tuple(group * kGroupSize + t)).ok());
+    }
+  }
+  Acg acg;
+  acg.BuildFromStore(store);
+
+  std::vector<TupleId> universe, in_graph, absent;
+  for (uint64_t i = 0; i < kGroups * kGroupSize; ++i) {
+    universe.push_back(tuple(i));
+    (acg.HasNode(tuple(i)) ? in_graph : absent).push_back(tuple(i));
+  }
+  universe.push_back({7, 1000});  // a table the graph never saw
+  absent.push_back({7, 1000});
+  ASSERT_GE(in_graph.size(), 3u);
+
+  auto pick = [&](const std::vector<TupleId>& from) {
+    return from[rng.Uniform(from.size())];
+  };
+  const TupleId a = pick(in_graph), b = pick(in_graph);
+  const std::vector<std::vector<TupleId>> focals = {
+      {a},
+      {a, a, b, a},                                       // duplicates
+      {pick(absent), b, pick(absent), pick(in_graph)},    // mixed
+      {pick(absent)},                                     // none in graph
+      {},                                                 // empty
+      {pick(in_graph), pick(in_graph), pick(in_graph)},
+  };
+  for (const std::vector<TupleId>& focal : focals) {
+    const std::map<TupleId, int> dist = ReferenceDistances(acg, focal);
+    // Every tuple as target: focal members, reachable, unreachable and
+    // absent ones.
+    for (const TupleId& t : universe) {
+      auto it = dist.find(t);
+      EXPECT_EQ(acg.HopDistance(focal, t), it == dist.end() ? -1 : it->second)
+          << "target " << t.ToString() << " focal size " << focal.size();
+    }
+    for (size_t k = 0; k <= 5; ++k) {
+      std::vector<TupleId> expected;
+      for (const auto& [t, d] : dist) {
+        if (static_cast<size_t>(d) <= k) expected.push_back(t);
+      }
+      EXPECT_EQ(acg.KHopNeighborhood(focal, k), expected)
+          << "k " << k << " focal size " << focal.size();
     }
   }
 }

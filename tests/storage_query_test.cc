@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/status.h"
 #include "storage/catalog.h"
 #include "storage/query.h"
@@ -32,9 +36,9 @@ class QueryTest : public ::testing::Test {
     ASSERT_TRUE(gene->BuildTextIndex(3).ok());
   }
 
-  std::vector<Table::RowId> Run(const SelectQuery& q,
-                                const std::unordered_set<Table::RowId>*
-                                    restrict = nullptr) {
+  std::vector<Table::RowId> Run(
+      const SelectQuery& q,
+      const std::vector<Table::RowId>* restrict = nullptr) {
     QueryExecutor exec(&catalog_);
     auto r = exec.Execute(q, restrict);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -144,7 +148,7 @@ TEST_F(QueryTest, ContainsTokenOnNonStringNeverMatches) {
 }
 
 TEST_F(QueryTest, RestrictionLimitsRows) {
-  const std::unordered_set<Table::RowId> allowed{0, 4};
+  const std::vector<Table::RowId> allowed{0, 4};
   SelectQuery q{"gene", {{"notes", CompareOp::kContainsToken, Value("grpc")}}};
   auto rows = Run(q, &allowed);
   ASSERT_EQ(rows.size(), 1u);
@@ -152,16 +156,88 @@ TEST_F(QueryTest, RestrictionLimitsRows) {
 }
 
 TEST_F(QueryTest, RestrictionWithScanPath) {
-  const std::unordered_set<Table::RowId> allowed{1, 2};
+  const std::vector<Table::RowId> allowed{1, 2};
   SelectQuery q{"gene", {{"length", CompareOp::kGe, Value(int64_t{100})}}};
   auto rows = Run(q, &allowed);
   EXPECT_EQ(rows.size(), 2u);
 }
 
 TEST_F(QueryTest, RestrictionWithEqualityPath) {
-  const std::unordered_set<Table::RowId> allowed{1};
+  const std::vector<Table::RowId> allowed{1};
   SelectQuery q{"gene", {{"gid", CompareOp::kEq, Value("JW0001")}}};
   EXPECT_TRUE(Run(q, &allowed).empty());
+}
+
+/// The rows of `all` that `allowed` lists: what a restricted execution
+/// must return.
+std::vector<Table::RowId> FilterRows(const std::vector<Table::RowId>& all,
+                                     const std::vector<Table::RowId>& allowed) {
+  std::vector<Table::RowId> out;
+  for (Table::RowId r : all) {
+    if (std::binary_search(allowed.begin(), allowed.end(), r)) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+TEST_F(QueryTest, RestrictedEqualityIndexMatchesFilteredResult) {
+  Table* strain = *catalog_.CreateTable(
+      "strain", Schema({{"sid", DataType::kString, true},
+                        {"kind", DataType::kString},
+                        {"length", DataType::kInt64}}));
+  const char* kinds[] = {"wild", "mutant", "wild", "wild", "mutant", "wild"};
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(strain
+                    ->Insert({Value("S" + std::to_string(i)), Value(kinds[i]),
+                              Value(int64_t{10} * i)})
+                    .ok());
+  }
+  const SelectQuery q{"strain",
+                      {{"kind", CompareOp::kEq, Value("wild")},
+                       {"length", CompareOp::kGe, Value(int64_t{10})}}};
+  const std::vector<Table::RowId> all = Run(q);
+  ASSERT_EQ(all, (std::vector<Table::RowId>{2, 3, 5}));
+  for (const std::vector<Table::RowId>& allowed :
+       std::vector<std::vector<Table::RowId>>{
+           {}, {0}, {0, 1, 3}, {2, 5}, {1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5}}) {
+    QueryExecutor exec(&catalog_);
+    const auto rows = exec.Execute(q, &allowed);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(*rows, FilterRows(all, allowed));
+    EXPECT_EQ(exec.stats().index_lookups, 1u);  // the equality index drove it
+  }
+}
+
+TEST_F(QueryTest, RestrictedScanMatchesFilteredResult) {
+  const SelectQuery q{"gene",
+                      {{"length", CompareOp::kGe, Value(int64_t{150})}}};
+  const std::vector<Table::RowId> all = Run(q);
+  ASSERT_EQ(all.size(), 4u);
+  for (const std::vector<Table::RowId>& allowed :
+       std::vector<std::vector<Table::RowId>>{
+           {}, {0}, {0, 4}, {1, 3}, {0, 1, 2, 3, 4}}) {
+    QueryExecutor exec(&catalog_);
+    const auto rows = exec.Execute(q, &allowed);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(*rows, FilterRows(all, allowed));
+    EXPECT_EQ(exec.stats().index_lookups, 0u);
+    // The scan visits exactly the listed rows.
+    EXPECT_EQ(exec.stats().rows_examined, allowed.size());
+  }
+}
+
+TEST_F(QueryTest, RestrictedScanSkipsRowsPastTheTable) {
+  const SelectQuery q{"gene",
+                      {{"length", CompareOp::kGe, Value(int64_t{150})}}};
+  const std::vector<Table::RowId> allowed{0, 3, 4, 5, 99};
+  QueryExecutor exec(&catalog_);
+  const auto rows = exec.Execute(q, &allowed);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, FilterRows(Run(q), allowed));
+  EXPECT_EQ(*rows, (std::vector<Table::RowId>{3, 4}));
+  // Ids at or past num_rows() are never read.
+  EXPECT_EQ(exec.stats().rows_examined, 3u);
 }
 
 TEST_F(QueryTest, StatsAccumulateAcrossQueries) {

@@ -10,6 +10,9 @@
 ///         beta_upper = 0.86);
 ///   15(b) the degenerate no-expert setting beta_lower = beta_upper = 0.5
 ///         (expected: F_P and F_N blow up).
+///
+/// Writes BENCH_fig15_verification.json: one record per 15(a) and 15(b)
+/// configuration, with the four criteria and the bounds as params.
 
 #include "bench/bench_util.h"
 #include "core/assessment.h"
@@ -32,7 +35,9 @@ struct Config {
 }  // namespace
 
 int main() {
-  auto ds = LoadDataset("D_large", DatasetSpec::Large());
+  const char* const kDataset = "D_large";
+  auto ds = LoadDataset(kDataset, DatasetSpec::Large());
+  WarmIndexes(ds->catalog);
   KeywordSearchEngine engine(&ds->catalog, &ds->meta);
   Acg acg;
   acg.BuildFromStore(ds->store);
@@ -101,7 +106,8 @@ int main() {
 
   const auto annotation_set = ds->workload.BySizeClass(100);
 
-  auto evaluate = [&](const VerificationBounds& bounds,
+  std::vector<BenchRecord> records;
+  auto evaluate = [&](const char* figure, const VerificationBounds& bounds,
                       TablePrinter* table) {
     for (const auto& config : configs) {
       QueryGenerationParams gen_params;
@@ -110,6 +116,8 @@ int main() {
 
       AssessmentResult sum;
       size_t n = 0;
+      engine.ResetStats();
+      Stopwatch config_sw;
       for (size_t idx : annotation_set) {
         const WorkloadAnnotation& wa = ds->workload.annotations[idx];
         const size_t delta =
@@ -142,23 +150,43 @@ int main() {
         ++n;
       }
       if (n == 0) continue;
-      table->AddRow({config.name, Fmt("%.3f", sum.fn / n),
-                     Fmt("%.3f", sum.fp / n), Fmt("%.1f", sum.mf / n),
-                     Fmt("%.2f", sum.mh / n)});
+      const std::string fn = Fmt("%.3f", sum.fn / n);
+      const std::string fp = Fmt("%.3f", sum.fp / n);
+      const std::string mf = Fmt("%.1f", sum.mf / n);
+      const std::string mh = Fmt("%.2f", sum.mh / n);
+      table->AddRow({config.name, fn, fp, mf, mh});
+
+      BenchRecord rec;
+      rec.name = config.approx ? Fmt("%s/Delta=%zu/K=%zu", figure,
+                                     config.delta, config.k)
+                               : Fmt("%s/basic/eps=%.1f", figure,
+                                     config.epsilon);
+      rec.params = {{"dataset", kDataset},
+                    {"annotations", Fmt("%zu", n)},
+                    {"beta_lower", Fmt("%.2f", bounds.lower)},
+                    {"beta_upper", Fmt("%.2f", bounds.upper)},
+                    {"F_N", fn},
+                    {"F_P", fp},
+                    {"M_F", mf},
+                    {"M_H", mh}};
+      rec.wall_us = config_sw.ElapsedMicros();
+      rec.rows_examined = engine.stats().rows_examined;
+      records.push_back(std::move(rec));
     }
   };
 
   Banner(Fmt("Figure 15(a): assessment with tuned bounds [%.2f, %.2f]",
              tuned.best.lower, tuned.best.upper));
   TablePrinter fig15a({"config", "F_N", "F_P", "M_F", "M_H"});
-  evaluate(tuned.best, &fig15a);
+  evaluate("fig15a", tuned.best, &fig15a);
   fig15a.Print();
 
   Banner("Figure 15(b): degenerate bounds beta_lower = beta_upper = 0.5 "
          "(no experts)");
   TablePrinter fig15b({"config", "F_N", "F_P", "M_F", "M_H"});
-  evaluate({0.5, 0.5}, &fig15b);
+  evaluate("fig15b", {0.5, 0.5}, &fig15b);
   fig15b.Print();
+  EmitBenchJson("fig15_verification", records);
 
   std::printf(
       "\nPaper-shape checks: with tuned bounds no configuration dominates\n"

@@ -127,13 +127,15 @@ void RecordOperationEvent(obs::EventLog* log, const char* op,
   log->Record(event);
 }
 
-/// VerificationTask <-> durability::TaskRecord conversions (durability
-/// sits below core in the layer DAG, so it mirrors the task type).
-std::vector<durability::TaskRecord> TasksToRecords(
-    const std::vector<VerificationTask>& tasks) {
-  std::vector<durability::TaskRecord> out;
-  out.reserve(tasks.size());
-  for (const VerificationTask& t : tasks) {
+/// VerificationManager state <-> durability::TaskImage conversions
+/// (durability sits below core in the layer DAG, so it mirrors the task
+/// type).
+durability::TaskImage TasksToRecords(const VerificationManager& manager) {
+  durability::TaskImage image;
+  image.next_vid = manager.next_vid();
+  image.auto_rejected = manager.auto_rejected();
+  image.tasks.reserve(manager.tasks().size());
+  for (const VerificationTask& t : manager.tasks()) {
     durability::TaskRecord r;
     r.vid = t.vid;
     r.annotation = t.annotation;
@@ -142,9 +144,9 @@ std::vector<durability::TaskRecord> TasksToRecords(
     r.confidence = t.confidence;
     r.state = TaskStateName(t.state);
     r.evidence = t.evidence;
-    out.push_back(std::move(r));
+    image.tasks.push_back(std::move(r));
   }
-  return out;
+  return image;
 }
 
 Result<std::vector<VerificationTask>> RecordsToTasks(
@@ -197,9 +199,11 @@ Status NebulaEngine::OpenDurability(const durability::OpenHooks& hooks) {
   std::error_code ec;
   const bool recovering = std::filesystem::exists(
       std::filesystem::path(config_.durability_dir) / "CURRENT", ec);
-  std::vector<durability::TaskRecord> tasks;
+  durability::TaskImage tasks;
   if (recovering) {
-    if (!verification_.tasks().empty()) {
+    // next_vid, not tasks(): an engine whose every candidate was
+    // auto-rejected retains no task yet has used vids.
+    if (verification_.next_vid() != 0) {
       return Status::InvalidArgument(
           "cannot recover into an engine that already has verification "
           "tasks");
@@ -210,15 +214,16 @@ Status NebulaEngine::OpenDurability(const durability::OpenHooks& hooks) {
     NebulaMeta fresh_meta(meta_->lexicon());
     *meta_ = std::move(fresh_meta);
   } else {
-    tasks = TasksToRecords(verification_.tasks());
+    tasks = TasksToRecords(verification_);
   }
   NEBULA_ASSIGN_OR_RETURN(
       durability_,
       durability::Manager::Open(options, store_, meta_, &tasks, hooks));
   if (durability_->recovery_info().recovered) {
     NEBULA_ASSIGN_OR_RETURN(std::vector<VerificationTask> restored,
-                            RecordsToTasks(tasks));
-    NEBULA_RETURN_NOT_OK(verification_.RestoreTasks(std::move(restored)));
+                            RecordsToTasks(tasks.tasks));
+    NEBULA_RETURN_NOT_OK(verification_.RestoreTasks(
+        std::move(restored), tasks.next_vid, tasks.auto_rejected));
     // Derived state: the ACG is rebuilt eagerly (its fingerprint is the
     // recovery oracle); value indexes and caches rebuild lazily on use.
     RebuildAcg();
@@ -226,7 +231,7 @@ Status NebulaEngine::OpenDurability(const durability::OpenHooks& hooks) {
   recovery_info_ = durability_->recovery_info();
   journaled_meta_version_ = meta_->version();
   durability_->set_task_source(
-      [this] { return TasksToRecords(verification_.tasks()); });
+      [this] { return TasksToRecords(verification_); });
   verification_.set_journal(durability_.get());
   return Status::OK();
 }
@@ -439,7 +444,8 @@ Status NebulaEngine::SubmitCandidates(AnnotationReport* report) {
   }
   // Durable path: plan, journal the whole stage-3 unit, then apply the
   // identical plan. Accepted tasks also journal their store effect (the
-  // task records alone replay no attachments).
+  // task records alone replay no attachments); auto-rejections journal
+  // one count record, as they keep no task.
   PlannedSubmit planned =
       verification_.PlanSubmit(report->annotation, report->candidates);
   durability::CommitUnit unit;
@@ -465,6 +471,13 @@ Status NebulaEngine::SubmitCandidates(AnnotationReport* report) {
       attach.weight = 1.0;
       unit.records.push_back(std::move(attach));
     }
+  }
+  if (planned.outcome.auto_rejected > 0) {
+    durability::JournalRecord rejected;
+    rejected.kind = durability::JournalRecord::Kind::kRejected;
+    rejected.id = planned.next_vid;
+    rejected.count = planned.outcome.auto_rejected;
+    unit.records.push_back(std::move(rejected));
   }
   NEBULA_RETURN_NOT_OK(JournalUnit(&unit));
   report->verification = verification_.ApplySubmit(std::move(planned));

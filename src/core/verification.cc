@@ -54,6 +54,15 @@ const VerificationMetrics& Metrics() {
   return m;
 }
 
+/// The task with this vid in a vid-ascending task list, or nullptr.
+template <typename Tasks>
+auto* FindByVid(Tasks& tasks, uint64_t vid) {
+  const auto it = std::lower_bound(
+      tasks.begin(), tasks.end(), vid,
+      [](const VerificationTask& t, uint64_t v) { return t.vid < v; });
+  return it != tasks.end() && it->vid == vid ? &*it : nullptr;
+}
+
 }  // namespace
 
 const char* TaskStateName(TaskState state) {
@@ -116,11 +125,17 @@ PlannedSubmit VerificationManager::PlanSubmit(
   // duplicate candidate hit HasAttachment. Simulate that with the set of
   // tuples this plan accepts.
   std::unordered_set<TupleId, TupleIdHash> accepted;
-  uint64_t next_vid = tasks_.size();
+  uint64_t next_vid = next_vid_;
   for (const auto& c : candidates) {
     if (store_->HasAttachment(annotation, c.tuple) ||
         accepted.count(c.tuple) > 0) {
       ++planned.outcome.already_attached;
+      continue;
+    }
+    if (c.confidence < bounds_.lower) {
+      // Rejected outright: the vid is used up, nothing else is kept.
+      ++next_vid;
+      ++planned.outcome.auto_rejected;
       continue;
     }
     VerificationTask task;
@@ -129,10 +144,7 @@ PlannedSubmit VerificationManager::PlanSubmit(
     task.tuple = c.tuple;
     task.confidence = c.confidence;
     task.evidence = c.evidence;
-    if (c.confidence < bounds_.lower) {
-      task.state = TaskState::kAutoRejected;
-      ++planned.outcome.auto_rejected;
-    } else if (c.confidence > bounds_.upper) {
+    if (c.confidence > bounds_.upper) {
       task.state = TaskState::kAutoAccepted;
       ++planned.outcome.auto_accepted;
       accepted.insert(c.tuple);
@@ -142,6 +154,7 @@ PlannedSubmit VerificationManager::PlanSubmit(
     }
     planned.tasks.push_back(std::move(task));
   }
+  planned.next_vid = next_vid;
   return planned;
 }
 
@@ -150,56 +163,78 @@ SubmitOutcome VerificationManager::ApplySubmit(PlannedSubmit planned) {
     if (planned.outcome.already_attached > 0) {
       Metrics().already_attached->Increment(planned.outcome.already_attached);
     }
-  }
-  for (VerificationTask& task : planned.tasks) {
-    const TaskState state = task.state;
-    tasks_.push_back(std::move(task));
-    switch (state) {
-      case TaskState::kAutoRejected:
-        if constexpr (obs::kEnabled) {
-          Metrics().created_auto_rejected->Increment();
-        }
-        break;
-      case TaskState::kAutoAccepted:
-        ApplyAccept(&tasks_.back());
-        if constexpr (obs::kEnabled) {
-          Metrics().created_auto_accepted->Increment();
-        }
-        break;
-      default:  // kPending — PlanSubmit produces no other states
-        if constexpr (obs::kEnabled) Metrics().created_pending->Increment();
-        break;
+    if (planned.outcome.auto_rejected > 0) {
+      Metrics().created_auto_rejected->Increment(
+          planned.outcome.auto_rejected);
     }
   }
+  for (VerificationTask& task : planned.tasks) {
+    tasks_.push_back(std::move(task));
+    if (tasks_.back().state == TaskState::kAutoAccepted) {
+      ApplyAccept(&tasks_.back());
+      if constexpr (obs::kEnabled) {
+        Metrics().created_auto_accepted->Increment();
+      }
+    } else if constexpr (obs::kEnabled) {
+      // kPending — PlanSubmit retains no other state.
+      Metrics().created_pending->Increment();
+    }
+  }
+  next_vid_ = planned.next_vid;
+  auto_rejected_ += planned.outcome.auto_rejected;
   return planned.outcome;
 }
 
-Status VerificationManager::RestoreTasks(std::vector<VerificationTask> tasks) {
-  if (!tasks_.empty()) {
+Status VerificationManager::RestoreTasks(std::vector<VerificationTask> tasks,
+                                         uint64_t next_vid,
+                                         uint64_t auto_rejected) {
+  if (next_vid_ != 0) {
     return Status::InvalidArgument(
-        "RestoreTasks requires a task-free manager");
+        "RestoreTasks requires a manager that has assigned no vid");
   }
   for (size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i].vid != i) {
-      return Status::Corruption("restored task vids are not sequential");
+    if (i > 0 && tasks[i].vid <= tasks[i - 1].vid) {
+      return Status::Corruption("restored task vids do not ascend");
+    }
+    if (tasks[i].vid >= next_vid) {
+      return Status::Corruption("restored task vid is not below next_vid");
+    }
+    if (tasks[i].state == TaskState::kAutoRejected) {
+      return Status::Corruption("restored task is AUTO_REJECTED");
     }
   }
+  // The loop bounds tasks.size() by next_vid, so this cannot wrap.
+  if (next_vid - tasks.size() != auto_rejected) {
+    return Status::Corruption(
+        "restored tasks and rejections do not account for every vid");
+  }
   tasks_ = std::move(tasks);
+  next_vid_ = next_vid;
+  auto_rejected_ = auto_rejected;
   return Status::OK();
 }
 
-Status VerificationManager::Verify(uint64_t vid) {
-  if (vid >= tasks_.size()) {
+Result<VerificationTask*> VerificationManager::FindPending(uint64_t vid) {
+  if (vid >= next_vid_) {
     return Status::NotFound(StrFormat("verification task %llu",
                                       static_cast<unsigned long long>(vid)));
   }
-  VerificationTask& task = tasks_[vid];
-  if (task.state != TaskState::kPending) {
+  // An assigned vid without a retained task was auto-rejected.
+  VerificationTask* task = FindByVid(tasks_, vid);
+  const TaskState state =
+      task == nullptr ? TaskState::kAutoRejected : task->state;
+  if (state != TaskState::kPending) {
     return Status::InvalidArgument(
         StrFormat("task %llu is %s, not PENDING",
                   static_cast<unsigned long long>(vid),
-                  TaskStateName(task.state)));
+                  TaskStateName(state)));
   }
+  return task;
+}
+
+Status VerificationManager::Verify(uint64_t vid) {
+  NEBULA_ASSIGN_OR_RETURN(VerificationTask* const pending, FindPending(vid));
+  VerificationTask& task = *pending;
   if (journal_ != nullptr) {
     // An expert decision is one complete operation: journal the decision
     // and its accept-side store effect before applying either.
@@ -240,17 +275,8 @@ Status VerificationManager::Verify(uint64_t vid) {
 }
 
 Status VerificationManager::Reject(uint64_t vid) {
-  if (vid >= tasks_.size()) {
-    return Status::NotFound(StrFormat("verification task %llu",
-                                      static_cast<unsigned long long>(vid)));
-  }
-  VerificationTask& task = tasks_[vid];
-  if (task.state != TaskState::kPending) {
-    return Status::InvalidArgument(
-        StrFormat("task %llu is %s, not PENDING",
-                  static_cast<unsigned long long>(vid),
-                  TaskStateName(task.state)));
-  }
+  NEBULA_ASSIGN_OR_RETURN(VerificationTask* const pending, FindPending(vid));
+  VerificationTask& task = *pending;
   if (journal_ != nullptr) {
     durability::CommitUnit unit;
     unit.flags = durability::kOpStart | durability::kOpEnd;
@@ -291,6 +317,7 @@ Status VerificationManager::ExecuteCommand(const std::string& command) {
 
 VerificationManager::Stats VerificationManager::ComputeStats() const {
   Stats stats;
+  stats.auto_rejected = auto_rejected_;
   for (const auto& task : tasks_) {
     switch (task.state) {
       case TaskState::kPending:
@@ -299,8 +326,7 @@ VerificationManager::Stats VerificationManager::ComputeStats() const {
       case TaskState::kAutoAccepted:
         ++stats.auto_accepted;
         break;
-      case TaskState::kAutoRejected:
-        ++stats.auto_rejected;
+      case TaskState::kAutoRejected:  // never retained
         break;
       case TaskState::kExpertAccepted:
         ++stats.expert_accepted;
@@ -333,11 +359,12 @@ std::vector<const VerificationTask*> VerificationManager::PendingTasks()
 
 Result<const VerificationTask*> VerificationManager::GetTask(
     uint64_t vid) const {
-  if (vid >= tasks_.size()) {
+  const VerificationTask* task = FindByVid(tasks_, vid);
+  if (task == nullptr) {
     return Status::NotFound(StrFormat("verification task %llu",
                                       static_cast<unsigned long long>(vid)));
   }
-  return &tasks_[vid];
+  return task;
 }
 
 }  // namespace nebula

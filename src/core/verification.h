@@ -59,20 +59,28 @@ struct SubmitOutcome {
   size_t already_attached = 0;
 };
 
-/// A computed-but-not-applied Submit round: the tasks that would be
-/// created (vids assigned, bounds applied, duplicate candidates skipped)
-/// plus the outcome counts. The durable engine journals the plan before
-/// applying it, so memory and disk can never disagree on a committed
-/// round.
+/// A computed-but-not-applied Submit round: the pending and auto-accepted
+/// tasks it would create (vids assigned, bounds applied, duplicate
+/// candidates skipped), the outcome counts, and the vid counter after the
+/// round. An auto-rejected candidate uses up a vid and is counted in
+/// `outcome.auto_rejected`; it builds no task. The durable engine
+/// journals the plan before applying it, so memory and disk can never
+/// disagree on a committed round.
 struct PlannedSubmit {
   SubmitOutcome outcome;
   std::vector<VerificationTask> tasks;
+  uint64_t next_vid = 0;
 };
 
 /// Stage 3 of the Nebula pipeline: turns candidate tuples into
 /// verification tasks, applies the bounds, and executes the accept-side
 /// effects — attach the annotation (True edge), update the ACG, and feed
 /// the hop-distance profile.
+///
+/// It keeps only the tasks someone can still act on or audit — pending,
+/// auto-accepted and expert-decided — in ascending vid order. A candidate
+/// below the lower bound is rejected outright: no expert will see it, so
+/// it only uses up a vid and bumps the rejection count.
 class VerificationManager {
  public:
   VerificationManager(AnnotationStore* store, Acg* acg,
@@ -94,18 +102,25 @@ class VerificationManager {
   /// Applies a plan produced by PlanSubmit against unchanged state.
   SubmitOutcome ApplySubmit(PlannedSubmit planned);
 
-  /// Recovery: adopts tasks restored from a snapshot / WAL replay. This
-  /// manager must have no tasks yet; vids must be sequential from 0.
-  /// Store edges are NOT touched (they are recovered separately).
-  [[nodiscard]] Status RestoreTasks(std::vector<VerificationTask> tasks);
+  /// Recovery: adopts the state restored from a snapshot / WAL replay —
+  /// the retained tasks and the two counters. This manager must not have
+  /// used a vid yet. Corruption unless the vids ascend strictly and stay
+  /// below `next_vid`, no task is AUTO_REJECTED, and the retained tasks
+  /// plus `auto_rejected` account for every vid. Store edges are NOT
+  /// touched (they are recovered separately).
+  [[nodiscard]] Status RestoreTasks(std::vector<VerificationTask> tasks,
+                                    uint64_t next_vid, uint64_t auto_rejected);
 
   /// When set, expert decisions (Verify/Reject) journal a commit unit
   /// through the durability manager before mutating any state.
   void set_journal(durability::Manager* journal) { journal_ = journal; }
 
   /// Expert accepts the pending task (the VERIFY ATTACHMENT command).
+  /// NotFound for a vid at or above next_vid(); InvalidArgument for a task
+  /// that is not PENDING, an auto-rejected vid included.
   [[nodiscard]] Status Verify(uint64_t vid);
-  /// Expert rejects the pending task (the REJECT ATTACHMENT command).
+  /// Expert rejects the pending task (the REJECT ATTACHMENT command), with
+  /// the same statuses as Verify.
   [[nodiscard]] Status Reject(uint64_t vid);
 
   /// Parses and executes the paper's extended SQL command:
@@ -137,9 +152,16 @@ class VerificationManager {
   /// Pending tasks, ordered by descending confidence (what the system
   /// table shows to DB admins).
   std::vector<const VerificationTask*> PendingTasks() const;
-  /// All tasks ever created (for assessment).
+  /// Retained tasks, ascending vid (for assessment). Auto-rejected
+  /// candidates are only counted: see next_vid() and auto_rejected().
   const std::vector<VerificationTask>& tasks() const { return tasks_; }
+  /// The retained task with this vid; NotFound for an auto-rejected vid
+  /// and for one never assigned.
   [[nodiscard]] Result<const VerificationTask*> GetTask(uint64_t vid) const;
+  /// The vid the next task will get: every vid below it was assigned.
+  uint64_t next_vid() const { return next_vid_; }
+  /// Candidates rejected outright so far (they hold no task).
+  uint64_t auto_rejected() const { return auto_rejected_; }
 
   const VerificationBounds& bounds() const { return bounds_; }
   void set_bounds(VerificationBounds bounds) { bounds_ = bounds; }
@@ -147,11 +169,16 @@ class VerificationManager {
  private:
   /// The accept side-effects shared by auto-accept and expert accept.
   void ApplyAccept(VerificationTask* task);
+  /// The PENDING task an expert decision may act on, or the status
+  /// Verify/Reject return.
+  [[nodiscard]] Result<VerificationTask*> FindPending(uint64_t vid);
 
   AnnotationStore* store_;
   Acg* acg_;
   VerificationBounds bounds_;
-  std::vector<VerificationTask> tasks_;
+  std::vector<VerificationTask> tasks_;  ///< retained, ascending vid
+  uint64_t next_vid_ = 0;
+  uint64_t auto_rejected_ = 0;
   durability::Manager* journal_ = nullptr;
 };
 

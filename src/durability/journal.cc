@@ -1,5 +1,6 @@
 #include "durability/journal.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "annotation/serialize.h"
@@ -8,17 +9,21 @@
 
 namespace nebula::durability {
 
-namespace {
-
 Result<uint64_t> ParseU64Field(const std::string& field) {
   if (field.empty()) return Status::Corruption("empty integer field");
+  // Digits only: strtoull also takes a sign or leading space, wraps "-1"
+  // to 2^64-1 and clamps an overflow.
+  errno = 0;
   char* end = nullptr;
   const uint64_t v = std::strtoull(field.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (field[0] < '0' || field[0] > '9' || end == nullptr || *end != '\0' ||
+      errno == ERANGE) {
     return Status::Corruption("bad integer field '" + field + "'");
   }
   return v;
 }
+
+namespace {
 
 void AppendTuple(std::string* out, uint32_t table_id, uint64_t row) {
   *out += '\t';
@@ -69,6 +74,9 @@ std::string EncodeUnit(const CommitUnit& unit) {
         for (const std::string& term : r.evidence) {
           out += '\t' + EscapeField(term);
         }
+        break;
+      case JournalRecord::Kind::kRejected:
+        out += "r\t" + std::to_string(r.id) + '\t' + std::to_string(r.count);
         break;
       case JournalRecord::Kind::kDecision:
         out += "x\t" + std::to_string(r.id) + (r.is_true ? "\t1" : "\t0");
@@ -134,6 +142,10 @@ Result<CommitUnit> DecodeUnit(std::string_view payload) {
       for (size_t f = 7; f < fields.size(); ++f) {
         record.evidence.push_back(UnescapeField(fields[f]));
       }
+    } else if (tag == "r" && fields.size() == 3) {
+      record.kind = JournalRecord::Kind::kRejected;
+      NEBULA_ASSIGN_OR_RETURN(record.id, ParseU64Field(fields[1]));
+      NEBULA_ASSIGN_OR_RETURN(record.count, ParseU64Field(fields[2]));
     } else if (tag == "x" && fields.size() == 3) {
       record.kind = JournalRecord::Kind::kDecision;
       NEBULA_ASSIGN_OR_RETURN(record.id, ParseU64Field(fields[1]));

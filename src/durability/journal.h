@@ -21,6 +21,7 @@ namespace nebula::durability {
 ///   kPromote     annotation, table_id, row
 ///   kTask        id (vid), annotation, table_id, row, weight (confidence),
 ///                text (state name), evidence
+///   kRejected    id (vid counter after the round), count (auto-rejected)
 ///   kDecision    id (vid), is_true (accepted)
 ///   kMetaBlob    text (full MetaSerializer blob)
 struct JournalRecord {
@@ -30,6 +31,7 @@ struct JournalRecord {
     kDetach,
     kPromote,
     kTask,
+    kRejected,
     kDecision,
     kMetaBlob,
   };
@@ -38,6 +40,7 @@ struct JournalRecord {
   uint64_t annotation = 0;
   uint32_t table_id = 0;
   uint64_t row = 0;
+  uint64_t count = 0;
   bool is_true = true;
   double weight = 1.0;
   std::string text;
@@ -56,6 +59,15 @@ struct TaskRecord {
   double confidence = 0.0;
   std::string state;  ///< TaskStateName spelling, e.g. "AUTO_ACCEPTED"
   std::vector<std::string> evidence;
+};
+
+/// The verification state a snapshot persists and replay rebuilds: the
+/// retained tasks (ascending vid; an auto-rejected candidate keeps none)
+/// and the two counters that stand in for the rejected ones.
+struct TaskImage {
+  std::vector<TaskRecord> tasks;
+  uint64_t next_vid = 0;
+  uint64_t auto_rejected = 0;
 };
 
 /// Operation-boundary flags of a commit unit. One engine insert journals
@@ -83,6 +95,11 @@ struct CommitUnit {
 /// record-format table.
 std::string EncodeUnit(const CommitUnit& unit);
 [[nodiscard]] Result<CommitUnit> DecodeUnit(std::string_view payload);
+
+/// Parses one decimal integer field of the journal and snapshot text
+/// formats: digits only (no sign or space) and within uint64_t, else
+/// Corruption.
+[[nodiscard]] Result<uint64_t> ParseU64Field(const std::string& field);
 
 }  // namespace nebula::durability
 

@@ -1,5 +1,6 @@
 #include "durability/manager.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -32,7 +33,7 @@ obs::Counter* ReplayedRecordsCounter() {
 Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
                                                AnnotationStore* store,
                                                NebulaMeta* meta,
-                                               std::vector<TaskRecord>* tasks,
+                                               TaskImage* tasks,
                                                const OpenHooks& hooks) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("durability dir must be non-empty");
@@ -57,7 +58,7 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
     // Fresh directory: the baseline snapshot captures the caller's seeded
     // state, which WAL replay alone could never rebuild.
     SnapshotInfo baseline;
-    baseline.tasks = *tasks;
+    baseline.task_image = *tasks;
     NEBULA_RETURN_NOT_OK(WriteSnapshot(options.dir, baseline, *store, *meta));
     {
       MutexLock lock(manager->mutex_);
@@ -69,13 +70,14 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
   }
 
   // Existing directory: snapshot + WAL tail is the authoritative state.
-  if (store->num_annotations() != 0 || !tasks->empty()) {
+  if (store->num_annotations() != 0 || tasks->next_vid != 0 ||
+      !tasks->tasks.empty()) {
     return Status::InvalidArgument(
         "store and tasks must be fresh before recovery");
   }
   NEBULA_ASSIGN_OR_RETURN(SnapshotInfo snapshot,
                           LoadCurrentSnapshot(options.dir, store, meta));
-  *tasks = std::move(snapshot.tasks);
+  *tasks = std::move(snapshot.task_image);
 
   RecoveryInfo& info = manager->recovery_info_;
   info.recovered = true;
@@ -132,8 +134,7 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
   return manager;
 }
 
-Status Manager::ApplyRecord(const JournalRecord& record,
-                            std::vector<TaskRecord>* tasks,
+Status Manager::ApplyRecord(const JournalRecord& record, TaskImage* tasks,
                             const OpenHooks& hooks) {
   const TupleId tuple{record.table_id, record.row};
   switch (record.kind) {
@@ -155,7 +156,9 @@ Status Manager::ApplyRecord(const JournalRecord& record,
     case JournalRecord::Kind::kPromote:
       return store_->PromoteToTrue(record.annotation, tuple);
     case JournalRecord::Kind::kTask: {
-      if (record.id != tasks->size()) {
+      // A gap between the counter and this vid went to auto-rejections,
+      // which the unit's `r` record counts.
+      if (record.id < tasks->next_vid) {
         return Status::Corruption("replayed task vids out of order");
       }
       TaskRecord task;
@@ -167,15 +170,28 @@ Status Manager::ApplyRecord(const JournalRecord& record,
       if (hooks.inject_replay_bug) task.confidence += 1e-9;
       task.state = record.text;
       task.evidence = record.evidence;
-      tasks->push_back(std::move(task));
+      tasks->tasks.push_back(std::move(task));
+      tasks->next_vid = record.id + 1;
+      return Status::OK();
+    }
+    case JournalRecord::Kind::kRejected: {
+      if (record.id < tasks->next_vid) {
+        return Status::Corruption("replayed vid counter moves backwards");
+      }
+      tasks->next_vid = record.id;
+      tasks->auto_rejected += record.count;
       return Status::OK();
     }
     case JournalRecord::Kind::kDecision: {
-      if (record.id >= tasks->size()) {
-        return Status::Corruption("replayed decision for unknown task");
+      const auto it = std::lower_bound(
+          tasks->tasks.begin(), tasks->tasks.end(), record.id,
+          [](const TaskRecord& t, uint64_t vid) { return t.vid < vid; });
+      if (it == tasks->tasks.end() || it->vid != record.id ||
+          it->state != "PENDING") {
+        return Status::Corruption("replayed decision for a task that is "
+                                  "not pending");
       }
-      (*tasks)[record.id].state =
-          record.is_true ? "EXPERT_ACCEPTED" : "EXPERT_REJECTED";
+      it->state = record.is_true ? "EXPERT_ACCEPTED" : "EXPERT_REJECTED";
       return Status::OK();
     }
     case JournalRecord::Kind::kMetaBlob: {
@@ -220,7 +236,7 @@ Status Manager::SnapshotLocked() {
   info.seq = seq_;
   info.committed_ops = committed_ops_;
   info.partial_op = false;
-  if (task_source_) info.tasks = task_source_();
+  if (task_source_) info.task_image = task_source_();
   NEBULA_RETURN_NOT_OK(WriteSnapshot(options_.dir, info, *store_, *meta_));
   NEBULA_RETURN_NOT_OK(wal_->Truncate());
   ops_since_snapshot_ = 0;

@@ -74,11 +74,12 @@ class Manager {
   /// replay alone could never rebuild). Existing directory: `store`,
   /// `meta` and `tasks` must be fresh/empty — the latest valid snapshot
   /// is loaded into them and the WAL tail replayed on top, truncating a
-  /// torn final record. A WAL without any snapshot is Corruption.
+  /// torn final record. A WAL without any snapshot is Corruption, and so
+  /// is a replayed record the recovering state contradicts.
   /// `store` and `meta` must outlive the manager.
   [[nodiscard]] static Result<std::unique_ptr<Manager>> Open(
       const Options& options, AnnotationStore* store, NebulaMeta* meta,
-      std::vector<TaskRecord>* tasks, const OpenHooks& hooks = {});
+      TaskImage* tasks, const OpenHooks& hooks = {});
 
   /// Assigns the unit's sequence number and appends it to the WAL. On
   /// error nothing was journaled and the caller must not apply the unit.
@@ -90,9 +91,9 @@ class Manager {
   /// recorded in last_snapshot_status() and the WAL stays authoritative.
   void OnApplied(const CommitUnit& unit);
 
-  /// Provider of the live verification-task list, captured at snapshot
-  /// time. Must be set before any snapshot can include tasks.
-  void set_task_source(std::function<std::vector<TaskRecord>()> source) {
+  /// Provider of the live verification state, captured at snapshot time.
+  /// Must be set before any snapshot can include tasks.
+  void set_task_source(std::function<TaskImage()> source) {
     task_source_ = std::move(source);
   }
 
@@ -123,8 +124,7 @@ class Manager {
 
   /// Applies one replayed record to the recovering state.
   [[nodiscard]] Status ApplyRecord(const JournalRecord& record,
-                                   std::vector<TaskRecord>* tasks,
-                                   const OpenHooks& hooks);
+                                   TaskImage* tasks, const OpenHooks& hooks);
 
   /// SnapshotNow's body, for callers already holding the mutex.
   [[nodiscard]] Status SnapshotLocked() REQUIRES(mutex_);
@@ -133,7 +133,7 @@ class Manager {
   AnnotationStore* store_;
   NebulaMeta* meta_;
   std::unique_ptr<WalWriter> wal_;
-  std::function<std::vector<TaskRecord>()> task_source_;
+  std::function<TaskImage()> task_source_;
   RecoveryInfo recovery_info_;
   mutable Mutex mutex_{kLockRankDurabilityManager};
   Status last_snapshot_status_ GUARDED_BY(mutex_) = Status::OK();

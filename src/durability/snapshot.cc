@@ -21,7 +21,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr int kSnapshotFormatVersion = 1;
+/// Format 2: the `tasks` file holds only retained tasks and opens with
+/// the Stage-3 counters. A format-1 snapshot is not read.
+constexpr int kSnapshotFormatVersion = 2;
 constexpr char kCurrentFile[] = "CURRENT";
 
 std::string SnapshotName(uint64_t seq) {
@@ -46,9 +48,10 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
   return Status::OK();
 }
 
-std::string EncodeTasks(const std::vector<TaskRecord>& tasks) {
-  std::string out;
-  for (const TaskRecord& t : tasks) {
+std::string EncodeTasks(const TaskImage& image) {
+  std::string out = "n\t" + std::to_string(image.next_vid) + '\t' +
+                    std::to_string(image.auto_rejected) + '\n';
+  for (const TaskRecord& t : image.tasks) {
     out += std::to_string(t.vid) + '\t' + std::to_string(t.annotation) +
            '\t' + std::to_string(t.table_id) + '\t' + std::to_string(t.row) +
            '\t' + StrFormat("%.17g", t.confidence) + '\t' +
@@ -59,28 +62,37 @@ std::string EncodeTasks(const std::vector<TaskRecord>& tasks) {
   return out;
 }
 
-Result<std::vector<TaskRecord>> DecodeTasks(const std::string& text) {
-  std::vector<TaskRecord> tasks;
-  for (const std::string& line : Split(text, '\n')) {
+Result<TaskImage> DecodeTasks(const std::string& text) {
+  const std::vector<std::string> lines = Split(text, '\n');
+  const auto counters = lines.empty() ? std::vector<std::string>{}
+                                      : Split(lines[0], '\t');
+  if (counters.size() != 3 || counters[0] != "n") {
+    return Status::Corruption("bad snapshot task counters");
+  }
+  TaskImage image;
+  NEBULA_ASSIGN_OR_RETURN(image.next_vid, ParseU64Field(counters[1]));
+  NEBULA_ASSIGN_OR_RETURN(image.auto_rejected, ParseU64Field(counters[2]));
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     if (line.empty()) continue;
     const auto fields = Split(line, '\t');
     if (fields.size() < 6) {
       return Status::Corruption("bad snapshot task line '" + line + "'");
     }
     TaskRecord t;
-    t.vid = std::strtoull(fields[0].c_str(), nullptr, 10);
-    t.annotation = std::strtoull(fields[1].c_str(), nullptr, 10);
-    t.table_id =
-        static_cast<uint32_t>(std::strtoul(fields[2].c_str(), nullptr, 10));
-    t.row = std::strtoull(fields[3].c_str(), nullptr, 10);
+    NEBULA_ASSIGN_OR_RETURN(t.vid, ParseU64Field(fields[0]));
+    NEBULA_ASSIGN_OR_RETURN(t.annotation, ParseU64Field(fields[1]));
+    NEBULA_ASSIGN_OR_RETURN(const uint64_t table_id, ParseU64Field(fields[2]));
+    t.table_id = static_cast<uint32_t>(table_id);
+    NEBULA_ASSIGN_OR_RETURN(t.row, ParseU64Field(fields[3]));
     t.confidence = std::strtod(fields[4].c_str(), nullptr);
     t.state = UnescapeField(fields[5]);
     for (size_t f = 6; f < fields.size(); ++f) {
       t.evidence.push_back(UnescapeField(fields[f]));
     }
-    tasks.push_back(std::move(t));
+    image.tasks.push_back(std::move(t));
   }
-  return tasks;
+  return image;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
@@ -122,7 +134,8 @@ Status WriteSnapshot(const std::string& base_dir, const SnapshotInfo& info,
   NEBULA_RETURN_NOT_OK(WriteFileAtomic((staged / "meta").string(),
                                        MetaSerializer::SaveToString(meta)));
   NEBULA_RETURN_NOT_OK(
-      WriteFileAtomic((staged / "tasks").string(), EncodeTasks(info.tasks)));
+      WriteFileAtomic((staged / "tasks").string(),
+                      EncodeTasks(info.task_image)));
 
   // Atomic publish: stage -> snapshot-<seq> -> CURRENT, then GC.
   fs::remove_all(final_dir, ec);
@@ -186,7 +199,7 @@ Result<SnapshotInfo> LoadCurrentSnapshot(const std::string& base_dir,
   {
     NEBULA_ASSIGN_OR_RETURN(std::string task_text,
                             ReadFileToString((dir / "tasks").string()));
-    NEBULA_ASSIGN_OR_RETURN(info.tasks, DecodeTasks(task_text));
+    NEBULA_ASSIGN_OR_RETURN(info.task_image, DecodeTasks(task_text));
   }
   return info;
 }

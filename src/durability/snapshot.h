@@ -27,7 +27,8 @@ struct SnapshotInfo {
   /// boundaries, so this is false for manager-written snapshots, but the
   /// field keeps the header honest if that invariant ever changes.
   bool partial_op = false;
-  std::vector<TaskRecord> tasks;
+  /// The retained verification tasks and the two Stage-3 counters.
+  TaskImage task_image;
 };
 
 /// Writes a complete snapshot under `base_dir` using the crash-safe

@@ -197,6 +197,10 @@ void AppendStateLines(const AnnotationStore& store, NebulaEngine& engine,
         TaskStateName(task.state)));
   }
   lines->push_back(StrFormat(
+      "tasks next_vid=%llu auto_rejected=%llu",
+      static_cast<unsigned long long>(engine.verification().next_vid()),
+      static_cast<unsigned long long>(engine.verification().auto_rejected())));
+  lines->push_back(StrFormat(
       "acg fp=%016llx nodes=%zu edges=%zu",
       static_cast<unsigned long long>(engine.acg().Fingerprint()),
       engine.acg().num_nodes(), engine.acg().num_edges()));

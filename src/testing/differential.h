@@ -78,7 +78,8 @@ const char* ConfigPairDescription(ConfigPair pair);
 [[nodiscard]] Result<ConfigPair> ParseConfigPair(std::string_view name);
 
 /// Appends the canonical end-state records of a run — final attachments,
-/// verification tasks, and the ACG fingerprint — to `lines`. Shared by
+/// the retained verification tasks, the Stage-3 vid and rejection
+/// counters, and the ACG fingerprint — to `lines`. Shared by
 /// the differential runner and the crash-recovery harness, whose
 /// recovered-equals-control oracle is exactly these records.
 void AppendStateLines(const AnnotationStore& store, NebulaEngine& engine,

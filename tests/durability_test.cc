@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "core/verification.h"
 #include "durability/journal.h"
+#include "durability/manager.h"
 #include "durability/meta_serialize.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
@@ -38,6 +39,7 @@ using durability::JournalRecord;
 using durability::MetaSerializer;
 using durability::SnapshotInfo;
 using durability::SyncMode;
+using durability::TaskImage;
 using durability::TaskRecord;
 using durability::WalReadResult;
 using durability::WalWriter;
@@ -57,8 +59,91 @@ class DurabilityTest : public ::testing::Test {
 
   std::string WalPath() const { return dir_ + "/wal.log"; }
 
+  /// Hand-builds a durability directory `name` under dir_: a snapshot of
+  /// check universe 9 carrying `image`, then a WAL of `units` (sequence
+  /// numbers assigned from 1). Returns the directory.
+  std::string WriteHandBuiltDir(const std::string& name,
+                                const TaskImage& image,
+                                std::vector<CommitUnit> units = {}) {
+    const std::string dir = dir_ + "/" + name;
+    auto universe = check::BuildCheckUniverse(9);
+    EXPECT_TRUE(universe.ok());
+    SnapshotInfo info;
+    info.task_image = image;
+    EXPECT_TRUE(durability::WriteSnapshot(dir, info, (*universe)->store,
+                                          (*universe)->meta)
+                    .ok());
+    if (!units.empty()) {
+      auto writer = WalWriter::Open(dir + "/wal.log", SyncMode::kFlush);
+      EXPECT_TRUE(writer.ok());
+      for (size_t i = 0; i < units.size(); ++i) {
+        units[i].seq = i + 1;
+        EXPECT_TRUE((*writer)->Append(durability::EncodeUnit(units[i])).ok());
+      }
+    }
+    return dir;
+  }
+
+  /// Recovers `dir` through Manager::Open; the replayed image lands in
+  /// `*recovered`.
+  static Status Replay(const std::string& dir, TaskImage* recovered) {
+    auto universe = check::BuildCheckUniverse(9);
+    if (!universe.ok()) return universe.status();
+    AnnotationStore store;
+    NebulaMeta meta((*universe)->meta.lexicon());
+    durability::Manager::Options options;
+    options.dir = dir;
+    auto manager =
+        durability::Manager::Open(options, &store, &meta, recovered);
+    return manager.status();
+  }
+
   std::string dir_;
 };
+
+TaskRecord Task(uint64_t vid, const char* state) {
+  TaskRecord t;
+  t.vid = vid;
+  t.table_id = 0;
+  t.row = vid + 1;
+  t.confidence = 0.5;
+  t.state = state;
+  return t;
+}
+
+/// One kOpEnd commit unit of `records`.
+CommitUnit Unit(std::vector<JournalRecord> records) {
+  CommitUnit unit;
+  unit.flags = durability::kOpEnd;
+  unit.records = std::move(records);
+  return unit;
+}
+
+JournalRecord TaskRec(uint64_t vid, const char* state) {
+  JournalRecord r;
+  r.kind = JournalRecord::Kind::kTask;
+  r.id = vid;
+  r.row = vid + 1;
+  r.weight = 0.5;
+  r.text = state;
+  return r;
+}
+
+JournalRecord RejectedRec(uint64_t next_vid, uint64_t count) {
+  JournalRecord r;
+  r.kind = JournalRecord::Kind::kRejected;
+  r.id = next_vid;
+  r.count = count;
+  return r;
+}
+
+JournalRecord DecisionRec(uint64_t vid, bool accepted) {
+  JournalRecord r;
+  r.kind = JournalRecord::Kind::kDecision;
+  r.id = vid;
+  r.is_true = accepted;
+  return r;
+}
 
 TEST_F(DurabilityTest, WalRoundTripsPayloads) {
   const std::vector<std::string> payloads = {
@@ -209,6 +294,13 @@ TEST_F(DurabilityTest, CommitUnitEncodeDecodeRoundTripsEveryKind) {
   }
   {
     JournalRecord r;
+    r.kind = JournalRecord::Kind::kRejected;
+    r.id = 9;
+    r.count = 3;
+    unit.records.push_back(r);
+  }
+  {
+    JournalRecord r;
     r.kind = JournalRecord::Kind::kDecision;
     r.id = 5;
     r.is_true = true;
@@ -235,6 +327,7 @@ TEST_F(DurabilityTest, CommitUnitEncodeDecodeRoundTripsEveryKind) {
     EXPECT_EQ(b.annotation, a.annotation);
     EXPECT_EQ(b.table_id, a.table_id);
     EXPECT_EQ(b.row, a.row);
+    EXPECT_EQ(b.count, a.count);
     EXPECT_EQ(b.is_true, a.is_true);
     EXPECT_EQ(b.weight, a.weight);
     EXPECT_EQ(b.text, a.text);
@@ -252,6 +345,17 @@ TEST_F(DurabilityTest, DecodeUnitRejectsMalformedPayloads) {
   EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nz\t1").ok());
   // kAttach with wrong arity.
   EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nt\t1\t2").ok());
+  // kRejected: wrong arity, a non-integer or an empty field.
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nr\t4").ok());
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nr\t4\t2\t1").ok());
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nr\tfour\t2").ok());
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nr\t4\t").ok());
+  // Integer fields are digits only: no sign, no space, no overflow.
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nr\t-1\t2").ok());
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nx\t+3\t1").ok());
+  EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nx\t 3\t1").ok());
+  EXPECT_FALSE(
+      durability::DecodeUnit("u\t1\t1\nr\t99999999999999999999\t2").ok());
   // A valid encode must survive its own decode (baseline sanity).
   CommitUnit unit;
   unit.seq = 1;
@@ -291,7 +395,9 @@ TEST_F(DurabilityTest, SnapshotWriteLoadRoundTrip) {
   task.confidence = 0.625;
   task.state = "PENDING";
   task.evidence = {"exact name", "sample"};
-  info.tasks.push_back(task);
+  info.task_image.tasks.push_back(task);
+  info.task_image.next_vid = 4;
+  info.task_image.auto_rejected = 3;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
                                         (*universe)->meta)
                   .ok());
@@ -303,11 +409,17 @@ TEST_F(DurabilityTest, SnapshotWriteLoadRoundTrip) {
   EXPECT_EQ(loaded->seq, info.seq);
   EXPECT_EQ(loaded->committed_ops, info.committed_ops);
   EXPECT_FALSE(loaded->partial_op);
-  ASSERT_EQ(loaded->tasks.size(), 1u);
-  EXPECT_EQ(loaded->tasks[0].vid, task.vid);
-  EXPECT_EQ(loaded->tasks[0].confidence, task.confidence);
-  EXPECT_EQ(loaded->tasks[0].state, task.state);
-  EXPECT_EQ(loaded->tasks[0].evidence, task.evidence);
+  EXPECT_EQ(loaded->task_image.next_vid, 4u);
+  EXPECT_EQ(loaded->task_image.auto_rejected, 3u);
+  ASSERT_EQ(loaded->task_image.tasks.size(), 1u);
+  const TaskRecord& restored = loaded->task_image.tasks[0];
+  EXPECT_EQ(restored.vid, task.vid);
+  EXPECT_EQ(restored.annotation, task.annotation);
+  EXPECT_EQ(restored.table_id, task.table_id);
+  EXPECT_EQ(restored.row, task.row);
+  EXPECT_EQ(restored.confidence, task.confidence);
+  EXPECT_EQ(restored.state, task.state);
+  EXPECT_EQ(restored.evidence, task.evidence);
 
   ASSERT_EQ(store.num_annotations(), (*universe)->store.num_annotations());
   const auto original = (*universe)->store.AllAttachments();
@@ -321,6 +433,146 @@ TEST_F(DurabilityTest, SnapshotWriteLoadRoundTrip) {
   }
   EXPECT_EQ(MetaSerializer::SaveToString(meta),
             MetaSerializer::SaveToString((*universe)->meta));
+}
+
+TEST_F(DurabilityTest, FormatOneSnapshotIsNotSupported) {
+  auto universe = check::BuildCheckUniverse(9);
+  ASSERT_TRUE(universe.ok());
+  SnapshotInfo info;
+  info.seq = 3;
+  ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
+                                        (*universe)->meta)
+                  .ok());
+  // Format 1 stored every task, auto-rejected ones included, and no
+  // counters; its header differs only in the version field.
+  {
+    std::ofstream header(dir_ + "/snapshot-3/SNAPSHOT", std::ios::trunc);
+    header << "nebula-snapshot\t1\t3\t0\t0\n";
+  }
+  AnnotationStore store;
+  NebulaMeta meta((*universe)->meta.lexicon());
+  const auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotSupported);
+}
+
+TEST_F(DurabilityTest, SnapshotTaskFileRejectsMalformedFields) {
+  auto universe = check::BuildCheckUniverse(9);
+  ASSERT_TRUE(universe.ok());
+  SnapshotInfo info;
+  info.seq = 4;
+  ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
+                                        (*universe)->meta)
+                  .ok());
+  for (const char* tasks : {
+           "",                                  // no counter line
+           "0\t3\t0\t7\t0.5\tPENDING\n",       // a task line instead
+           "n\tabc\t3\n",                       // non-integer counter
+           "n\t4\t-3\n",                        // signed counter
+           "n\t4\t3\nseven\t3\t0\t7\t0.5\tPENDING\n",  // bad vid
+       }) {
+    {
+      std::ofstream out(dir_ + "/snapshot-4/tasks", std::ios::trunc);
+      out << tasks;
+    }
+    AnnotationStore store;
+    NebulaMeta meta((*universe)->meta.lexicon());
+    const auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << tasks;
+  }
+}
+
+TEST_F(DurabilityTest, ReplayRebuildsTheCountersFromTaskAndCountRecords) {
+  // Vid 3 and 5 were auto-rejected in the round that created task 4.
+  const std::string dir = WriteHandBuiltDir(
+      "ok", {{Task(1, "PENDING")}, 3, 2},
+      {Unit({TaskRec(4, "PENDING"), RejectedRec(6, 2)}),
+       Unit({DecisionRec(4, true)}), Unit({DecisionRec(1, false)}),
+       Unit({RejectedRec(9, 3)})});
+  TaskImage recovered;
+  ASSERT_TRUE(Replay(dir, &recovered).ok());
+  EXPECT_EQ(recovered.next_vid, 9u);
+  EXPECT_EQ(recovered.auto_rejected, 7u);
+  ASSERT_EQ(recovered.tasks.size(), 2u);
+  EXPECT_EQ(recovered.tasks[0].vid, 1u);
+  EXPECT_EQ(recovered.tasks[0].state, "EXPERT_REJECTED");
+  EXPECT_EQ(recovered.tasks[1].vid, 4u);
+  EXPECT_EQ(recovered.tasks[1].state, "EXPERT_ACCEPTED");
+}
+
+TEST_F(DurabilityTest, ReplayRefusesRecordsTheStateContradicts) {
+  struct Case {
+    const char* name;
+    TaskImage image;
+    std::vector<CommitUnit> units;
+  };
+  // Each case: a name, the snapshot's {tasks, next_vid, auto_rejected},
+  // and the WAL replayed on top of it.
+  const std::vector<Case> cases = {
+      {"decision_for_absent_task", {{}, 0, 0},
+       {Unit({DecisionRec(0, true)})}},
+      {"decision_for_rejected_vid", {{}, 2, 2},
+       {Unit({DecisionRec(1, true)})}},
+      {"decision_for_auto_accepted", {{Task(0, "AUTO_ACCEPTED")}, 1, 0},
+       {Unit({DecisionRec(0, false)})}},
+      {"decision_twice", {{Task(0, "PENDING")}, 1, 0},
+       {Unit({DecisionRec(0, true)}), Unit({DecisionRec(0, false)})}},
+      {"task_below_counter", {{}, 3, 3}, {Unit({TaskRec(1, "PENDING")})}},
+      {"count_moves_counter_back", {{Task(2, "PENDING")}, 3, 2},
+       {Unit({RejectedRec(2, 1)})}},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = WriteHandBuiltDir(c.name, c.image, c.units);
+    TaskImage recovered;
+    EXPECT_EQ(Replay(dir, &recovered).code(), StatusCode::kCorruption)
+        << c.name;
+  }
+}
+
+TEST_F(DurabilityTest, RestoreRefusesImagesThatBreakTheTaskInvariants) {
+  struct Case {
+    const char* name;
+    TaskImage image;
+  };
+  const std::vector<Case> cases = {
+      {"descending_vids", {{Task(1, "PENDING"), Task(0, "PENDING")}, 2, 0}},
+      {"repeated_vid", {{Task(0, "PENDING"), Task(0, "PENDING")}, 2, 0}},
+      {"vid_at_counter", {{Task(2, "PENDING")}, 2, 1}},
+      {"auto_rejected_task", {{Task(0, "AUTO_REJECTED")}, 1, 0}},
+      {"counts_miss_a_vid", {{Task(0, "PENDING")}, 3, 1}},
+  };
+  NebulaConfig config;
+  config.event_capacity = 0;
+  for (const Case& c : cases) {
+    config.durability_dir = WriteHandBuiltDir(c.name, c.image);
+    auto universe = check::BuildCheckUniverse(9);
+    ASSERT_TRUE(universe.ok());
+    NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
+                        &(*universe)->meta, config);
+    EXPECT_EQ(engine.OpenDurability().code(), StatusCode::kCorruption)
+        << c.name;
+  }
+
+  // A consistent image restores both counters, and the gaps below
+  // next_vid answer as auto-rejected tasks.
+  config.durability_dir =
+      WriteHandBuiltDir("consistent", {{Task(1, "PENDING")}, 3, 2});
+  auto universe = check::BuildCheckUniverse(9);
+  ASSERT_TRUE(universe.ok());
+  NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
+                      &(*universe)->meta, config);
+  ASSERT_TRUE(engine.OpenDurability().ok());
+  EXPECT_EQ(engine.verification().next_vid(), 3u);
+  EXPECT_EQ(engine.verification().auto_rejected(), 2u);
+  ASSERT_EQ(engine.verification().tasks().size(), 1u);
+  EXPECT_EQ(engine.verification().tasks()[0].vid, 1u);
+  EXPECT_EQ(engine.verification().Verify(0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.verification().Reject(2).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.verification().Verify(3).code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine.verification().GetTask(0).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(DurabilityTest, SnapshotSupersedesAndGarbageCollects) {
@@ -405,65 +657,109 @@ TEST_F(DurabilityTest, EngineOpenRejectsWalWithoutSnapshot) {
 /// expert verify/reject decisions, at every snapshot cadence (every op,
 /// every third op, WAL-only), killing the engine without a final
 /// snapshot and reopening must reproduce the exact pre-kill state —
-/// attachments, tasks (vids, confidences, states), and ACG fingerprint.
+/// attachments, retained tasks (vids, confidences, states), the vid and
+/// rejection counters, and ACG fingerprint. In the reject-tail cases
+/// the last rounds auto-reject every candidate, so only the snapshot's
+/// counters or the WAL's count records carry the vid counter past the
+/// last retained task.
 TEST_F(DurabilityTest, SnapshotPlusReplayEquivalenceOverInterleavings) {
+  struct Case {
+    uint64_t seed;
+    size_t snapshot_every;
+    bool reject_tail;
+  };
+  std::vector<Case> cases;
   for (const uint64_t seed : {21u, 22u, 23u}) {
     for (const size_t snapshot_every : {size_t{1}, size_t{3}, size_t{0}}) {
-      const std::string case_dir =
-          dir_ + "/case_" + std::to_string(seed) + "_" +
-          std::to_string(snapshot_every);
-      NebulaConfig config;
-      config.event_capacity = 0;
-      config.durability_dir = case_dir;
-      config.snapshot_every_n = snapshot_every;
+      cases.push_back({seed, snapshot_every, false});
+    }
+  }
+  for (const size_t snapshot_every : {size_t{1}, size_t{3}, size_t{0}}) {
+    cases.push_back({21u, snapshot_every, true});
+  }
+  constexpr size_t kRejectTail = 2;
 
-      std::vector<std::string> before;
-      {
-        auto universe = check::BuildCheckUniverse(seed);
-        ASSERT_TRUE(universe.ok());
-        const check::CheckWorkload workload =
-            check::GenerateCheckWorkload(seed, **universe);
-        NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
-                            &(*universe)->meta, config);
-        engine.RebuildAcg();
-        ASSERT_TRUE(engine.OpenDurability().ok());
-        Rng rng(seed * 977);
-        for (const check::CheckAnnotation& a : workload.annotations) {
-          auto report = engine.InsertAnnotation(a.text, a.focal, a.author);
-          ASSERT_TRUE(report.ok()) << report.status().ToString();
-          // Randomly interleave expert decisions over pending tasks.
-          for (const VerificationTask& task :
-               engine.verification().tasks()) {
-            if (task.state != TaskState::kPending) continue;
-            const uint64_t draw = rng.Uniform(4);
-            if (draw == 0) {
-              ASSERT_TRUE(engine.verification().Verify(task.vid).ok());
-            } else if (draw == 1) {
-              ASSERT_TRUE(engine.verification().Reject(task.vid).ok());
-            }
-          }
-        }
-        engine.RebuildAcg();
-        check::AppendStateLines((*universe)->store, engine, &before);
-        // Engine destroyed here WITHOUT a final snapshot: whatever the
-        // cadence left in the WAL must carry the rest.
-      }
+  for (const Case& c : cases) {
+    const std::string label = "seed=" + std::to_string(c.seed) +
+                              " snapshot_every=" +
+                              std::to_string(c.snapshot_every) +
+                              (c.reject_tail ? " reject_tail" : "");
+    const std::string case_dir =
+        dir_ + "/case_" + std::to_string(c.seed) + "_" +
+        std::to_string(c.snapshot_every) + (c.reject_tail ? "_tail" : "");
+    NebulaConfig config;
+    config.event_capacity = 0;
+    config.durability_dir = case_dir;
+    config.snapshot_every_n = c.snapshot_every;
 
-      auto universe = check::BuildCheckUniverse(seed);
+    std::vector<std::string> before;
+    uint64_t next_vid = 0;
+    uint64_t auto_rejected = 0;
+    {
+      auto universe = check::BuildCheckUniverse(c.seed);
       ASSERT_TRUE(universe.ok());
+      const check::CheckWorkload workload =
+          check::GenerateCheckWorkload(c.seed, **universe);
+      ASSERT_GT(workload.annotations.size(), kRejectTail);
       NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
                           &(*universe)->meta, config);
+      engine.RebuildAcg();
       ASSERT_TRUE(engine.OpenDurability().ok());
-      EXPECT_TRUE(engine.recovery_info().recovered);
-      EXPECT_FALSE(engine.recovery_info().partial_op);
-      std::vector<std::string> after;
-      check::AppendStateLines((*universe)->store, engine, &after);
-      EXPECT_EQ(after, before)
-          << "seed=" << seed << " snapshot_every=" << snapshot_every;
-      if (snapshot_every == 0) {
-        // WAL-only: nothing beyond the baseline snapshot was written.
-        EXPECT_EQ(engine.recovery_info().snapshot_seq, 0u);
+      Rng rng(c.seed * 977);
+      const size_t tail_from = workload.annotations.size() - kRejectTail;
+      size_t tasks_before_tail = 0;
+      uint64_t rejected_before_tail = 0;
+      for (size_t i = 0; i < workload.annotations.size(); ++i) {
+        if (c.reject_tail && i == tail_from) {
+          // Every candidate falls below the lower bound from here on.
+          engine.config().bounds = {2.0, 2.0};
+          tasks_before_tail = engine.verification().tasks().size();
+          rejected_before_tail = engine.verification().auto_rejected();
+        }
+        const check::CheckAnnotation& a = workload.annotations[i];
+        auto report = engine.InsertAnnotation(a.text, a.focal, a.author);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        // Randomly interleave expert decisions over pending tasks.
+        for (const VerificationTask& task : engine.verification().tasks()) {
+          if (task.state != TaskState::kPending) continue;
+          const uint64_t draw = rng.Uniform(4);
+          if (draw == 0) {
+            ASSERT_TRUE(engine.verification().Verify(task.vid).ok());
+          } else if (draw == 1) {
+            ASSERT_TRUE(engine.verification().Reject(task.vid).ok());
+          }
+        }
       }
+      if (c.reject_tail) {
+        EXPECT_EQ(engine.verification().tasks().size(), tasks_before_tail)
+            << label;
+        EXPECT_GT(engine.verification().auto_rejected(),
+                  rejected_before_tail)
+            << label;
+      }
+      next_vid = engine.verification().next_vid();
+      auto_rejected = engine.verification().auto_rejected();
+      engine.RebuildAcg();
+      check::AppendStateLines((*universe)->store, engine, &before);
+      // Engine destroyed here WITHOUT a final snapshot: whatever the
+      // cadence left in the WAL must carry the rest.
+    }
+
+    auto universe = check::BuildCheckUniverse(c.seed);
+    ASSERT_TRUE(universe.ok());
+    NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
+                        &(*universe)->meta, config);
+    ASSERT_TRUE(engine.OpenDurability().ok());
+    EXPECT_TRUE(engine.recovery_info().recovered);
+    EXPECT_FALSE(engine.recovery_info().partial_op);
+    EXPECT_EQ(engine.verification().next_vid(), next_vid) << label;
+    EXPECT_EQ(engine.verification().auto_rejected(), auto_rejected) << label;
+    std::vector<std::string> after;
+    check::AppendStateLines((*universe)->store, engine, &after);
+    EXPECT_EQ(after, before) << label;
+    if (c.snapshot_every == 0) {
+      // WAL-only: nothing beyond the baseline snapshot was written.
+      EXPECT_EQ(engine.recovery_info().snapshot_seq, 0u);
     }
   }
 }

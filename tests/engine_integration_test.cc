@@ -62,6 +62,7 @@ TEST_F(EngineIntegrationTest, DiscoverDoesNotMutateState) {
   EXPECT_EQ(dataset_->store.num_annotations(), annotations_before);
   EXPECT_EQ(dataset_->store.num_attachments(), edges_before);
   EXPECT_TRUE(engine->verification().tasks().empty());
+  EXPECT_EQ(engine->verification().next_vid(), 0u);
 }
 
 TEST_F(EngineIntegrationTest, WorkloadAnnotationsRecoverGroundTruth) {
@@ -217,6 +218,7 @@ TEST_F(EngineIntegrationTest, SpamGuardBlocksOverreachingAnnotations) {
   EXPECT_EQ(report->verification.auto_accepted, 0u);
   EXPECT_EQ(report->verification.pending, 0u);
   EXPECT_TRUE(engine->verification().tasks().empty());
+  EXPECT_EQ(engine->verification().next_vid(), 0u);
   // The focal attachment itself still exists (the user's own action).
   EXPECT_TRUE(
       dataset_->store.HasAttachment(report->annotation,

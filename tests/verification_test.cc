@@ -14,6 +14,7 @@ const TupleId kFocal{0, 0};
 const TupleId kT1{0, 1};
 const TupleId kT2{0, 2};
 const TupleId kT3{0, 3};
+const TupleId kT4{0, 4};
 
 CandidateTuple Candidate(const TupleId& t, double conf,
                          std::vector<std::string> evidence = {"q"}) {
@@ -45,10 +46,68 @@ TEST_F(VerificationTest, SubmitBucketsByBounds) {
   EXPECT_EQ(outcome.auto_accepted, 1u);
   EXPECT_EQ(outcome.pending, 1u);
   EXPECT_EQ(outcome.auto_rejected, 1u);
-  EXPECT_EQ(manager_.tasks().size(), 3u);
+  // The auto-rejected candidate uses up vid 2 and keeps no task.
+  ASSERT_EQ(manager_.tasks().size(), 2u);
+  EXPECT_EQ(manager_.tasks()[0].vid, 0u);
   EXPECT_EQ(manager_.tasks()[0].state, TaskState::kAutoAccepted);
+  EXPECT_EQ(manager_.tasks()[1].vid, 1u);
   EXPECT_EQ(manager_.tasks()[1].state, TaskState::kPending);
-  EXPECT_EQ(manager_.tasks()[2].state, TaskState::kAutoRejected);
+  EXPECT_EQ(manager_.next_vid(), 3u);
+  EXPECT_EQ(manager_.auto_rejected(), 1u);
+}
+
+TEST_F(VerificationTest, SecondRoundContinuesAfterRejectedVids) {
+  manager_.Submit(annotation_, {Candidate(kT1, 0.9), Candidate(kT2, 0.5),
+                                Candidate(kT3, 0.1)});
+  const auto outcome = manager_.Submit(
+      annotation_, {Candidate(kT4, 0.5), Candidate(kT3, 0.05)});
+  EXPECT_EQ(outcome.pending, 1u);
+  EXPECT_EQ(outcome.auto_rejected, 1u);
+  ASSERT_EQ(manager_.tasks().size(), 3u);
+  EXPECT_EQ(manager_.tasks()[2].vid, 3u);
+  EXPECT_EQ(manager_.tasks()[2].tuple, kT4);
+  EXPECT_EQ(manager_.next_vid(), 5u);
+  EXPECT_EQ(manager_.auto_rejected(), 2u);
+}
+
+TEST_F(VerificationTest, AutoRejectedVidKeepsItsDecisionStatus) {
+  manager_.Submit(annotation_, {Candidate(kT1, 0.9), Candidate(kT2, 0.5),
+                                Candidate(kT3, 0.1)});
+  // Vid 2 was auto-rejected: a decision on it is refused exactly as when
+  // the task was stored.
+  const Status verify = manager_.Verify(2);
+  EXPECT_EQ(verify.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(verify.message().find("task 2 is AUTO_REJECTED, not PENDING"),
+            std::string::npos)
+      << verify.ToString();
+  const Status reject = manager_.Reject(2);
+  EXPECT_EQ(reject.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reject.message().find("task 2 is AUTO_REJECTED, not PENDING"),
+            std::string::npos)
+      << reject.ToString();
+  // Past the counter: never assigned.
+  EXPECT_EQ(manager_.Verify(3).code(), StatusCode::kNotFound);
+  EXPECT_EQ(manager_.Reject(3).code(), StatusCode::kNotFound);
+  // GetTask finds retained tasks only.
+  EXPECT_EQ(manager_.GetTask(2).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(manager_.GetTask(1).ok());
+  EXPECT_EQ((*manager_.GetTask(1))->tuple, kT2);
+  EXPECT_EQ(manager_.GetTask(3).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(VerificationTest, AllRejectedRoundOnlyAdvancesTheCounter) {
+  manager_.Submit(annotation_, {Candidate(kT1, 0.5)});
+  ASSERT_EQ(manager_.tasks().size(), 1u);
+  const auto outcome = manager_.Submit(
+      annotation_, {Candidate(kT2, 0.1), Candidate(kT3, 0.2)});
+  EXPECT_EQ(outcome.auto_rejected, 2u);
+  ASSERT_EQ(manager_.tasks().size(), 1u);
+  EXPECT_EQ(manager_.tasks()[0].vid, 0u);
+  EXPECT_EQ(manager_.tasks()[0].state, TaskState::kPending);
+  EXPECT_EQ(manager_.next_vid(), 3u);
+  EXPECT_EQ(manager_.auto_rejected(), 2u);
+  EXPECT_EQ(manager_.ComputeStats().auto_rejected, 2u);
+  EXPECT_EQ(manager_.ComputeStats().total(), 3u);
 }
 
 TEST_F(VerificationTest, BoundaryConfidencesGoToPending) {

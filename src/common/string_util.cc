@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -110,6 +112,22 @@ bool LooksLikeNumber(std::string_view s) {
   std::string copy(s);
   std::strtod(copy.c_str(), &end);
   return end != nullptr && *end == '\0' && end != copy.c_str();
+}
+
+std::optional<uint64_t> ParseUint64(std::string_view s) {
+  uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<double> ParseFiniteDouble(std::string_view s) {
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 std::string StrFormat(const char* fmt, ...) {

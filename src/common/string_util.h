@@ -1,6 +1,8 @@
 #ifndef NEBULA_COMMON_STRING_UTIL_H_
 #define NEBULA_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +42,13 @@ bool LooksLikeInteger(std::string_view s);
 
 /// True if the string parses as a floating-point literal.
 bool LooksLikeNumber(std::string_view s);
+
+/// Checked decimal parses for text formats read back from disk, built on
+/// std::from_chars (locale-independent, and it round-trips "%.17g"). The
+/// whole field must be consumed, else nullopt. An unsigned field takes no
+/// sign, no space and no overflow; a double must be finite.
+std::optional<uint64_t> ParseUint64(std::string_view s);
+std::optional<double> ParseFiniteDouble(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

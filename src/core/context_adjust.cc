@@ -212,18 +212,19 @@ ContextMatch FindBestMatch(const SignatureMap& map, size_t pos,
 
 void ContextBasedAdjustment(SignatureMap* context_map,
                             const ContextAdjustParams& params) {
-  // Rewards are computed against the pre-adjustment weights (a snapshot),
-  // so the outcome does not depend on word iteration order.
-  const SignatureMap snapshot = *context_map;
-  for (size_t pos = 0; pos < snapshot.words.size(); ++pos) {
-    const auto& word = snapshot.words[pos];
-    for (size_t mi = 0; mi < word.mappings.size(); ++mi) {
+  // Matches never read weights (FindMatchesOfType looks only at mapping
+  // kinds, tables and columns) and the loop writes only weights, so the
+  // map serves as its own pre-adjustment snapshot: the rewards do not
+  // depend on word order.
+  SignatureMap& map = *context_map;
+  for (size_t pos = 0; pos < map.words.size(); ++pos) {
+    for (size_t mi = 0; mi < map.words[pos].mappings.size(); ++mi) {
       double beta = 0.0;
       size_t count = 0;
       for (MatchType type :
            {MatchType::kType1, MatchType::kType2, MatchType::kType3}) {
         const auto matches =
-            FindMatchesOfType(snapshot, pos, mi, params.alpha, type);
+            FindMatchesOfType(map, pos, mi, params.alpha, type);
         if (matches.empty()) continue;
         count = std::min(matches.size(), params.max_matches_counted);
         beta = type == MatchType::kType1
@@ -232,7 +233,7 @@ void ContextBasedAdjustment(SignatureMap* context_map,
         break;  // exclusive cascade: stronger type suppresses weaker ones
       }
       if (count > 0) {
-        auto& target = context_map->words[pos].mappings[mi];
+        auto& target = map.words[pos].mappings[mi];
         target.weight = std::min(
             1.0, target.weight * (1.0 + beta * static_cast<double>(count)));
       }

@@ -1,7 +1,6 @@
 #include "durability/journal.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <optional>
 
 #include "annotation/serialize.h"
 #include "common/status.h"
@@ -10,17 +9,19 @@
 namespace nebula::durability {
 
 Result<uint64_t> ParseU64Field(const std::string& field) {
-  if (field.empty()) return Status::Corruption("empty integer field");
-  // Digits only: strtoull also takes a sign or leading space, wraps "-1"
-  // to 2^64-1 and clamps an overflow.
-  errno = 0;
-  char* end = nullptr;
-  const uint64_t v = std::strtoull(field.c_str(), &end, 10);
-  if (field[0] < '0' || field[0] > '9' || end == nullptr || *end != '\0' ||
-      errno == ERANGE) {
+  const std::optional<uint64_t> v = ParseUint64(field);
+  if (!v.has_value()) {
     return Status::Corruption("bad integer field '" + field + "'");
   }
-  return v;
+  return *v;
+}
+
+Result<double> ParseDoubleField(const std::string& field) {
+  const std::optional<double> v = ParseFiniteDouble(field);
+  if (!v.has_value()) {
+    return Status::Corruption("bad number field '" + field + "'");
+  }
+  return *v;
 }
 
 namespace {
@@ -126,7 +127,7 @@ Result<CommitUnit> DecodeUnit(std::string_view payload) {
         return Status::Corruption("bad attachment type '" + fields[4] + "'");
       }
       record.is_true = fields[4] == "T";
-      record.weight = std::strtod(fields[5].c_str(), nullptr);
+      NEBULA_ASSIGN_OR_RETURN(record.weight, ParseDoubleField(fields[5]));
     } else if ((tag == "d" || tag == "p") && fields.size() == 4) {
       record.kind = tag == "d" ? JournalRecord::Kind::kDetach
                                : JournalRecord::Kind::kPromote;
@@ -137,7 +138,7 @@ Result<CommitUnit> DecodeUnit(std::string_view payload) {
       NEBULA_ASSIGN_OR_RETURN(record.id, ParseU64Field(fields[1]));
       NEBULA_ASSIGN_OR_RETURN(record.annotation, ParseU64Field(fields[2]));
       NEBULA_RETURN_NOT_OK(ParseTuple(fields[3], fields[4], &record));
-      record.weight = std::strtod(fields[5].c_str(), nullptr);
+      NEBULA_ASSIGN_OR_RETURN(record.weight, ParseDoubleField(fields[5]));
       record.text = UnescapeField(fields[6]);
       for (size_t f = 7; f < fields.size(); ++f) {
         record.evidence.push_back(UnescapeField(fields[f]));

@@ -96,10 +96,14 @@ struct CommitUnit {
 std::string EncodeUnit(const CommitUnit& unit);
 [[nodiscard]] Result<CommitUnit> DecodeUnit(std::string_view payload);
 
-/// Parses one decimal integer field of the journal and snapshot text
-/// formats: digits only (no sign or space) and within uint64_t, else
+/// Parses one decimal integer field of the journal, snapshot and meta
+/// text formats: digits only (no sign or space) and within uint64_t, else
 /// Corruption.
 [[nodiscard]] Result<uint64_t> ParseU64Field(const std::string& field);
+
+/// Parses one number field of the same formats (written with "%.17g"):
+/// the whole field, and finite, else Corruption.
+[[nodiscard]] Result<double> ParseDoubleField(const std::string& field);
 
 }  // namespace nebula::durability
 

@@ -1,12 +1,12 @@
 #include "durability/meta_serialize.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "annotation/serialize.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "durability/journal.h"
 #include "meta/nebula_meta.h"
 #include "storage/value.h"
 #include "text/pattern.h"
@@ -16,7 +16,7 @@ namespace nebula::durability {
 
 namespace {
 
-constexpr int kMetaFormatVersion = 1;
+constexpr uint64_t kMetaFormatVersion = 1;
 
 const char* TypeTag(DataType type) {
   switch (type) {
@@ -63,7 +63,7 @@ Status ParseScoring(const std::vector<std::string>& fields,
       &s->sample_fuzzy_lo_threshold, &s->sample_fuzzy_lo_scale,
   };
   for (size_t i = 0; i < 12; ++i) {
-    *slots[i] = std::strtod(fields[i + 1].c_str(), nullptr);
+    NEBULA_ASSIGN_OR_RETURN(*slots[i], ParseDoubleField(fields[i + 1]));
   }
   return Status::OK();
 }
@@ -149,10 +149,11 @@ Status MetaSerializer::LoadFromString(const std::string& blob,
     if (header.size() != 3 || header[0] != "nebula-meta") {
       return Status::Corruption("bad meta blob header");
     }
-    if (std::strtol(header[1].c_str(), nullptr, 10) != kMetaFormatVersion) {
+    NEBULA_ASSIGN_OR_RETURN(const uint64_t format, ParseU64Field(header[1]));
+    if (format != kMetaFormatVersion) {
       return Status::NotSupported("unsupported meta format " + header[1]);
     }
-    saved_version = std::strtoull(header[2].c_str(), nullptr, 10);
+    NEBULA_ASSIGN_OR_RETURN(saved_version, ParseU64Field(header[2]));
   }
 
   // A concept line opens a group of `combo` lines; the AddConcept replay
@@ -175,7 +176,7 @@ Status MetaSerializer::LoadFromString(const std::string& blob,
     } else if (tag == "concept" && fields.size() == 4) {
       pending_name = UnescapeField(fields[1]);
       pending_table = UnescapeField(fields[2]);
-      pending_combos = std::strtoull(fields[3].c_str(), nullptr, 10);
+      NEBULA_ASSIGN_OR_RETURN(pending_combos, ParseU64Field(fields[3]));
       if (pending_combos == 0) {
         return Status::Corruption("concept '" + pending_name +
                                   "' has no combos");
@@ -212,7 +213,7 @@ Status MetaSerializer::LoadFromString(const std::string& blob,
         vc->ontology.insert(UnescapeField(fields[f]));
       }
     } else if (tag == "samples" && fields.size() >= 2 && vc != nullptr) {
-      const size_t count = std::strtoull(fields[1].c_str(), nullptr, 10);
+      NEBULA_ASSIGN_OR_RETURN(const uint64_t count, ParseU64Field(fields[1]));
       if (fields.size() != count + 2) {
         return Status::Corruption("bad meta samples arity for " + vc->Key());
       }

@@ -1,6 +1,5 @@
 #include "durability/snapshot.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,7 +22,7 @@ namespace {
 
 /// Format 2: the `tasks` file holds only retained tasks and opens with
 /// the Stage-3 counters. A format-1 snapshot is not read.
-constexpr int kSnapshotFormatVersion = 2;
+constexpr uint64_t kSnapshotFormatVersion = 2;
 constexpr char kCurrentFile[] = "CURRENT";
 
 std::string SnapshotName(uint64_t seq) {
@@ -85,7 +84,7 @@ Result<TaskImage> DecodeTasks(const std::string& text) {
     NEBULA_ASSIGN_OR_RETURN(const uint64_t table_id, ParseU64Field(fields[2]));
     t.table_id = static_cast<uint32_t>(table_id);
     NEBULA_ASSIGN_OR_RETURN(t.row, ParseU64Field(fields[3]));
-    t.confidence = std::strtod(fields[4].c_str(), nullptr);
+    NEBULA_ASSIGN_OR_RETURN(t.confidence, ParseDoubleField(fields[4]));
     t.state = UnescapeField(fields[5]);
     for (size_t f = 6; f < fields.size(); ++f) {
       t.evidence.push_back(UnescapeField(fields[f]));
@@ -181,12 +180,12 @@ Result<SnapshotInfo> LoadCurrentSnapshot(const std::string& base_dir,
     if (fields.size() != 5 || fields[0] != "nebula-snapshot") {
       return Status::Corruption("bad SNAPSHOT header in " + current);
     }
-    if (std::strtol(fields[1].c_str(), nullptr, 10) !=
-        kSnapshotFormatVersion) {
+    NEBULA_ASSIGN_OR_RETURN(const uint64_t format, ParseU64Field(fields[1]));
+    if (format != kSnapshotFormatVersion) {
       return Status::NotSupported("unsupported snapshot format " + fields[1]);
     }
-    info.seq = std::strtoull(fields[2].c_str(), nullptr, 10);
-    info.committed_ops = std::strtoull(fields[3].c_str(), nullptr, 10);
+    NEBULA_ASSIGN_OR_RETURN(info.seq, ParseU64Field(fields[2]));
+    NEBULA_ASSIGN_OR_RETURN(info.committed_ops, ParseU64Field(fields[3]));
     info.partial_op = fields[4] == "1";
   }
 

@@ -25,6 +25,8 @@ namespace {
 struct WordMemoMetrics {
   obs::Counter* hit;
   obs::Counter* miss;
+  obs::Counter* budget_drop;
+  obs::Counter* version_drop;
   obs::Gauge* bytes;
 };
 
@@ -37,6 +39,12 @@ const WordMemoMetrics& Metrics() {
                            "from the memo, miss = scored cold");
     out.miss =
         r.GetCounter("nebula_meta_word_memo_total", {{"outcome", "miss"}}, "");
+    out.budget_drop = r.GetCounter(
+        "nebula_meta_word_memo_drops_total", {{"reason", "budget"}},
+        "Word-score memo wholesale drops: budget = a fill found it full, "
+        "version = the meta changed under a non-empty memo");
+    out.version_drop = r.GetCounter("nebula_meta_word_memo_drops_total",
+                                    {{"reason", "version"}}, "");
     out.bytes = r.GetGauge("nebula_meta_word_memo_bytes", {},
                            "Resident bytes of the word-score memo");
     return out;
@@ -189,27 +197,45 @@ const ValueColumn* NebulaMeta::FindValueColumn(
                                          : &value_columns_[it->second];
 }
 
-double NebulaMeta::ConceptMatchScore(const std::string& lower_word,
-                                     const SchemaItem& item) const {
+NebulaMeta::ConceptProbe NebulaMeta::MakeConceptProbe(
+    const std::string& lower_word) const {
+  std::string stem = StemLite(lower_word);
+  const size_t stem_ring = lexicon_.RingOf(stem);
+  return {lower_word, std::move(stem), lexicon_.RingOf(lower_word), stem_ring,
+          lexicon_.HasHypernyms(lower_word)};
+}
+
+double NebulaMeta::ConceptScore(const ConceptProbe& probe,
+                                const SchemaItem& item) const {
   // (1) Exact / stemmed name match.
-  if (lower_word == item.name) return scoring_.exact_name;
-  if (StemLite(lower_word) == item.name ||
-      StemLite(lower_word) == StemLite(item.name)) {
+  if (probe.word == item.name) return scoring_.exact_name;
+  if (probe.stem == item.name || probe.stem == StemLite(item.name)) {
     return scoring_.stemmed_name;
   }
   // (2) Expert-provided equivalent names.
   auto it = aliases_.find(item.Key());
-  if (it != aliases_.end() && it->second.count(lower_word) > 0) {
+  if (it != aliases_.end() && it->second.count(probe.word) > 0) {
     return scoring_.equivalent_name;
   }
   // (3) Lexicon synonyms (and stemmed synonyms: "loci" is tricky, but
-  // "locuses"/"articles" style plurals should still hit).
-  if (lexicon_.AreSynonyms(lower_word, item.name) ||
-      lexicon_.AreSynonyms(StemLite(lower_word), item.name) ||
-      lexicon_.IsHyponymOf(lower_word, item.name)) {
+  // "locuses"/"articles" style plurals should still hit), then hyponyms.
+  // Equal words were caught by (1), so a shared ring is the whole test.
+  if (probe.ring != Lexicon::kNoRing || probe.stem_ring != Lexicon::kNoRing) {
+    const size_t item_ring = lexicon_.RingOf(item.name);
+    if (item_ring != Lexicon::kNoRing &&
+        (item_ring == probe.ring || item_ring == probe.stem_ring)) {
+      return scoring_.synonym_name;
+    }
+  }
+  if (probe.has_hypernyms && lexicon_.IsHyponymOf(probe.word, item.name)) {
     return scoring_.synonym_name;
   }
   return 0.0;
+}
+
+double NebulaMeta::ConceptMatchScore(const std::string& lower_word,
+                                     const SchemaItem& item) const {
+  return ConceptScore(MakeConceptProbe(lower_word), item);
 }
 
 double NebulaMeta::DomainMatchScore(const std::string& word,
@@ -251,22 +277,27 @@ double NebulaMeta::DomainMatchScore(const std::string& word,
     if (column.samples_lower.count(lower) > 0) {
       best = scoring_.sample_exact;
     } else {
-      // Fuzzy matching only against samples sharing at least one trigram
-      // with the word (everything else has similarity 0 anyway).
+      // Fuzzy matching by ScanCount (Li, Lu and Lu, ICDE 2008): walking
+      // the word's trigrams through the inverted index counts the
+      // trigrams each sample shares with the word. That count is the
+      // intersection TrigramJaccardIds merges for, so sim below is the
+      // same division of the same integers; samples sharing none have
+      // similarity 0. The counts are per call: pool workers score
+      // concurrently.
       const std::vector<uint32_t> word_trigrams = TrigramIdSet(lower);
-      std::vector<uint32_t> candidates;
+      std::vector<uint32_t> shared(column.samples.size(), 0);
       for (uint32_t gram : word_trigrams) {
         auto it = column.sample_trigram_index.find(gram);
         if (it == column.sample_trigram_index.end()) continue;
-        candidates.insert(candidates.end(), it->second.begin(),
-                          it->second.end());
+        for (uint32_t i : it->second) ++shared[i];
       }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      for (uint32_t i : candidates) {
+      for (size_t i = 0; i < shared.size(); ++i) {
+        if (shared[i] == 0) continue;
+        const size_t inter = shared[i];
+        const size_t uni =
+            column.sample_trigrams[i].size() + word_trigrams.size() - inter;
         const double sim =
-            TrigramJaccardIds(column.sample_trigrams[i], word_trigrams);
+            static_cast<double>(inter) / static_cast<double>(uni);
         if (sim >= scoring_.sample_fuzzy_hi_threshold) {
           best = std::max(best, scoring_.sample_fuzzy_hi_scale * sim);
         } else if (sim >= scoring_.sample_fuzzy_lo_threshold) {
@@ -293,9 +324,10 @@ std::shared_ptr<const WordScores> NebulaMeta::ScoreWord(
   if constexpr (obs::kEnabled) Metrics().miss->Increment();
   auto scores = std::make_shared<WordScores>();
   const std::string lower = ToLower(word);
+  const ConceptProbe probe = MakeConceptProbe(lower);
   scores->concept_scores.reserve(schema_items_.size());
   for (const SchemaItem& item : schema_items_) {
-    scores->concept_scores.push_back(ConceptMatchScore(lower, item));
+    scores->concept_scores.push_back(ConceptScore(probe, item));
   }
   scores->domain_scores.reserve(value_columns_.size());
   for (const ValueColumn& column : value_columns_) {
@@ -312,7 +344,10 @@ std::shared_ptr<const WordScores> NebulaMeta::ScoreWord(
       charge <= kWordMemoBudgetBytes) {
     MutexLock lock(word_memo_.mutex);
     word_memo_.Sync(version_);
-    if (word_memo_.bytes + charge > kWordMemoBudgetBytes) word_memo_.Clear();
+    if (word_memo_.bytes + charge > kWordMemoBudgetBytes) {
+      word_memo_.Clear();
+      if constexpr (obs::kEnabled) Metrics().budget_drop->Increment();
+    }
     if (word_memo_.words.emplace(word, scores).second) {
       word_memo_.bytes += charge;
     }
@@ -321,6 +356,15 @@ std::shared_ptr<const WordScores> NebulaMeta::ScoreWord(
     }
   }
   return scores;
+}
+
+void NebulaMeta::WordMemo::Sync(uint64_t meta_version) {
+  if (meta_version == version) return;
+  if constexpr (obs::kEnabled) {
+    if (!words.empty()) Metrics().version_drop->Increment();
+  }
+  Clear();
+  version = meta_version;
 }
 
 size_t NebulaMeta::word_memo_size() const {

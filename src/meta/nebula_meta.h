@@ -180,12 +180,15 @@ class NebulaMeta {
   /// (DomainMatchScore on `word` itself), computed once and then served
   /// from a memo that Stage 1 and Stage 2 share. The memo drops
   /// everything when version() moves or when an insert would exceed
-  /// kWordMemoBudgetBytes. Safe to call concurrently with other const
-  /// methods; scoring runs outside the memo lock.
+  /// kWordMemoBudgetBytes, and counts each drop in
+  /// nebula_meta_word_memo_drops_total{reason}. Safe to call concurrently
+  /// with other const methods; scoring runs outside the memo lock.
   std::shared_ptr<const WordScores> ScoreWord(const std::string& word) const;
 
-  /// Resident bytes the word-score memo may hold.
-  static constexpr size_t kWordMemoBudgetBytes = 512 * 1024;
+  /// Resident bytes the word-score memo may hold: room for about 36k
+  /// words of the Mid schema (about 230 bytes each), so a stream whose
+  /// vocabulary is in the tens of thousands of words is scored once.
+  static constexpr size_t kWordMemoBudgetBytes = 8 * 1024 * 1024;
   /// Memoized words and their charged bytes, as of version().
   size_t word_memo_size() const;
   size_t word_memo_bytes() const;
@@ -194,6 +197,19 @@ class NebulaMeta {
   /// Durability snapshots persist/restore private state (version_, sample
   /// and alias internals) without widening the public mutator surface.
   friend durability::MetaSerializer;
+
+  /// What p(w,c) needs of one lower-cased word, looked up once per word
+  /// rather than once per schema item.
+  struct ConceptProbe {
+    const std::string& word;
+    std::string stem;    ///< StemLite(word)
+    size_t ring;         ///< lexicon ring of `word`, or Lexicon::kNoRing
+    size_t stem_ring;    ///< lexicon ring of `stem`
+    bool has_hypernyms;  ///< the lexicon lists hypernyms of `word`
+  };
+  ConceptProbe MakeConceptProbe(const std::string& lower_word) const;
+  /// The per-item half of ConceptMatchScore.
+  double ConceptScore(const ConceptProbe& probe, const SchemaItem& item) const;
 
   Lexicon lexicon_;
   MetaScoringParams scoring_;
@@ -221,10 +237,7 @@ class NebulaMeta {
       bytes = 0;
     }
     /// Drops every entry when the meta's version moved since the last call.
-    void Sync(uint64_t meta_version) REQUIRES(mutex) {
-      if (meta_version != version) Clear();
-      version = meta_version;
-    }
+    void Sync(uint64_t meta_version) REQUIRES(mutex);
     Mutex mutex{kLockRankMetaWordMemo};
     uint64_t version GUARDED_BY(mutex) = 0;
     size_t bytes GUARDED_BY(mutex) = 0;

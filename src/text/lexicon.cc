@@ -75,6 +75,11 @@ bool Lexicon::IsHyponymOf(const std::string& word,
   return false;
 }
 
+size_t Lexicon::RingOf(const std::string& lower_word) const {
+  auto it = ring_of_.find(lower_word);
+  return it == ring_of_.end() ? kNoRing : it->second;
+}
+
 std::vector<std::string> Lexicon::SynonymsOf(const std::string& word) const {
   const std::string lw = ToLower(word);
   auto it = ring_of_.find(lw);

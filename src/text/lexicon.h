@@ -33,6 +33,20 @@ class Lexicon {
   /// All synonyms of `word` (excluding itself); empty when unknown.
   std::vector<std::string> SynonymsOf(const std::string& word) const;
 
+  /// Ring id RingOf returns for a word in no synonym ring.
+  static constexpr size_t kNoRing = static_cast<size_t>(-1);
+
+  /// Synonym ring of an already lower-cased word, or kNoRing. Two
+  /// distinct lower-cased words are synonyms exactly when their rings are
+  /// equal and not kNoRing.
+  size_t RingOf(const std::string& lower_word) const;
+
+  /// True when the lexicon lists a hypernym of an already lower-cased
+  /// word; IsHyponymOf is false for every other word.
+  bool HasHypernyms(const std::string& lower_word) const {
+    return hypernyms_.count(lower_word) > 0;
+  }
+
   size_t num_words() const { return ring_of_.size(); }
 
   /// Builds the default lexicon shipped with Nebula: generic English

@@ -19,6 +19,7 @@
 #include "annotation/annotation_store.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/verification.h"
 #include "durability/journal.h"
@@ -363,6 +364,106 @@ TEST_F(DurabilityTest, DecodeUnitRejectsMalformedPayloads) {
   EXPECT_TRUE(durability::DecodeUnit(durability::EncodeUnit(unit)).ok());
 }
 
+/// Malformed and non-finite spellings a number field must refuse; every
+/// writer prints "%.17g", which parses back exactly.
+std::vector<std::string> BadNumbers() {
+  return {"nan", "nan?", "inf", "-inf", "1e999", "0.5x", " 0.5", ""};
+}
+
+/// BadNumbers plus what only an unsigned field refuses.
+std::vector<std::string> BadUnsigneds() {
+  std::vector<std::string> bad = BadNumbers();
+  for (const char* s : {"-1", "+1", "2x", "0.5", "1e3",
+                        "18446744073709551616"}) {
+    bad.emplace_back(s);
+  }
+  return bad;
+}
+
+/// `text` with tab-separated field `field` of its first line tagged `tag`
+/// replaced by `value`.
+std::string WithField(const std::string& text, const std::string& tag,
+                      size_t field, const std::string& value) {
+  std::vector<std::string> lines = Split(text, '\n');
+  for (std::string& line : lines) {
+    std::vector<std::string> fields = Split(line, '\t');
+    if (fields.empty() || fields[0] != tag) continue;
+    EXPECT_LT(field, fields.size()) << tag;
+    fields[field] = value;
+    line = Join(fields, "\t");
+    break;
+  }
+  return Join(lines, "\n");
+}
+
+TEST_F(DurabilityTest, DecodeUnitRejectsMalformedAndNonFiniteWeights) {
+  const std::string attach = "u\t1\t1\nt\t1\t0\t2\tP\t0.5";
+  const std::string task = "u\t1\t1\nv\t0\t1\t0\t2\t0.5\tPENDING\tev";
+  auto decoded = durability::DecodeUnit(attach);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->records[0].weight, 0.5);
+  decoded = durability::DecodeUnit(task);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->records[0].weight, 0.5);
+  for (const std::string& bad : BadNumbers()) {
+    EXPECT_EQ(durability::DecodeUnit(WithField(attach, "t", 5, bad))
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << "attach weight '" << bad << "'";
+    EXPECT_EQ(
+        durability::DecodeUnit(WithField(task, "v", 5, bad)).status().code(),
+        StatusCode::kCorruption)
+        << "task weight '" << bad << "'";
+  }
+  // Every weight a writer can print decodes to itself.
+  for (double w : {0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 4.9e-324, 1e300}) {
+    JournalRecord r;
+    r.kind = JournalRecord::Kind::kAttach;
+    r.weight = w;
+    decoded = durability::DecodeUnit(durability::EncodeUnit(Unit({r})));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->records[0].weight, w);
+  }
+}
+
+TEST_F(DurabilityTest, MetaSerializerRejectsMalformedNumberFields) {
+  auto universe = check::BuildCheckUniverse(9);
+  ASSERT_TRUE(universe.ok());
+  const std::string blob = MetaSerializer::SaveToString((*universe)->meta);
+  ASSERT_NE(blob.find("\nsamples\t"), std::string::npos);
+  auto load = [&](const std::string& text) {
+    NebulaMeta meta((*universe)->meta.lexicon());
+    return MetaSerializer::LoadFromString(text, &meta).code();
+  };
+  ASSERT_EQ(load(blob), StatusCode::kOk);
+  // A NaN weight would poison every p(w,c) and d(w,c).
+  for (size_t slot = 1; slot <= 12; ++slot) {
+    for (const std::string& bad : BadNumbers()) {
+      EXPECT_EQ(load(WithField(blob, "scoring", slot, bad)),
+                StatusCode::kCorruption)
+          << "scoring weight " << slot << " '" << bad << "'";
+    }
+  }
+  for (const std::string& bad : BadUnsigneds()) {
+    EXPECT_EQ(load(WithField(blob, "nebula-meta", 1, bad)),
+              StatusCode::kCorruption)
+        << "format '" << bad << "'";
+    EXPECT_EQ(load(WithField(blob, "nebula-meta", 2, bad)),
+              StatusCode::kCorruption)
+        << "version '" << bad << "'";
+    EXPECT_EQ(load(WithField(blob, "concept", 3, bad)),
+              StatusCode::kCorruption)
+        << "combo count '" << bad << "'";
+    EXPECT_EQ(load(WithField(blob, "samples", 1, bad)),
+              StatusCode::kCorruption)
+        << "sample count '" << bad << "'";
+  }
+  // A well-formed but unknown format is NotSupported.
+  EXPECT_EQ(load(WithField(blob, "nebula-meta", 1, "2")),
+            StatusCode::kNotSupported);
+}
+
 TEST_F(DurabilityTest, MetaSerializerRoundTripsACheckUniverseMeta) {
   auto universe = check::BuildCheckUniverse(17);
   ASSERT_TRUE(universe.ok());
@@ -480,6 +581,64 @@ TEST_F(DurabilityTest, SnapshotTaskFileRejectsMalformedFields) {
     const auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << tasks;
   }
+}
+
+TEST_F(DurabilityTest, SnapshotRejectsMalformedNumberFields) {
+  auto universe = check::BuildCheckUniverse(9);
+  ASSERT_TRUE(universe.ok());
+  SnapshotInfo info;
+  info.seq = 4;
+  info.committed_ops = 2;
+  ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
+                                        (*universe)->meta)
+                  .ok());
+  const std::string header = "nebula-snapshot\t2\t4\t2\t0\n";
+  const std::string tasks = "n\t1\t0\n0\t3\t0\t7\t0.5\tPENDING\n";
+  auto load = [&](const std::string& header_text,
+                  const std::string& tasks_text) {
+    {
+      std::ofstream out(dir_ + "/snapshot-4/SNAPSHOT", std::ios::trunc);
+      out << header_text;
+    }
+    {
+      std::ofstream out(dir_ + "/snapshot-4/tasks", std::ios::trunc);
+      out << tasks_text;
+    }
+    AnnotationStore store;
+    NebulaMeta meta((*universe)->meta.lexicon());
+    return durability::LoadCurrentSnapshot(dir_, &store, &meta);
+  };
+  const auto good = load(header, tasks);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->seq, 4u);
+  EXPECT_EQ(good->committed_ops, 2u);
+  ASSERT_EQ(good->task_image.tasks.size(), 1u);
+  EXPECT_EQ(good->task_image.tasks[0].confidence, 0.5);
+
+  // The hand-edited task line that once restored a NaN confidence.
+  EXPECT_EQ(load(header, "n\t1\t0\n0\t3\t0\t7\tnan?\tPENDING\n")
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  for (const std::string& bad : BadNumbers()) {
+    EXPECT_EQ(load(header, WithField(tasks, "0", 4, bad)).status().code(),
+              StatusCode::kCorruption)
+        << "confidence '" << bad << "'";
+  }
+  for (const std::string& bad : BadUnsigneds()) {
+    for (size_t field : {1, 2, 3}) {
+      EXPECT_EQ(load(WithField(header, "nebula-snapshot", field, bad), tasks)
+                    .status()
+                    .code(),
+                StatusCode::kCorruption)
+          << "header field " << field << " '" << bad << "'";
+    }
+  }
+  // A well-formed but unknown format is NotSupported.
+  EXPECT_EQ(load(WithField(header, "nebula-snapshot", 1, "3"), tasks)
+                .status()
+                .code(),
+            StatusCode::kNotSupported);
 }
 
 TEST_F(DurabilityTest, ReplayRebuildsTheCountersFromTaskAndCountRecords) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "annotation/annotation_store.h"
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/random.h"
@@ -12,9 +16,15 @@
 #include "common/string_util.h"
 #include "durability/meta_serialize.h"
 #include "meta/nebula_meta.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 #include "storage/value.h"
+#include "text/lexicon.h"
+#include "text/similarity.h"
+#include "text/tokenizer.h"
+#include "workload/generator.h"
+#include "workload/spec.h"
 
 namespace nebula {
 namespace {
@@ -145,6 +155,69 @@ TEST_F(MetaTest, ConceptUnrelatedScoresZero) {
   EXPECT_DOUBLE_EQ(meta_.ConceptMatchScore("jw0013", *gene), 0.0);
 }
 
+/// One p(w,c) tier per row, expected score written by hand. Each word is
+/// checked through ScoreWord in three spellings and through
+/// ConceptMatchScore on its lower-cased form.
+TEST(ConceptTiersTest, EveryTierScoresAsWrittenThroughBothEntryPoints) {
+  Lexicon lexicon;
+  lexicon.AddSynonyms({"gene", "locus", "cistron"});
+  lexicon.AddSynonyms({"protein", "polypeptide"});
+  lexicon.AddHyponym("oncogene", "gene");
+  lexicon.AddHyponym("kinase", "enzyme");
+  lexicon.AddHyponym("enzyme", "protein");
+  lexicon.AddHyponym("receptor", "polypeptide");
+  NebulaMeta meta(std::move(lexicon));
+  ASSERT_TRUE(meta.AddConcept("Gene", "gene", {{"gid"}, {"name"}}).ok());
+  ASSERT_TRUE(meta.AddConcept("Protein", "protein", {{"pid"}}).ok());
+  ASSERT_TRUE(meta.AddConcept("Paper", "papers", {{"authors"}}).ok());
+  meta.AddColumnAlias("gene", "gid", "locus tag");
+  meta.AddTableAlias("protein", "polypeptide");
+
+  struct Row {
+    const char* tier;
+    std::string word;  // lower-case
+    std::string item;  // SchemaItem::Key()
+    double expected;
+  };
+  const std::vector<Row> rows = {
+      {"exact", "gene", "gene", 1.0},
+      {"stemmed word", "genes", "gene", 0.95},
+      {"stemmed item name", "paper", "papers", 0.95},
+      {"stemmed word and item name", "authored", "papers.authors", 0.95},
+      {"alias", "tag", "gene.gid", 0.9},
+      {"alias before synonym", "polypeptide", "protein", 0.9},
+      {"synonym", "locus", "gene", 0.7},
+      {"stemmed synonym", "cistrons", "gene", 0.7},
+      {"hyponym", "oncogene", "gene", 0.7},
+      {"transitive hyponym", "kinase", "protein", 0.7},
+      {"hyponym of a synonym", "receptor", "protein", 0.7},
+      {"synonym of another item", "locus", "protein", 0.0},
+      {"unrelated", "banana", "gene", 0.0},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.tier) + ": " + row.word + " ~ " + row.item);
+    size_t index = meta.schema_items().size();
+    for (size_t i = 0; i < meta.schema_items().size(); ++i) {
+      if (meta.schema_items()[i].Key() == row.item) index = i;
+    }
+    ASSERT_LT(index, meta.schema_items().size());
+    std::string capitalized = row.word;
+    capitalized[0] = static_cast<char>(capitalized[0] - 'a' + 'A');
+    for (const std::string& spelling :
+         {row.word, capitalized, ToUpper(row.word)}) {
+      EXPECT_EQ(meta.ScoreWord(spelling)->concept_scores[index], row.expected)
+          << spelling;
+      EXPECT_EQ(meta.ConceptMatchScore(ToLower(spelling),
+                                       meta.schema_items()[index]),
+                row.expected)
+          << spelling;
+    }
+  }
+  for (double score : meta.ScoreWord("Banana")->concept_scores) {
+    EXPECT_EQ(score, 0.0);
+  }
+}
+
 // ----------------------- DomainMatchScore d(w,c) -----------------------
 
 TEST_F(MetaTest, PatternMatchScoresHigh) {
@@ -269,6 +342,103 @@ std::vector<std::string> ScoreWordInputs() {
       "'; DROP TABLE gene; --", std::string(1 << 20, 'x')};
 }
 
+/// Reference d(w,c) of a samples-only column, pairwise: candidates from
+/// the inverted index, TrigramJaccardIds per candidate, then the two fuzzy
+/// bands. DomainMatchScore's shared-trigram counts must equal it bit for
+/// bit.
+double PairwiseSampleScore(const MetaScoringParams& p,
+                           const ValueColumn& column,
+                           const std::string& word) {
+  const std::string lower = ToLower(word);
+  double best = 0.0;
+  if (column.samples_lower.count(lower) > 0) {
+    best = p.sample_exact;
+  } else {
+    const std::vector<uint32_t> word_trigrams = TrigramIdSet(lower);
+    std::vector<uint32_t> candidates;
+    for (uint32_t gram : word_trigrams) {
+      auto it = column.sample_trigram_index.find(gram);
+      if (it == column.sample_trigram_index.end()) continue;
+      candidates.insert(candidates.end(), it->second.begin(),
+                        it->second.end());
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (uint32_t i : candidates) {
+      const double sim =
+          TrigramJaccardIds(column.sample_trigrams[i], word_trigrams);
+      if (sim >= p.sample_fuzzy_hi_threshold) {
+        best = std::max(best, p.sample_fuzzy_hi_scale * sim);
+      } else if (sim >= p.sample_fuzzy_lo_threshold) {
+        best = std::max(best, p.sample_fuzzy_lo_scale * sim);
+      }
+    }
+  }
+  return std::min(p.type_compatible + best, 1.0);
+}
+
+TEST(SampleMatchTest, TrigramCountsEqualPairwiseJaccardBitForBit) {
+  auto dataset = GenerateBioDataset(DatasetSpec::Small());
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const NebulaMeta& meta = (*dataset)->meta;
+  const ValueColumn* pname = meta.FindValueColumn("protein", "pname");
+  ASSERT_NE(pname, nullptr);
+  ASSERT_EQ(pname->type, DataType::kString);
+  ASSERT_FALSE(pname->pattern.has_value());
+  ASSERT_TRUE(pname->ontology.empty());
+  ASSERT_GT(pname->samples.size(), 50u);
+
+  std::vector<std::string> inputs = ScoreWordInputs();
+  // Every sample, and every one-character substitution, deletion and
+  // append of it: the hi and lo bands live here.
+  for (const std::string& sample : pname->samples) {
+    inputs.push_back(sample);
+    inputs.push_back(sample + "2");
+    for (size_t i = 0; i < sample.size(); ++i) {
+      std::string substituted = sample;
+      substituted[i] = substituted[i] == 'q' ? 'z' : 'q';
+      inputs.push_back(substituted);
+      inputs.push_back(sample.substr(0, i) + sample.substr(i + 1));
+    }
+  }
+  // 2,000 distinct words of the annotation stream.
+  std::unordered_set<std::string> stream_words;
+  const AnnotationStore& store = (*dataset)->store;
+  for (AnnotationId id = 0;
+       id < store.num_annotations() && stream_words.size() < 2000; ++id) {
+    auto annotation = store.GetAnnotation(id);
+    ASSERT_TRUE(annotation.ok());
+    for (const Token& token : Tokenize((*annotation)->text)) {
+      if (stream_words.size() == 2000) break;
+      if (stream_words.insert(token.text).second) inputs.push_back(token.text);
+    }
+  }
+  ASSERT_EQ(stream_words.size(), 2000u);
+  // Random alphanumeric strings of length 1-40.
+  const std::string alphabet =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  Rng rng(11);
+  for (int n = 0; n < 2000; ++n) {
+    std::string word(1 + rng.Uniform(40), ' ');
+    for (char& c : word) c = alphabet[rng.Uniform(alphabet.size())];
+    inputs.push_back(word);
+  }
+
+  size_t fuzzy = 0;
+  for (const std::string& word : inputs) {
+    const double expected = PairwiseSampleScore(meta.scoring(), *pname, word);
+    ASSERT_EQ(meta.DomainMatchScore(word, *pname), expected)
+        << "word of " << word.size() << " bytes: " << word.substr(0, 40);
+    if (expected != meta.scoring().type_compatible &&
+        pname->samples_lower.count(ToLower(word)) == 0) {
+      ++fuzzy;
+    }
+  }
+  // The inputs exercise the fuzzy bands, not just exact hits and misses.
+  EXPECT_GT(fuzzy, 1000u);
+}
+
 TEST_F(MetaTest, ScoreWordEqualsScorersColdAndWarm) {
   Rng rng(7);
   ASSERT_TRUE(meta_.DrawColumnSamples(catalog_, 10, &rng).ok());
@@ -277,26 +447,75 @@ TEST_F(MetaTest, ScoreWordEqualsScorersColdAndWarm) {
   for (const std::string& word : inputs) {
     ExpectScoreWordMatchesScorers(meta_, word);
   }
-  // Every input is memoized except the 1 MB token, which alone exceeds
-  // the budget.
-  EXPECT_EQ(meta_.word_memo_size(), inputs.size() - 1);
+  // Every input is memoized, the 1 MB token included.
+  EXPECT_EQ(meta_.word_memo_size(), inputs.size());
   EXPECT_LE(meta_.word_memo_bytes(), NebulaMeta::kWordMemoBudgetBytes);
 }
 
+TEST_F(MetaTest, WordMemoNeverKeepsAWordLargerThanTheBudget) {
+  (void)meta_.ScoreWord("gene");
+  const std::string huge(NebulaMeta::kWordMemoBudgetBytes + 1, 'x');
+  ExpectScoreWordMatchesScorers(meta_, huge);
+  // Not kept, and the memo it would have overflowed is left alone.
+  EXPECT_EQ(meta_.word_memo_size(), 1u);
+  EXPECT_LE(meta_.word_memo_bytes(), NebulaMeta::kWordMemoBudgetBytes);
+}
+
+uint64_t WordMemoDrops(const std::string& reason) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("nebula_meta_word_memo_drops_total", {{"reason", reason}})
+      ->Value();
+}
+
 TEST_F(MetaTest, WordMemoStaysWithinBudgetPastCapacity) {
+  // Fixed-width words carry one charge each, so the memo fills after
+  // exactly budget / charge of them and the next fill drops it whole.
+  auto word = [](size_t i) { return StrFormat("word%07zu", i); };
+  const uint64_t budget_drops = WordMemoDrops("budget");
+  (void)meta_.ScoreWord(word(0));
+  const size_t charge = meta_.word_memo_bytes();
+  ASSERT_GT(charge, 0u);
+  const size_t capacity = NebulaMeta::kWordMemoBudgetBytes / charge;
   size_t drops = 0;
-  size_t last_size = 0;
-  for (int i = 0; i < 20000; ++i) {
-    (void)meta_.ScoreWord("word" + std::to_string(i));
+  size_t last_size = meta_.word_memo_size();
+  for (size_t i = 1; i < capacity + capacity / 2; ++i) {
+    (void)meta_.ScoreWord(word(i));
     const size_t size = meta_.word_memo_size();
-    if (size < last_size) ++drops;
+    if (size < last_size) {
+      ++drops;
+      EXPECT_EQ(i, capacity);
+    }
     last_size = size;
     ASSERT_LE(meta_.word_memo_bytes(), NebulaMeta::kWordMemoBudgetBytes);
   }
-  EXPECT_GT(drops, 0u);
-  EXPECT_GT(meta_.word_memo_size(), 0u);
-  ExpectScoreWordMatchesScorers(meta_, "word19999");
-  ExpectScoreWordMatchesScorers(meta_, "word0");
+  EXPECT_EQ(drops, 1u);
+  EXPECT_EQ(meta_.word_memo_size(), capacity / 2);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(WordMemoDrops("budget") - budget_drops, drops);
+  }
+  ExpectScoreWordMatchesScorers(meta_, word(capacity + capacity / 2 - 1));
+  ExpectScoreWordMatchesScorers(meta_, word(0));
+}
+
+TEST(WordMemoCapacityTest, HoldsTheVocabularyOfAMidShapedSchemaWithoutADrop) {
+  // Every DatasetSpec shares the Mid schema: 8 schema items, 6 value
+  // columns.
+  auto dataset = GenerateBioDataset(DatasetSpec::Tiny());
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const NebulaMeta& meta = (*dataset)->meta;
+  ASSERT_EQ(meta.schema_items().size(), 8u);
+  ASSERT_EQ(meta.value_columns().size(), 6u);
+
+  const uint64_t budget_drops = WordMemoDrops("budget");
+  constexpr size_t kWords = 25000;
+  for (size_t i = 0; i < kWords; ++i) {
+    (void)meta.ScoreWord(StrFormat("stream%06zu", i));
+  }
+  EXPECT_EQ(meta.word_memo_size(), kWords);
+  EXPECT_LE(meta.word_memo_bytes(), NebulaMeta::kWordMemoBudgetBytes);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(WordMemoDrops("budget"), budget_drops);
+  }
 }
 
 TEST_F(MetaTest, WordMemoDropsOnEveryMutator) {
@@ -334,6 +553,8 @@ TEST_F(MetaTest, WordMemoDropsOnEveryMutator) {
       };
   for (const auto& [name, mutate] : mutators) {
     SCOPED_TRACE(name);
+    const uint64_t version_drops = WordMemoDrops("version");
+    const uint64_t budget_drops = WordMemoDrops("budget");
     // The lookup path: each mutator changes some word's scores, so a memo
     // that outlived it would fail the comparison.
     for (const std::string& w : words) (void)meta_.ScoreWord(w);
@@ -346,6 +567,11 @@ TEST_F(MetaTest, WordMemoDropsOnEveryMutator) {
     mutate();
     EXPECT_EQ(meta_.word_memo_size(), 0u);
     EXPECT_EQ(meta_.word_memo_bytes(), 0u);
+    // One drop per mutation, each of a non-empty memo.
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(WordMemoDrops("version") - version_drops, 2u);
+      EXPECT_EQ(WordMemoDrops("budget"), budget_drops);
+    }
   }
 }
 

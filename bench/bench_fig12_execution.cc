@@ -89,7 +89,7 @@ std::vector<std::string> HarvestTokens(const Table& table, size_t column,
 
 /// The value-keyword micro-workload: token-containment SELECTs over the
 /// publication table, executed by the same QueryExecutor twice — value
-/// index on (posting-list intersection) vs off (legacy text-index driver
+/// index on (posting-list intersection) vs off (legacy posting-list driver
 /// + per-candidate re-tokenization). Results must be identical; the
 /// speedup is the committed evidence for the Stage-2 index.
 struct ValueKeywordResult {

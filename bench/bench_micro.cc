@@ -58,16 +58,17 @@ void BM_HashIndexLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_HashIndexLookup);
 
-void BM_TextIndexLookup(benchmark::State& state) {
+void BM_LookupToken(benchmark::State& state) {
   BioDataset* ds = Dataset();
   const Table* pub = ds->catalog.GetTableById(ds->publication_table);
   const size_t abstract =
       static_cast<size_t>(pub->schema().ColumnIndex("abstract"));
+  std::vector<Table::RowId> scan;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pub->LookupToken(abstract, "expression"));
+    benchmark::DoNotOptimize(pub->LookupToken(abstract, "expression", &scan));
   }
 }
-BENCHMARK(BM_TextIndexLookup);
+BENCHMARK(BM_LookupToken);
 
 void BM_Tokenize(benchmark::State& state) {
   BioDataset* ds = Dataset();

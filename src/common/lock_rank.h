@@ -38,7 +38,7 @@ struct LockRank {
   int tier;
 };
 
-/// Reserved for the engine-wide mutex (ROADMAP item 4); outermost by
+/// Reserved for the engine-wide mutex (ROADMAP item 8); outermost by
 /// construction — engine-level locks are taken first.
 inline constexpr LockRank kLockRankEngine = {"engine", 10};
 

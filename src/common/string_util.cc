@@ -121,6 +121,13 @@ std::optional<uint64_t> ParseUint64(std::string_view s) {
   return v;
 }
 
+std::optional<int64_t> ParseInt64(std::string_view s) {
+  int64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 std::optional<double> ParseFiniteDouble(std::string_view s) {
   double v = 0.0;
   const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);

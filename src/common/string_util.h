@@ -43,11 +43,13 @@ bool LooksLikeInteger(std::string_view s);
 /// True if the string parses as a floating-point literal.
 bool LooksLikeNumber(std::string_view s);
 
-/// Checked decimal parses for text formats read back from disk, built on
-/// std::from_chars (locale-independent, and it round-trips "%.17g"). The
-/// whole field must be consumed, else nullopt. An unsigned field takes no
-/// sign, no space and no overflow; a double must be finite.
+/// Checked decimal parses for text read back from disk or typed by a
+/// person, built on std::from_chars (locale-independent, and it
+/// round-trips "%.17g"). The whole field must be consumed, else nullopt.
+/// No field takes a space, a '+' or an overflow; an unsigned field takes
+/// no sign at all, a signed one a leading '-'; a double must be finite.
 std::optional<uint64_t> ParseUint64(std::string_view s);
+std::optional<int64_t> ParseInt64(std::string_view s);
 std::optional<double> ParseFiniteDouble(std::string_view s);
 
 /// printf-style formatting into a std::string.

@@ -44,12 +44,12 @@ struct NebulaConfig {
   /// spreading params disable that requirement).
   bool enable_focal_spreading = false;
   AcgStabilityConfig acg_stability;
-  /// Master switch for the two Stage-2 accelerations: the tables' unified
-  /// inverted value index, and whether Stage 2 is handed the engine's
-  /// keyword->configuration plan cache. Off forces the legacy
-  /// scan-and-recompile path everywhere; results, rankings, and ExecStats
-  /// are bit-identical either way (the differential harness's "index"
-  /// pair proves it).
+  /// Master switch for the two Stage-2 accelerations: posting-list
+  /// intersection over the tables' unified inverted value index, and
+  /// whether Stage 2 is handed the engine's keyword->configuration plan
+  /// cache. Off forces the legacy driver-and-recompile path everywhere;
+  /// results, rankings, and ExecStats are bit-identical either way (the
+  /// differential harness's "index" pair proves it).
   bool use_value_index = true;
   /// Footnote-1 guard: when an annotation's prediction covers an
   /// excessive share of the database, skip verification submission.

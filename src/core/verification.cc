@@ -1,6 +1,7 @@
 #include "core/verification.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -304,13 +305,13 @@ Status VerificationManager::ExecuteCommand(const std::string& command) {
     return Status::InvalidArgument(
         "expected: [VERIFY | REJECT] ATTACHMENT <vid>");
   }
-  if (!LooksLikeInteger(parts[2])) {
-    return Status::InvalidArgument("vid must be an integer, got '" +
-                                   parts[2] + "'");
+  const std::optional<uint64_t> vid = ParseUint64(parts[2]);
+  if (!vid.has_value()) {
+    return Status::InvalidArgument(
+        "vid must be an unsigned 64-bit integer, got '" + parts[2] + "'");
   }
-  const uint64_t vid = std::strtoull(parts[2].c_str(), nullptr, 10);
-  if (EqualsIgnoreCase(parts[0], "verify")) return Verify(vid);
-  if (EqualsIgnoreCase(parts[0], "reject")) return Reject(vid);
+  if (EqualsIgnoreCase(parts[0], "verify")) return Verify(*vid);
+  if (EqualsIgnoreCase(parts[0], "reject")) return Reject(*vid);
   return Status::InvalidArgument("unknown verb '" + parts[0] +
                                  "' (expected VERIFY or REJECT)");
 }

@@ -39,7 +39,8 @@ const KeywordEngineMetrics& Metrics() {
     out.probe_index = r.GetCounter(
         "nebula_value_index_probe_total", {{"path", "index"}},
         "Statement executions by access path: index = value-index "
-        "posting-list intersection, legacy = hash/text-index or scan");
+        "posting-list intersection, legacy = hash index, posting list or "
+        "scan");
     out.probe_legacy = r.GetCounter("nebula_value_index_probe_total",
                                     {{"path", "legacy"}}, "");
     out.index_lookup_us =
@@ -78,7 +79,8 @@ KeywordSearchEngine::KeywordSearchEngine(const Catalog* catalog,
 double KeywordSearchEngine::TextMappingScore(const Table& table,
                                              size_t column,
                                              const std::string& token) const {
-  const auto& postings = table.LookupToken(column, token);
+  std::vector<Table::RowId> scan;
+  const auto& postings = table.LookupToken(column, token, &scan);
   if (postings.empty()) return 0.0;
   const double n = static_cast<double>(table.num_rows());
   const double df = static_cast<double>(postings.size());
@@ -135,12 +137,12 @@ std::vector<KeywordMapping> KeywordSearchEngine::MapKeyword(
     mappings.push_back(m);
   }
 
-  // (c) Text-index containment mappings over every text-indexed string
-  // column (this is what makes the Naive whole-annotation query explode:
-  // ordinary English words map into publication titles/abstracts).
+  // (c) Token-containment mappings over every declared text column (this
+  // is what makes the Naive whole-annotation query explode: ordinary
+  // English words map into publication titles/abstracts).
   for (const auto& table : catalog_->tables()) {
     for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-      if (!table->HasTextIndex(c)) continue;
+      if (!table->IsTextColumn(c)) continue;
       // Skip columns already covered by a declared value mapping for this
       // word: the declared mapping is strictly more informative.
       const ValueColumn* declared =
@@ -403,19 +405,6 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
   hits.reserve(rows.size());
   for (Table::RowId r : rows) {
     hits.push_back({TupleId{table->id(), r}, sql.confidence});
-  }
-  if (params_.fk_expansion) {
-    std::vector<SearchHit> expanded;
-    for (const auto& hit : hits) {
-      size_t added = 0;
-      for (const TupleId& nb : catalog_->FkNeighbors(hit.tuple)) {
-        if (added >= params_.fk_fanout_cap) break;
-        if (mini_db != nullptr && !mini_db->Contains(nb)) continue;
-        expanded.push_back({nb, hit.confidence * params_.fk_decay});
-        ++added;
-      }
-    }
-    hits.insert(hits.end(), expanded.begin(), expanded.end());
   }
   return hits;
 }

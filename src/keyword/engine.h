@@ -31,7 +31,7 @@ struct GeneratedSql {
 /// builds on (Bergamaschi et al. [7] style).
 ///
 /// Pipeline: (1) map each keyword to candidate schema items and value
-/// domains using NebulaMeta plus the tables' inverted text indexes;
+/// domains using NebulaMeta plus the declared text columns' posting lists;
 /// (2) combine the mappings into configurations and compile each to a
 /// conjunctive SQL statement with a confidence weight; (3) execute the SQL
 /// (optionally restricted to a MiniDb) and merge the per-tuple confidences.
@@ -84,7 +84,7 @@ class KeywordSearchEngine {
       ExecStats* stats) const;
 
   /// Step 3 — executes one generated statement; hits carry
-  /// `sql.confidence`, FK-expanded when params.fk_expansion is set.
+  /// `sql.confidence`.
   [[nodiscard]] Result<std::vector<SearchHit>> ExecuteSql(const GeneratedSql& sql,
                                             const MiniDb* mini_db = nullptr);
 
@@ -114,7 +114,7 @@ class KeywordSearchEngine {
   const NebulaMeta* meta() const { return meta_; }
 
  private:
-  /// idf-weighted score for `token` appearing in a text-indexed column.
+  /// idf-weighted score for `token` appearing in a declared text column.
   double TextMappingScore(const Table& table, size_t column,
                           const std::string& token) const;
 

@@ -65,11 +65,11 @@ struct KeywordSearchParams {
   double column_context_boost = 0.15;
   /// Extra weight for unique (identifier) columns.
   double unique_column_boost = 0.08;
-  /// Base + idf scaling for text-index (token containment) mappings.
+  /// Base + idf scaling for text-column (token containment) mappings.
   double text_score_base = 0.20;
   double text_score_idf_scale = 0.60;
-  /// When true, containment probes are executed by scanning (no inverted
-  /// text index on the execution path) — the cost model of the paper's
+  /// When true, containment probes are executed by scanning (no posting
+  /// list on the execution path) — the cost model of the paper's
   /// RDBMS substrate, where the search technique's generated SQL uses
   /// LIKE predicates. Mapping statistics still come from the index.
   bool scan_containment = false;
@@ -81,11 +81,6 @@ struct KeywordSearchParams {
   bool use_value_index = true;
 
   bool operator==(const KeywordSearchParams&) const = default;
-  /// Optional FK one-hop expansion of answers (off by default; see
-  /// DESIGN.md ablation notes).
-  bool fk_expansion = false;
-  double fk_decay = 0.40;
-  size_t fk_fanout_cap = 8;
 };
 
 }  // namespace nebula

@@ -1,5 +1,7 @@
 #include "keyword/shared_executor.h"
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -120,14 +122,15 @@ Status SharedKeywordExecutor::ExecuteGroup(
     m.sql_executed->Increment(stats_.distinct_sql);
     m.sql_shared->Increment(stats_.total_sql - stats_.distinct_sql);
     // Per-table breakdown of the planned statements (counted at planning
-    // time).
+    // time): one labeled-counter lookup per table per group.
+    std::map<std::string, uint64_t> per_table;
+    for (const PlannedSql& planned : plan) ++per_table[planned.sql.query.table];
     auto& registry = obs::MetricsRegistry::Global();
-    for (const PlannedSql& planned : plan) {
+    for (const auto& [table, count] : per_table) {
       registry
-          .GetCounter("nebula_sql_statements_total",
-                      {{"table", planned.sql.query.table}},
+          .GetCounter("nebula_sql_statements_total", {{"table", table}},
                       "Distinct statements executed, by target table")
-          ->Increment();
+          ->Increment(count);
     }
   }
 

@@ -51,7 +51,7 @@ struct WideEvent {
   // Cache / index path.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t index_lookups = 0;  ///< hash/text-index driver probes
+  uint64_t index_lookups = 0;  ///< hash-index / posting-list driver probes
   uint64_t rows_examined = 0;
   uint64_t sql_executed = 0;  ///< distinct statements actually executed
   uint64_t sql_shared = 0;    ///< statements deduplicated by sharing

@@ -12,9 +12,10 @@
 /// is built from these helpers; nebula_lint's [sql-taint] pass enforces
 /// that no registered SQL sink (tools/sql_sinks.txt) returns a string
 /// assembled from unescaped runtime values. Annotation text is untrusted
-/// input (ROADMAP item 1 puts the engine behind a socket), so a value
-/// containing `'`, `;--`, or an embedded NUL must never alter query
-/// structure or collide two distinct statements onto one cache key.
+/// input (the extended-SQL shell and any future network front end pass
+/// it through verbatim), so a value containing `'`, `;--`, or an
+/// embedded NUL must never alter query structure or collide two distinct
+/// statements onto one cache key.
 ///
 /// The escapes are the identity on alphanumeric/space text — the entire
 /// NebulaCheck universe — so adopting this layer is bit-identical for

@@ -1,6 +1,6 @@
 #include "sql/parser.h"
 
-#include <cstdlib>
+#include <optional>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -111,19 +111,26 @@ Result<CompareOp> ParseOp(Cursor* cursor) {
 }
 
 /// Parses one literal into a typed Value: quoted -> string; otherwise a
-/// number (integer when it has no '.').
+/// number (integer when it has no '.'). A number token that is not one
+/// well-formed number ("1.2.3") or overflows is InvalidArgument.
 Result<Value> ParseLiteral(Cursor* cursor) {
   const SqlToken& tok = cursor->Peek();
   if (tok.kind == TokenKind::kString) {
     return Value(cursor->Next().text);
   }
   if (tok.kind == TokenKind::kNumber) {
-    const std::string text = cursor->Next().text;
-    if (text.find('.') == std::string::npos) {
-      return Value(static_cast<int64_t>(std::strtoll(text.c_str(), nullptr,
-                                                     10)));
+    const SqlToken& number = cursor->Next();
+    if (number.text.find('.') == std::string::npos) {
+      if (const std::optional<int64_t> v = ParseInt64(number.text)) {
+        return Value(*v);
+      }
+    } else if (const std::optional<double> v =
+                   ParseFiniteDouble(number.text)) {
+      return Value(*v);
     }
-    return Value(std::strtod(text.c_str(), nullptr));
+    return Status::InvalidArgument(
+        StrFormat("malformed number '%s' at offset %zu", number.text.c_str(),
+                  number.offset));
   }
   return Status::InvalidArgument(
       StrFormat("expected literal at offset %zu", tok.offset));
@@ -262,7 +269,14 @@ Result<Statement> ParseVerify(Cursor* cursor, bool accept) {
   if (cursor->Peek().kind != TokenKind::kNumber) {
     return Status::InvalidArgument("expected a verification task id");
   }
-  stmt.vid = std::strtoull(cursor->Next().text.c_str(), nullptr, 10);
+  const SqlToken& vid = cursor->Next();
+  const std::optional<uint64_t> parsed = ParseUint64(vid.text);
+  if (!parsed.has_value()) {
+    return Status::InvalidArgument(
+        StrFormat("malformed verification task id '%s' at offset %zu",
+                  vid.text.c_str(), vid.offset));
+  }
+  stmt.vid = *parsed;
   return Statement(stmt);
 }
 

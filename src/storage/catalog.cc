@@ -6,7 +6,6 @@
 #include "common/string_util.h"
 #include "storage/schema.h"
 #include "storage/table.h"
-#include "storage/value.h"
 
 namespace nebula {
 
@@ -75,36 +74,6 @@ std::vector<const ForeignKey*> Catalog::ForeignKeysOf(
     if (EqualsIgnoreCase(fk.child_table, table) ||
         EqualsIgnoreCase(fk.parent_table, table)) {
       out.push_back(&fk);
-    }
-  }
-  return out;
-}
-
-std::vector<TupleId> Catalog::FkNeighbors(const TupleId& id) const {
-  std::vector<TupleId> out;
-  const Table* table = GetTableById(id.table_id);
-  for (const auto& fk : foreign_keys_) {
-    if (EqualsIgnoreCase(fk.child_table, table->name())) {
-      // child -> parent: look up the FK value in the parent's PK column.
-      const int child_col = table->schema().ColumnIndex(fk.child_column);
-      auto parent_result = GetTable(fk.parent_table);
-      if (!parent_result.ok() || child_col < 0) continue;
-      const Table* parent = *parent_result;
-      const Value& v = table->GetCell(id.row, static_cast<size_t>(child_col));
-      for (Table::RowId r : parent->Lookup(fk.parent_column, v)) {
-        out.push_back({parent->id(), r});
-      }
-    }
-    if (EqualsIgnoreCase(fk.parent_table, table->name())) {
-      // parent -> children: find child rows referencing this PK value.
-      const int parent_col = table->schema().ColumnIndex(fk.parent_column);
-      auto child_result = GetTable(fk.child_table);
-      if (!child_result.ok() || parent_col < 0) continue;
-      const Table* child = *child_result;
-      const Value& v = table->GetCell(id.row, static_cast<size_t>(parent_col));
-      for (Table::RowId r : child->Lookup(fk.child_column, v)) {
-        out.push_back({child->id(), r});
-      }
     }
   }
   return out;

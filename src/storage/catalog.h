@@ -12,9 +12,8 @@
 
 namespace nebula {
 
-/// A declared FK-PK relationship between two tables. The keyword-search
-/// layer walks these edges to join tuples into meaningful answers, exactly
-/// as the underlying search technique of the paper does internally.
+/// A declared FK-PK relationship between two tables. The SQL front end's
+/// joins (QueryExecutor::ExecuteJoin) follow these edges.
 struct ForeignKey {
   std::string child_table;
   std::string child_column;
@@ -53,11 +52,6 @@ class Catalog {
 
   /// FK edges incident to `table` (either side).
   std::vector<const ForeignKey*> ForeignKeysOf(const std::string& table) const;
-
-  /// Follows FK edges one hop from `id`: both child->parent and
-  /// parent->child directions. Used by join expansion and by the keyword
-  /// executor to assemble related tuples.
-  std::vector<TupleId> FkNeighbors(const TupleId& id) const;
 
   /// Total number of rows across all tables.
   uint64_t TotalRows() const;

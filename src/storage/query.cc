@@ -125,16 +125,18 @@ std::optional<std::vector<Table::RowId>> QueryExecutor::TryValueIndexPath(
 
   // Replay the counters the legacy access path would have produced, so
   // ExecStats stay bit-identical whichever path answers the query. The
-  // legacy driver here is the first token predicate with a text index
-  // (rows_examined = its posting count), else a full scan.
+  // legacy driver here is the first token predicate on a declared text
+  // column (rows_examined = its posting count), else a full scan.
   uint64_t replay_rows = table.num_rows();
   bool replay_index_lookup = false;
   if (allow_text_index) {
     for (size_t i : token_preds) {
       const size_t ord = static_cast<size_t>(ordinals[i]);
-      if (!table.HasTextIndex(ord)) continue;
+      if (!table.IsTextColumn(ord)) continue;
+      std::vector<Table::RowId> scan;
       replay_rows =
-          table.LookupToken(ord, query.predicates[i].value.ToString()).size();
+          table.LookupToken(ord, query.predicates[i].value.ToString(), &scan)
+              .size();
       replay_index_lookup = true;
       break;
     }
@@ -233,7 +235,8 @@ Result<std::vector<Table::RowId>> QueryExecutor::Execute(
   ++path_stats_.legacy_path;
 
   // Pick an access path: prefer an equality predicate (hash index), then a
-  // token predicate with a text index, then scan.
+  // token predicate on a declared text column (its posting list), then
+  // scan.
   int driver = -1;
   bool driver_is_token = false;
   for (size_t i = 0; i < query.predicates.size(); ++i) {
@@ -245,7 +248,7 @@ Result<std::vector<Table::RowId>> QueryExecutor::Execute(
   if (driver < 0 && allow_text_index) {
     for (size_t i = 0; i < query.predicates.size(); ++i) {
       if (query.predicates[i].op == CompareOp::kContainsToken &&
-          table->HasTextIndex(static_cast<size_t>(ordinals[i]))) {
+          table->IsTextColumn(static_cast<size_t>(ordinals[i]))) {
         driver = static_cast<int>(i);
         driver_is_token = true;
         break;
@@ -267,11 +270,12 @@ Result<std::vector<Table::RowId>> QueryExecutor::Execute(
   if (driver >= 0) {
     ++stats_.index_lookups;
     const auto& p = query.predicates[static_cast<size_t>(driver)];
-    std::vector<Table::RowId> candidates =
-        driver_is_token
-            ? table->LookupToken(static_cast<size_t>(ordinals[driver]),
-                                 p.value.ToString())
-            : table->Lookup(static_cast<size_t>(ordinals[driver]), p.value);
+    const size_t ord = static_cast<size_t>(ordinals[driver]);
+    std::vector<Table::RowId> rows;
+    if (!driver_is_token) rows = table->Lookup(ord, p.value);
+    const std::vector<Table::RowId>& candidates =
+        driver_is_token ? table->LookupToken(ord, p.value.ToString(), &rows)
+                        : rows;
     for (Table::RowId r : candidates) consider(r);
   } else if (restrict != nullptr) {
     // Scan only the restricted subset.

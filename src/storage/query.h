@@ -23,7 +23,8 @@ enum class CompareOp {
   kGt,
   kGe,
   /// String column contains the (lower-cased) token; served by the
-  /// inverted text index when one exists, otherwise by scanning.
+  /// value index's posting list on a declared text column, otherwise by
+  /// scanning.
   kContainsToken,
 };
 
@@ -86,7 +87,7 @@ struct JoinQuery {
 
 /// Per-executor breakdown of which access path served Execute calls:
 /// `index_path` = resolved through the table's unified inverted value
-/// index; `legacy_path` = hash-index / text-index / scan evaluation. The
+/// index; `legacy_path` = hash-index / posting-list / scan evaluation. The
 /// keyword layer exports these as obs counters (storage cannot reach obs).
 struct IndexPathStats {
   uint64_t index_path = 0;
@@ -96,13 +97,15 @@ struct IndexPathStats {
 /// Evaluates conjunctive selections over the catalog.
 ///
 /// Strategy: if any equality predicate exists, probe the column hash index
-/// and verify the residue; if a kContainsToken predicate has a text index,
-/// probe that; otherwise fall back to a scan. An optional row restriction
-/// (`restrict`) confines evaluation to a subset of rows — this is how the
-/// focal-spreading miniDB search reuses the same executor. A restriction
-/// must be sorted ascending and duplicate-free (MiniDb::ForTable's lists
-/// are): index probes binary-search it, and a restricted scan walks it in
-/// place, skipping ids at or past `num_rows()`.
+/// and verify the residue; if a kContainsToken predicate is on a declared
+/// text column, drive from its posting list (Table::LookupToken) and
+/// verify the residue; otherwise fall back to a scan. An optional row
+/// restriction (`restrict`) confines evaluation to a subset of rows — this
+/// is how the focal-spreading miniDB search reuses the same executor. A
+/// restriction must be sorted ascending and duplicate-free
+/// (MiniDb::ForTable's lists are): index probes binary-search it, and a
+/// restricted scan walks it in place, skipping ids at or past
+/// `num_rows()`.
 ///
 /// Value-index fast path: with `use_value_index` (the default) an
 /// unrestricted query whose predicates are token-containment probes (plus
@@ -125,9 +128,9 @@ class QueryExecutor {
 
   /// `restrict`, when given, is the sorted, duplicate-free list of rows
   /// the query may return. `allow_text_index = false` forces
-  /// kContainsToken predicates onto the scan path even when an inverted
-  /// index exists — modeling an RDBMS that must evaluate LIKE-style
-  /// predicates by scanning.
+  /// kContainsToken predicates onto the scan path even on a declared text
+  /// column — modeling an RDBMS that must evaluate LIKE-style predicates
+  /// by scanning.
   [[nodiscard]] Result<std::vector<Table::RowId>> Execute(
       const SelectQuery& query,
       const std::vector<Table::RowId>* restrict = nullptr,

@@ -18,8 +18,7 @@ Table::Table(uint32_t id, std::string name, Schema schema)
       schema_(std::move(schema)),
       indexes_(schema_.num_columns()),
       index_built_(schema_.num_columns()),
-      text_indexes_(schema_.num_columns()),
-      text_index_built_(schema_.num_columns(), false) {}
+      text_columns_(schema_.num_columns(), false) {}
 
 Result<Table::RowId> Table::Insert(std::vector<Value> row) {
   NEBULA_INJECT_FAULT(kFaultStorageTableInsert);
@@ -51,18 +50,6 @@ Result<Table::RowId> Table::Insert(std::vector<Value> row) {
     // only mutated here and in the lazy build, both under this mutex.
     if (value_index_state_.load(std::memory_order_relaxed) == kBuilt) {
       value_index_.AddRow(schema_, row, row_id);
-    }
-  }
-  // Text indexes are mutated only under the exclusive-writer contract
-  // (BuildTextIndex / Insert never run concurrently with readers).
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    if (text_index_built_[c] && row[c].is_string()) {
-      for (const auto& tok : TokenizeForIndex(row[c].AsString())) {
-        auto& postings = text_indexes_[c][tok];
-        if (postings.empty() || postings.back() != row_id) {
-          postings.push_back(row_id);
-        }
-      }
     }
   }
   rows_.push_back(std::move(row));
@@ -113,39 +100,48 @@ std::vector<Table::RowId> Table::Lookup(const std::string& column,
   return Lookup(static_cast<size_t>(idx), value);
 }
 
-Status Table::BuildTextIndex(size_t column) {
+Status Table::DeclareTextColumn(size_t column) {
   if (column >= schema_.num_columns()) {
-    return Status::OutOfRange("text index column out of range");
+    return Status::OutOfRange("text column out of range");
   }
   if (schema_.column(column).type != DataType::kString) {
     return Status::InvalidArgument(
-        StrFormat("text index requires STRING column, %s.%s is %s",
-                  name_.c_str(), schema_.column(column).name.c_str(),
+        StrFormat("text column must be STRING, %s.%s is %s", name_.c_str(),
+                  schema_.column(column).name.c_str(),
                   DataTypeName(schema_.column(column).type)));
   }
-  TextIndex index;
-  for (RowId r = 0; r < rows_.size(); ++r) {
-    for (const auto& tok : TokenizeForIndex(rows_[r][column].AsString())) {
-      auto& postings = index[tok];
-      if (postings.empty() || postings.back() != r) postings.push_back(r);
-    }
-  }
-  text_indexes_[column] = std::move(index);
-  text_index_built_[column] = true;
+  text_columns_[column] = true;
   return Status::OK();
 }
 
-bool Table::HasTextIndex(size_t column) const {
-  return column < text_index_built_.size() && text_index_built_[column];
+bool Table::IsTextColumn(size_t column) const {
+  return column < text_columns_.size() && text_columns_[column];
 }
 
 const std::vector<Table::RowId>& Table::LookupToken(
-    size_t column, const std::string& token) const {
+    size_t column, const std::string& token, std::vector<RowId>* scan) const {
   static const std::vector<RowId> kNone;
-  if (!HasTextIndex(column)) return kNone;
-  const auto& index = text_indexes_[column];
-  auto it = index.find(ToLower(token));
-  return it == index.end() ? kNone : it->second;
+  if (!IsTextColumn(column)) return kNone;
+  const std::string needle = ToLower(token);
+  if (const ValueIndex* index = TryValueIndex()) {
+    const std::vector<RowId>* rows =
+        index->Lookup(needle, static_cast<uint32_t>(column));
+    return rows == nullptr ? kNone : *rows;
+  }
+  // The value-index build failed (a sticky latch): scan the column, which
+  // yields the posting list the index would have held.
+  scan->clear();
+  for (RowId r = 0; r < rows_.size(); ++r) {
+    const Value& cell = rows_[r][column];
+    if (!cell.is_string()) continue;
+    for (const auto& tok : TokenizeForIndex(cell.AsString())) {
+      if (tok == needle) {
+        scan->push_back(r);
+        break;
+      }
+    }
+  }
+  return *scan;
 }
 
 std::vector<Table::RowId> Table::Scan(

@@ -23,19 +23,24 @@ struct ValueHash {
   }
 };
 
-/// In-memory row-store table with per-column hash indexes and optional
-/// inverted text indexes on string columns.
+/// In-memory row-store table with per-column hash indexes and one
+/// table-wide inverted value index over its string cells.
 ///
 /// Rows are identified by their insertion ordinal (RowId); rows are never
 /// physically deleted in this engine (the Nebula workloads are
 /// insert/annotate-only), which keeps TupleIds stable.
 ///
+/// A string column may be declared a text column (DeclareTextColumn):
+/// the keyword layer then maps words onto it by token containment, and
+/// LookupToken answers for it from the value index's posting lists.
+///
 /// Thread safety: all const accessors (GetRow/GetCell/Lookup/LookupToken/
 /// Scan/DistinctCount) are safe to call concurrently — including the lazy
-/// hash-index build, which is serialized internally. Mutations (Insert,
-/// BuildTextIndex) require exclusive access: no reader may run while a
+/// index builds, which are serialized internally. Mutations (Insert,
+/// DeclareTextColumn) require exclusive access: no reader may run while a
 /// writer does. The Nebula pipeline satisfies this by construction: the
-/// catalog is fully loaded and text-indexed before Stage 2 executes.
+/// catalog is fully loaded and its text columns declared before Stage 2
+/// executes.
 class Table {
  public:
   using RowId = uint64_t;
@@ -61,17 +66,22 @@ class Table {
   std::vector<RowId> Lookup(const std::string& column,
                             const Value& value) const;
 
-  /// Builds (or rebuilds) the inverted token index for a string column.
-  /// Tokens are lower-cased alphanumeric runs.
-  [[nodiscard]] Status BuildTextIndex(size_t column);
-  bool HasTextIndex(size_t column) const;
+  /// Declares a STRING column as free text. Records a flag only: the
+  /// column's postings already live in the value index.
+  [[nodiscard]] Status DeclareTextColumn(size_t column);
+  bool IsTextColumn(size_t column) const;
 
-  /// Rows whose indexed text column contains `token` (lower-cased exact
-  /// token match). Returns an empty list when the column has no text
-  /// index. The reference stays valid until the next mutation, which the
-  /// exclusive-writer contract already keeps away from readers.
+  /// Rows whose declared text column contains `token` (lower-cased exact
+  /// token match, as TokenizeForIndex splits the cell), ascending. Reads
+  /// the value index's posting list without copying; an undeclared column
+  /// or an absent token gives an empty list. When the value-index build
+  /// failed, the column is scanned into `*scan`, which the result then
+  /// refers to. The reference stays valid until the next mutation of the
+  /// table or of `*scan`; the exclusive-writer contract already keeps
+  /// table mutations away from readers.
   const std::vector<RowId>& LookupToken(size_t column,
-                                        const std::string& token) const;
+                                        const std::string& token,
+                                        std::vector<RowId>* scan) const;
 
   /// Full scan with a caller predicate; returns matching row ids.
   std::vector<RowId> Scan(
@@ -98,7 +108,6 @@ class Table {
 
  private:
   using HashIndex = std::unordered_map<Value, std::vector<RowId>, ValueHash>;
-  using TextIndex = std::unordered_map<std::string, std::vector<RowId>>;
 
   const HashIndex& GetOrBuildIndex(size_t column) const
       EXCLUDES(index_build_mutex_);
@@ -131,8 +140,7 @@ class Table {
   mutable std::vector<HashIndex> indexes_ GUARDED_BY(index_build_mutex_);
   mutable std::vector<std::atomic<bool>> index_built_;
   mutable Mutex index_build_mutex_{kLockRankStorageIndexBuild};
-  std::vector<TextIndex> text_indexes_;
-  std::vector<bool> text_index_built_;
+  std::vector<bool> text_columns_;
   // The unified value index shares the hash indexes' locking story: all
   // mutation (lazy build, Insert's incremental maintenance) runs under
   // index_build_mutex_; the tri-state flag publishes the outcome with

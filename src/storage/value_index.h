@@ -11,9 +11,9 @@
 
 namespace nebula {
 
-/// Splits `text` into lower-cased alphanumeric tokens. Shared by the table
-/// text index, the unified value index, and the keyword-search layer so
-/// that all sides agree on token boundaries.
+/// Splits `text` into lower-cased alphanumeric tokens. Shared by the value
+/// index, the containment scans, and the keyword-search layer so that all
+/// sides agree on token boundaries.
 std::vector<std::string> TokenizeForIndex(const std::string& text);
 
 /// Table-wide inverted value index: token -> posting lists of

@@ -77,11 +77,11 @@ std::string NameValue(Rng* rng) {
 
 /// Free-text "notes" cell: filler/kind phrases drawn from the same pools
 /// the annotation stream uses, so stream words land in the column's token
-/// set. The column is text-indexed but deliberately NOT referenced by any
-/// concept, so keywords reach it only through text-containment mappings —
-/// the statement shape the value-index fast path accelerates. Without it
-/// the check universe would never execute a token-containment query and
-/// the index-vs-scan pair would be vacuous.
+/// set. The column is a declared text column but deliberately NOT
+/// referenced by any concept, so keywords reach it only through
+/// text-containment mappings — the statement shape the value-index fast
+/// path accelerates. Without it the check universe would never execute a
+/// token-containment query and the index-vs-scan pair would be vacuous.
 std::string NotesValue(Rng* rng) {
   std::string text = Pick(kFillerWords, rng);
   text += ' ';
@@ -157,10 +157,10 @@ Result<std::unique_ptr<CheckUniverse>> BuildCheckUniverse(
       NEBULA_ASSIGN_OR_RETURN(Table::RowId rid, table->Insert(std::move(row)));
       universe->all_tuples.push_back(TupleId{table->id(), rid});
     }
-    // Text-index the free-text column (ordinal 4: after id/name/kind/size)
-    // so the keyword engine emits token-containment statements against it.
+    // Declare the free-text column (ordinal 4: after id/name/kind/size) so
+    // the keyword engine emits token-containment statements against it.
     NEBULA_RETURN_NOT_OK(
-        table->BuildTextIndex(static_cast<size_t>(
+        table->DeclareTextColumn(static_cast<size_t>(
             table->schema().ColumnIndex("notes"))));
     if (t > 0) {
       NEBULA_RETURN_NOT_OK(catalog.AddForeignKey(

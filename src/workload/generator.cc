@@ -695,16 +695,16 @@ Result<std::unique_ptr<BioDataset>> GenerateBioDataset(
   NEBULA_RETURN_NOT_OK(PopulateCorpus(&ctx));
   BuildWorkload(&ctx);
 
-  // Text indexes over the publication text columns (the keyword engine's
+  // The publication text columns are free text (the keyword engine's
   // containment mappings need them; they are also what makes the Naive
   // baseline's whole-annotation query explode).
   Table* publication = ds->catalog.GetTableById(ds->publication_table);
   const int title_ord = publication->schema().ColumnIndex("title");
   const int abstract_ord = publication->schema().ColumnIndex("abstract");
   NEBULA_RETURN_NOT_OK(
-      publication->BuildTextIndex(static_cast<size_t>(title_ord)));
+      publication->DeclareTextColumn(static_cast<size_t>(title_ord)));
   NEBULA_RETURN_NOT_OK(
-      publication->BuildTextIndex(static_cast<size_t>(abstract_ord)));
+      publication->DeclareTextColumn(static_cast<size_t>(abstract_ord)));
   return ds;
 }
 

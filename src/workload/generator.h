@@ -21,7 +21,7 @@ namespace nebula {
 /// stand-in for the paper's UniProt subset (see DESIGN.md substitutions).
 ///
 /// Contains: the relational catalog (Gene / Protein / Publication plus the
-/// publication link tables, FKs declared, text indexes built), the
+/// publication link tables, FKs and text columns declared), the
 /// annotation store holding every corpus publication attached to the
 /// tuples it cites (treated as the complete, ideal annotated database),
 /// the populated NebulaMeta, the held-out workload annotations with exact

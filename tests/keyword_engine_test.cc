@@ -22,8 +22,8 @@ namespace nebula {
 namespace {
 
 /// Fixture: a small Figure-1-style database with gene / protein /
-/// publication tables, ConceptRefs metadata, and a text index over the
-/// publication abstracts.
+/// publication tables, ConceptRefs metadata, and the publication abstracts
+/// declared a text column.
 class KeywordEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -58,7 +58,7 @@ class KeywordEngineTest : public ::testing::Test {
     ASSERT_TRUE(pub_->Insert({Value("PUB2"),
                               Value("growth rate analysis methods")})
                     .ok());
-    ASSERT_TRUE(pub_->BuildTextIndex(1).ok());
+    ASSERT_TRUE(pub_->DeclareTextColumn(1).ok());
 
     ASSERT_TRUE(meta_.AddConcept("Gene", "gene", {{"gid"}, {"name"}}).ok());
     ASSERT_TRUE(
@@ -139,7 +139,7 @@ TEST_F(KeywordEngineTest, MappingsRespectCap) {
 TEST_F(KeywordEngineTest, MappingsRespectThreshold) {
   engine_->params().min_mapping_score = 0.95;
   // Pattern-based value mapping scores ~0.9 + unique boost; threshold cuts
-  // the text-index mapping but keeps the strong one.
+  // the text-column mapping but keeps the strong one.
   const auto ms = engine_->MapKeyword("JW0014");
   for (const auto& m : ms) EXPECT_GE(m.score, 0.95);
 }
@@ -221,7 +221,7 @@ TEST_F(KeywordEngineTest, SearchHitsCarryQueryIndependentConfidences) {
 }
 
 TEST_F(KeywordEngineTest, SearchAlsoSurfacesPublicationMentions) {
-  // "JW0014" appears in PUB1's abstract: the text-index mapping should
+  // "JW0014" appears in PUB1's abstract: the text-column mapping should
   // surface that publication, at lower confidence than the gene itself.
   const auto hits = *engine_->Search({{"JW0014"}, 1.0, ""});
   bool gene_hit = false, pub_hit = false;
@@ -301,39 +301,6 @@ TEST(MiniDbTest, ContainsAndSizeAgreeWithSetOracle) {
           << table << ":" << row;
     }
   }
-}
-
-TEST_F(KeywordEngineTest, FkExpansionAddsNeighbors) {
-  // Wire a FK from protein to gene and enable expansion.
-  Catalog catalog2;
-  Table* gene = *catalog2.CreateTable(
-      "gene", Schema({{"gid", DataType::kString, true}}));
-  Table* protein = *catalog2.CreateTable(
-      "protein", Schema({{"pid", DataType::kString, true},
-                         {"gene_gid", DataType::kString}}));
-  ASSERT_TRUE(gene->Insert({Value("JW0001")}).ok());
-  ASSERT_TRUE(protein->Insert({Value("P00001"), Value("JW0001")}).ok());
-  ASSERT_TRUE(catalog2.AddForeignKey("protein", "gene_gid", "gene", "gid").ok());
-  NebulaMeta meta2;
-  ASSERT_TRUE(meta2.AddConcept("Gene", "gene", {{"gid"}}).ok());
-  ASSERT_TRUE(meta2.SetColumnPattern("gene", "gid", "JW[0-9]{4}").ok());
-
-  KeywordSearchParams params;
-  params.fk_expansion = true;
-  KeywordSearchEngine engine(&catalog2, &meta2, params);
-  const auto hits = *engine.Search({{"JW0001"}, 1.0, ""});
-  bool protein_hit = false;
-  double gene_conf = 0, protein_conf = 0;
-  for (const auto& h : hits) {
-    if (h.tuple.table_id == protein->id()) {
-      protein_hit = true;
-      protein_conf = h.confidence;
-    } else {
-      gene_conf = h.confidence;
-    }
-  }
-  EXPECT_TRUE(protein_hit);
-  EXPECT_LT(protein_conf, gene_conf);  // decayed
 }
 
 TEST_F(KeywordEngineTest, MergeHitsKeepsMaxPerTuple) {

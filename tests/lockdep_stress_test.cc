@@ -71,9 +71,10 @@ class LockdepStressTest : public ::testing::Test {
                                 Value(StressName(i))})
                       .ok());
     }
-    // Text index build is a mutation; do it before any concurrency so
-    // LookupToken is a pure concurrent-safe read during the storm.
-    ASSERT_TRUE(gene_->BuildTextIndex(1).ok());
+    // Declaring a text column is a mutation; do it before any concurrency
+    // so LookupToken is a pure concurrent-safe read during the storm (its
+    // first call races the others to build the value index).
+    ASSERT_TRUE(gene_->DeclareTextColumn(1).ok());
     ASSERT_TRUE(meta_.AddConcept("Gene", "gene", {{"gid"}, {"name"}}).ok());
     ASSERT_TRUE(meta_.SetColumnPattern("gene", "gid", "JW[0-9]{4}").ok());
     ASSERT_TRUE(meta_.SetColumnPattern("gene", "name", "[a-z]{3}[A-Z]").ok());
@@ -147,6 +148,7 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
   for (int t = 0; t < kReaderThreads; ++t) {
     readers.emplace_back([this, t, &stop, &reader_errors] {
       int i = t;
+      std::vector<Table::RowId> scan;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string gid = StrFormat("JW%04d", i % kGeneRows);
         if (gene_->Lookup("gid", Value(gid)).size() != 1) {
@@ -156,7 +158,7 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
         // gid lower-cases to exactly one token.
         std::string name_token = StressName(i % kGeneRows);
         for (char& c : name_token) c = static_cast<char>(std::tolower(c));
-        if (gene_->LookupToken(1, name_token).size() != 1) {
+        if (gene_->LookupToken(1, name_token, &scan).size() != 1) {
           reader_errors.fetch_add(1);
         }
         if (const ValueIndex* vi = gene_->TryValueIndex()) {

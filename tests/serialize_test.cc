@@ -98,10 +98,20 @@ TEST_F(SerializeTest, SaveLoadRoundTripsCatalog) {
   EXPECT_FALSE(gene->schema().column(1).unique);
 
   ASSERT_EQ(loaded.foreign_keys().size(), 1u);
-  EXPECT_EQ(loaded.foreign_keys()[0].parent_table, "gene");
-  // FK navigation works after reload.
+  const ForeignKey& fk = loaded.foreign_keys()[0];
+  EXPECT_EQ(fk.child_table, "protein");
+  EXPECT_EQ(fk.child_column, "gene_gid");
+  EXPECT_EQ(fk.parent_table, "gene");
+  EXPECT_EQ(fk.parent_column, "gid");
+  // The key still resolves after reload: protein row 0 references exactly
+  // one gene.
   const Table* protein = *loaded.GetTable("protein");
-  EXPECT_EQ(loaded.FkNeighbors({protein->id(), 0}).size(), 1u);
+  const int gene_gid = protein->schema().ColumnIndex("gene_gid");
+  ASSERT_GE(gene_gid, 0);
+  EXPECT_EQ(
+      gene->Lookup("gid", protein->GetCell(0, static_cast<size_t>(gene_gid)))
+          .size(),
+      1u);
 }
 
 TEST_F(SerializeTest, SaveLoadRoundTripsAnnotations) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "annotation/annotation_store.h"
 #include "common/status.h"
 #include "core/engine.h"
@@ -165,6 +168,43 @@ TEST(SqlParserTest, VerifyReject) {
   EXPECT_FALSE(std::get<VerifyStatement>(*reject).accept);
 }
 
+TEST(SqlParserTest, VerifyRejectsMalformedVid) {
+  // The lexer's number token takes '.' and a leading '-'; none of these
+  // is a task id, so none may decide (or name) a task.
+  for (const char* vid : {"1.5", "1.2.3", "-1", "99999999999999999999"}) {
+    for (const char* verb : {"VERIFY", "REJECT"}) {
+      auto stmt = ParseStatement(std::string(verb) + " ATTACHMENT " + vid);
+      EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument)
+          << verb << " " << vid;
+    }
+  }
+  // The largest id still parses.
+  auto max = ParseStatement("VERIFY ATTACHMENT 18446744073709551615");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(std::get<VerifyStatement>(*max).vid, UINT64_MAX);
+}
+
+TEST(SqlParserTest, NumericLiterals) {
+  auto literal = [](const std::string& text) -> Result<Value> {
+    NEBULA_ASSIGN_OR_RETURN(
+        Statement stmt,
+        ParseStatement("SELECT * FROM gene WHERE length = " + text));
+    return std::get<SelectStatement>(stmt).query.predicates[0].value;
+  };
+  EXPECT_EQ(*literal("42"), Value(int64_t{42}));
+  EXPECT_EQ(*literal("-42"), Value(int64_t{-42}));
+  EXPECT_EQ(*literal("-9223372036854775808"), Value(INT64_MIN));
+  EXPECT_EQ(*literal("1.25"), Value(1.25));
+  EXPECT_EQ(*literal("-0.5"), Value(-0.5));
+  // One malformed or overflowing number is an error, not a prefix or a
+  // clamped value.
+  for (const char* bad : {"1.2.3", "1..2", "9223372036854775808",
+                          "99999999999999999999", "-9223372036854775809"}) {
+    EXPECT_EQ(literal(bad).status().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
 TEST(SqlParserTest, Show) {
   auto pending = ParseStatement("SHOW PENDING");
   ASSERT_TRUE(pending.ok());
@@ -312,6 +352,26 @@ TEST_F(SqlSessionTest, PendingQueueAndVerifyCommand) {
   EXPECT_EQ(after->rows.size(), pending->rows.size() - 1);
   // Verifying twice fails.
   EXPECT_FALSE(session_->Execute("VERIFY ATTACHMENT " + vid).ok());
+}
+
+TEST_F(SqlSessionTest, MalformedVidLeavesPendingTaskAlone) {
+  engine_->config().bounds = {0.0, 1.0};
+  ASSERT_TRUE(session_
+                  ->Execute("ANNOTATE 'related to gene JW0014' ON gene "
+                            "WHERE gid = 'JW0013'")
+                  .ok());
+  auto pending = session_->Execute("SHOW PENDING");
+  ASSERT_TRUE(pending.ok());
+  ASSERT_FALSE(pending->rows.empty());
+  const std::string vid = pending->rows[0][0];
+  for (const std::string& bad : {vid + ".5", vid + ".2.3"}) {
+    EXPECT_EQ(session_->Execute("VERIFY ATTACHMENT " + bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  auto after = session_->Execute("SHOW PENDING");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->rows.size(), pending->rows.size());
 }
 
 TEST_F(SqlSessionTest, RuleAttachesExistingAndFutureTuples) {

@@ -64,30 +64,6 @@ TEST_F(CatalogTest, ForeignKeysOf) {
   EXPECT_TRUE(catalog_.ForeignKeysOf("other").empty());
 }
 
-TEST_F(CatalogTest, FkNeighborsBothDirections) {
-  Table* gene = *catalog_.GetTable("gene");
-  Table* protein = *catalog_.GetTable("protein");
-  ASSERT_TRUE(
-      catalog_.AddForeignKey("protein", "gene_gid", "gene", "gid").ok());
-  ASSERT_TRUE(gene->Insert({Value("JW0001"), Value("aaaA")}).ok());
-  ASSERT_TRUE(gene->Insert({Value("JW0002"), Value("bbbB")}).ok());
-  ASSERT_TRUE(protein->Insert({Value("P1"), Value("JW0001")}).ok());
-  ASSERT_TRUE(protein->Insert({Value("P2"), Value("JW0001")}).ok());
-
-  // child -> parent.
-  const auto parents = catalog_.FkNeighbors({protein->id(), 0});
-  ASSERT_EQ(parents.size(), 1u);
-  EXPECT_EQ(parents[0].table_id, gene->id());
-  EXPECT_EQ(parents[0].row, 0u);
-
-  // parent -> children.
-  const auto children = catalog_.FkNeighbors({gene->id(), 0});
-  EXPECT_EQ(children.size(), 2u);
-
-  // Unreferenced parent has no neighbors.
-  EXPECT_TRUE(catalog_.FkNeighbors({gene->id(), 1}).empty());
-}
-
 TEST_F(CatalogTest, TotalRows) {
   Table* gene = *catalog_.GetTable("gene");
   ASSERT_TRUE(gene->Insert({Value("JW0001"), Value("aaaA")}).ok());

@@ -33,7 +33,7 @@ class QueryTest : public ::testing::Test {
     add("JW0003", "insL", 300, "insertion element");
     add("JW0004", "nhaA", 400, "sodium transport");
     add("JW0005", "grpC2", 150, "paralog of grpC");
-    ASSERT_TRUE(gene->BuildTextIndex(3).ok());
+    ASSERT_TRUE(gene->DeclareTextColumn(3).ok());
   }
 
   std::vector<Table::RowId> Run(
@@ -133,7 +133,8 @@ TEST_F(QueryTest, ContainsTokenScanModeBypassesIndex) {
 }
 
 TEST_F(QueryTest, ContainsTokenWithoutIndexScans) {
-  // Column 'name' has no text index -> fallback scan still finds matches.
+  // Column 'name' is not a declared text column -> fallback scan still
+  // finds matches.
   SelectQuery q{"gene", {{"name", CompareOp::kContainsToken, Value("grpc")}}};
   auto rows = Run(q);
   // "grpC" tokenizes to {grpc}; "grpC2" to {grpc2}: only exact token match.

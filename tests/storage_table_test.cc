@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/status.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -141,19 +144,25 @@ TEST_F(TableTest, DistinctCount) {
   EXPECT_EQ(table_.DistinctCount(0), 3u);
 }
 
-// ------------------------------ text index ------------------------------
+// ----------------------------- text columns -----------------------------
 
-class TextIndexTest : public ::testing::Test {
+class TextColumnTest : public ::testing::Test {
  protected:
-  TextIndexTest()
+  TextColumnTest()
       : table_(0, "pub",
                Schema({{"id", DataType::kString, true},
                        {"abstract", DataType::kString},
                        {"year", DataType::kInt64}})) {}
+
+  size_t Count(size_t column, const std::string& token) {
+    return table_.LookupToken(column, token, &scan_).size();
+  }
+
   Table table_;
+  std::vector<Table::RowId> scan_;
 };
 
-TEST_F(TextIndexTest, BuildAndLookup) {
+TEST_F(TextColumnTest, DeclareAndLookup) {
   ASSERT_TRUE(table_
                   .Insert({Value("P1"), Value("gene JW0014 binds G-Actin"),
                            Value(int64_t{2014})})
@@ -161,47 +170,55 @@ TEST_F(TextIndexTest, BuildAndLookup) {
   ASSERT_TRUE(
       table_.Insert({Value("P2"), Value("unrelated text"), Value(int64_t{2015})})
           .ok());
-  ASSERT_TRUE(table_.BuildTextIndex(1).ok());
-  EXPECT_TRUE(table_.HasTextIndex(1));
-  EXPECT_FALSE(table_.HasTextIndex(0));
+  ASSERT_TRUE(table_.DeclareTextColumn(1).ok());
+  EXPECT_TRUE(table_.IsTextColumn(1));
+  EXPECT_FALSE(table_.IsTextColumn(0));
 
-  EXPECT_EQ(table_.LookupToken(1, "jw0014").size(), 1u);
-  EXPECT_EQ(table_.LookupToken(1, "JW0014").size(), 1u);  // case-insensitive
-  EXPECT_EQ(table_.LookupToken(1, "text").size(), 1u);
-  EXPECT_TRUE(table_.LookupToken(1, "absent").empty());
+  EXPECT_EQ(Count(1, "jw0014"), 1u);
+  EXPECT_EQ(Count(1, "JW0014"), 1u);  // case-insensitive
+  EXPECT_EQ(Count(1, "text"), 1u);
+  EXPECT_EQ(Count(1, "absent"), 0u);
   // "G-Actin" is split at '-' by the index tokenizer.
-  EXPECT_EQ(table_.LookupToken(1, "actin").size(), 1u);
+  EXPECT_EQ(Count(1, "actin"), 1u);
+  // Served from the value index: the scan storage stays untouched.
+  EXPECT_TRUE(scan_.empty());
 }
 
-TEST_F(TextIndexTest, LookupWithoutIndexIsEmpty) {
+TEST_F(TextColumnTest, UndeclaredColumnIsEmpty) {
   ASSERT_TRUE(
       table_.Insert({Value("P1"), Value("abc"), Value(int64_t{1})}).ok());
-  EXPECT_TRUE(table_.LookupToken(1, "abc").empty());
+  EXPECT_EQ(Count(1, "abc"), 0u);
+  // The value index holds the token; only the declaration is missing.
+  ASSERT_NE(table_.TryValueIndex(), nullptr);
+  EXPECT_NE(table_.TryValueIndex()->Lookup("abc", 1), nullptr);
 }
 
-TEST_F(TextIndexTest, IndexMaintainedAcrossInserts) {
-  ASSERT_TRUE(table_.BuildTextIndex(1).ok());
+TEST_F(TextColumnTest, PostingsMaintainedAcrossInserts) {
+  ASSERT_TRUE(table_.DeclareTextColumn(1).ok());
   ASSERT_TRUE(
       table_.Insert({Value("P1"), Value("alpha beta"), Value(int64_t{1})})
           .ok());
+  EXPECT_EQ(Count(1, "beta"), 1u);  // builds the value index
   ASSERT_TRUE(
       table_.Insert({Value("P2"), Value("beta gamma"), Value(int64_t{2})})
           .ok());
-  EXPECT_EQ(table_.LookupToken(1, "beta").size(), 2u);
-  EXPECT_EQ(table_.LookupToken(1, "gamma").size(), 1u);
+  EXPECT_EQ(Count(1, "beta"), 2u);
+  EXPECT_EQ(Count(1, "gamma"), 1u);
 }
 
-TEST_F(TextIndexTest, RepeatedTokenInOneRowPostsOnce) {
-  ASSERT_TRUE(table_.BuildTextIndex(1).ok());
+TEST_F(TextColumnTest, RepeatedTokenInOneRowPostsOnce) {
+  ASSERT_TRUE(table_.DeclareTextColumn(1).ok());
   ASSERT_TRUE(
       table_.Insert({Value("P1"), Value("echo echo echo"), Value(int64_t{1})})
           .ok());
-  EXPECT_EQ(table_.LookupToken(1, "echo").size(), 1u);
+  EXPECT_EQ(Count(1, "echo"), 1u);
 }
 
-TEST_F(TextIndexTest, RejectsNonStringColumn) {
-  EXPECT_EQ(table_.BuildTextIndex(2).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(table_.BuildTextIndex(9).code(), StatusCode::kOutOfRange);
+TEST_F(TextColumnTest, RejectsNonStringColumn) {
+  EXPECT_EQ(table_.DeclareTextColumn(2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(table_.DeclareTextColumn(9).code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(table_.IsTextColumn(2));
+  EXPECT_FALSE(table_.IsTextColumn(9));
 }
 
 TEST(TokenizeForIndexTest, SplitsOnNonAlnum) {

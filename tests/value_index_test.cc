@@ -1,20 +1,30 @@
 // Unified inverted value index: tokenizer contract, posting-list
 // maintenance under insert interleavings (incremental == from-scratch
-// rebuild), and the QueryExecutor fast path's bit-identical results and
-// replayed ExecStats against the legacy scan/text-index evaluation.
+// rebuild), LookupToken against a brute-force scan of the cells, and the
+// QueryExecutor fast path's bit-identical results and replayed ExecStats
+// against the legacy posting-list/scan evaluation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
+#include "common/fault_points.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "storage/catalog.h"
 #include "storage/query.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
 #include "storage/value_index.h"
+#include "testing/check_workload.h"
+#include "workload/generator.h"
+#include "workload/spec.h"
 
 namespace nebula {
 namespace {
@@ -135,11 +145,12 @@ TEST_P(IndexVsScanExecution, IdenticalRowsAndReplayedStats) {
                               Value(static_cast<int64_t>(r % 10))})
                     .ok());
   }
-  // Half the seeds also get a text index on title, covering the replayed
-  // text-index cost model; the other half replay the scan cost model.
+  // Half the seeds also declare title a text column, covering the
+  // replayed posting-list cost model; the other half replay the scan cost
+  // model.
   const bool text_indexed = (GetParam() & 1) != 0;
   if (text_indexed) {
-    ASSERT_TRUE(table->BuildTextIndex(1).ok());
+    ASSERT_TRUE(table->DeclareTextColumn(1).ok());
   }
 
   for (int round = 0; round < 20; ++round) {
@@ -198,6 +209,184 @@ TEST(IndexVsScanExecution, EqualityPredicatesStayOnLegacyPath) {
   // Hash-index-eligible queries keep their historical driver.
   EXPECT_EQ(executor.path_stats().index_path, 0u);
   EXPECT_EQ(executor.path_stats().legacy_path, 1u);
+}
+
+// ---- Property: LookupToken == a brute-force scan of the cells ---------
+// The value index is the one token index: the legacy token driver, the
+// fast path's counter replay and the keyword layer's text mappings all
+// read it through LookupToken, so no path compares its postings against
+// a second index. Check them against the cells instead, on the declared
+// text columns of the Tiny dataset and of a hostile check universe,
+// before and after further inserts, with and without a failed build.
+
+/// A text column's cells, each tokenized once and sorted for lookup.
+std::vector<std::vector<std::string>> TokenizedCells(const Table& table,
+                                                     size_t column) {
+  std::vector<std::vector<std::string>> cells(table.num_rows());
+  for (Table::RowId r = 0; r < table.num_rows(); ++r) {
+    const Value& cell = table.GetCell(r, column);
+    if (!cell.is_string()) continue;
+    cells[r] = TokenizeForIndex(cell.AsString());
+    std::sort(cells[r].begin(), cells[r].end());
+  }
+  return cells;
+}
+
+/// Probes every declared text column of `catalog` with the tokens of the
+/// column, their upper-case variants and tokens that miss, and expects
+/// LookupToken to return exactly the rows whose cell's tokens contain the
+/// lower-cased probe. `stride` > 1 probes every stride-th token of the
+/// vocabulary plus every token of the column's last rows (a failed build
+/// scans the column per probe). Returns the number of probes made.
+size_t ExpectLookupTokenEqualsScan(const Catalog& catalog, size_t stride) {
+  constexpr size_t kLastRows = 5;
+  size_t probes = 0;
+  for (const auto& table : catalog.tables()) {
+    for (size_t c = 0; c < table->schema().num_columns(); ++c) {
+      if (!table->IsTextColumn(c)) continue;
+      const auto cells = TokenizedCells(*table, c);
+      std::set<std::string> vocabulary;
+      for (const auto& tokens : cells) {
+        vocabulary.insert(tokens.begin(), tokens.end());
+      }
+      std::set<std::string> tokens;
+      size_t i = 0;
+      for (const std::string& token : vocabulary) {
+        if (i++ % stride == 0) tokens.insert(token);
+      }
+      for (size_t r = cells.size() - std::min(cells.size(), kLastRows);
+           r < cells.size(); ++r) {
+        tokens.insert(cells[r].begin(), cells[r].end());
+      }
+      std::vector<std::string> inputs(tokens.begin(), tokens.end());
+      for (const std::string& token : tokens) {
+        inputs.push_back(ToUpper(token));
+      }
+      // Misses: an absent token, an empty one, and needles that are not
+      // single tokens (matched verbatim, never re-tokenized).
+      for (const char* miss : {"zzqxnotatoken", "", "g-actin", "two words"}) {
+        inputs.emplace_back(miss);
+      }
+      for (const std::string& input : inputs) {
+        const std::string needle = ToLower(input);
+        std::vector<Table::RowId> expected;
+        for (Table::RowId r = 0; r < cells.size(); ++r) {
+          if (std::binary_search(cells[r].begin(), cells[r].end(), needle)) {
+            expected.push_back(r);
+          }
+        }
+        std::vector<Table::RowId> scan;
+        EXPECT_EQ(table->LookupToken(c, input, &scan), expected)
+            << table->name() << "." << table->schema().column(c).name
+            << " token '" << input << "'";
+        ++probes;
+      }
+    }
+  }
+  return probes;
+}
+
+bool HasTextColumn(const Table& table) {
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    if (table.IsTextColumn(c)) return true;
+  }
+  return false;
+}
+
+/// Appends `count` rows to every table with a declared text column. Each
+/// text cell repeats a token already in its column and adds a new one in
+/// two cases; other cells get fresh values, so unique columns stay unique.
+void InsertTextRows(Catalog* catalog, size_t count) {
+  for (const auto& table : catalog->tables()) {
+    if (!HasTextColumn(*table)) continue;
+    const Schema& schema = table->schema();
+    for (size_t i = 0; i < count; ++i) {
+      const Table::RowId source = (i * 7) % table->num_rows();
+      const std::string serial = std::to_string(table->num_rows());
+      std::vector<Value> row;
+      for (size_t c = 0; c < schema.num_columns(); ++c) {
+        if (table->IsTextColumn(c)) {
+          const std::vector<std::string> old_tokens =
+              TokenizeForIndex(table->GetCell(source, c).ToString());
+          row.emplace_back(
+              (old_tokens.empty() ? std::string() : old_tokens[0]) +
+              " Freshtoken" + serial + " FRESHTOKEN" + serial);
+          continue;
+        }
+        switch (schema.column(c).type) {
+          case DataType::kString:
+            row.emplace_back("extra-" + serial + "-" + std::to_string(c));
+            break;
+          case DataType::kInt64:
+            row.emplace_back(static_cast<int64_t>(1000000 + table->num_rows()));
+            break;
+          case DataType::kDouble:
+            row.emplace_back(0.5);
+            break;
+        }
+      }
+      ASSERT_TRUE(table->Insert(std::move(row)).ok()) << table->name();
+    }
+  }
+}
+
+/// The catalogs under test, in a fresh build each time: the Tiny bio
+/// dataset and a hostile check universe.
+struct TextCatalogs {
+  std::unique_ptr<BioDataset> dataset;
+  std::unique_ptr<check::CheckUniverse> universe;
+
+  std::vector<Catalog*> catalogs() {
+    return {&dataset->catalog, &universe->catalog};
+  }
+};
+
+TextCatalogs BuildTextCatalogs() {
+  TextCatalogs out;
+  auto dataset = GenerateBioDataset(DatasetSpec::Tiny());
+  EXPECT_TRUE(dataset.ok());
+  if (dataset.ok()) out.dataset = std::move(*dataset);
+  check::CheckWorkloadParams hostile;
+  hostile.hostile_tokens = true;
+  auto universe = check::BuildCheckUniverse(11, hostile);
+  EXPECT_TRUE(universe.ok());
+  if (universe.ok()) out.universe = std::move(*universe);
+  return out;
+}
+
+TEST(LookupTokenEqualsScan, ValueIndexPostings) {
+  TextCatalogs fixture = BuildTextCatalogs();
+  ASSERT_NE(fixture.dataset, nullptr);
+  ASSERT_NE(fixture.universe, nullptr);
+  for (Catalog* catalog : fixture.catalogs()) {
+    EXPECT_GT(ExpectLookupTokenEqualsScan(*catalog, /*stride=*/1), 0u);
+    InsertTextRows(catalog, 5);
+    EXPECT_GT(ExpectLookupTokenEqualsScan(*catalog, /*stride=*/1), 0u);
+    for (const auto& table : catalog->tables()) {
+      if (HasTextColumn(*table)) {
+        EXPECT_TRUE(table->value_index_info().built) << table->name();
+      }
+    }
+  }
+}
+
+TEST(LookupTokenEqualsScan, FailedBuildScansTheColumn) {
+  TextCatalogs fixture = BuildTextCatalogs();
+  ASSERT_NE(fixture.dataset, nullptr);
+  ASSERT_NE(fixture.universe, nullptr);
+  // Armed before first use: every table's first LookupToken latches the
+  // build into kFailed, and LookupToken answers by scanning.
+  ScopedFault fault(kFaultStorageValueIndexBuild);
+  for (Catalog* catalog : fixture.catalogs()) {
+    EXPECT_GT(ExpectLookupTokenEqualsScan(*catalog, /*stride=*/25), 0u);
+    InsertTextRows(catalog, 5);
+    EXPECT_GT(ExpectLookupTokenEqualsScan(*catalog, /*stride=*/25), 0u);
+    for (const auto& table : catalog->tables()) {
+      if (HasTextColumn(*table)) {
+        EXPECT_TRUE(table->value_index_info().failed) << table->name();
+      }
+    }
+  }
 }
 
 }  // namespace

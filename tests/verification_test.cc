@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "annotation/annotation_store.h"
 #include "common/status.h"
 #include "core/acg.h"
@@ -188,6 +190,25 @@ TEST_F(VerificationTest, ExecuteCommandParsingErrors) {
   // Valid vid, unknown task.
   EXPECT_EQ(manager_.ExecuteCommand("VERIFY ATTACHMENT 99").code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(VerificationTest, ExecuteCommandRejectsMalformedVid) {
+  manager_.Submit(annotation_, {Candidate(kT1, 0.5), Candidate(kT2, 0.5)});
+  ASSERT_EQ((*manager_.GetTask(1))->state, TaskState::kPending);
+  // Task 1 is pending: a field that merely starts like "1" must not
+  // decide it, and a negative or overflowing one is not a vid at all.
+  for (const char* vid :
+       {"1.5", "1.2.3", "+1", "1x", "-1", "99999999999999999999"}) {
+    EXPECT_EQ(manager_.ExecuteCommand(std::string("VERIFY ATTACHMENT ") + vid)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << vid;
+  }
+  EXPECT_EQ((*manager_.GetTask(1))->state, TaskState::kPending);
+  // The largest vid parses; no task has it.
+  EXPECT_EQ(
+      manager_.ExecuteCommand("VERIFY ATTACHMENT 18446744073709551615").code(),
+      StatusCode::kNotFound);
 }
 
 TEST_F(VerificationTest, PendingTasksSortedByConfidence) {

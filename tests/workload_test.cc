@@ -87,13 +87,13 @@ TEST_F(WorkloadTest, ProteinFkPointsAtExistingGene) {
   }
 }
 
-TEST_F(WorkloadTest, PublicationTextIndexesBuilt) {
+TEST_F(WorkloadTest, PublicationTextColumnsDeclared) {
   const Table* pub =
       dataset_->catalog.GetTableById(dataset_->publication_table);
   const int title = pub->schema().ColumnIndex("title");
   const int abstract = pub->schema().ColumnIndex("abstract");
-  EXPECT_TRUE(pub->HasTextIndex(static_cast<size_t>(title)));
-  EXPECT_TRUE(pub->HasTextIndex(static_cast<size_t>(abstract)));
+  EXPECT_TRUE(pub->IsTextColumn(static_cast<size_t>(title)));
+  EXPECT_TRUE(pub->IsTextColumn(static_cast<size_t>(abstract)));
 }
 
 TEST_F(WorkloadTest, CorpusAnnotationsAttachedToCitedTuples) {

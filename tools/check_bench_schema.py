@@ -25,11 +25,6 @@ RECORD_KEYS = ["name", "params", "wall_us", "rows_examined"]
 TOP_KEYS = ["bench", "quick_mode", "build", "records", "metrics"]
 BUILD_KEYS = ["lockdep", "sanitizer"]
 
-# The loadgen harness reports a percentile ladder per operation type on
-# top of the base record shape.
-PERCENTILE_KEYS = ["p50_us", "p90_us", "p95_us", "p99_us", "p999_us"]
-EXTRA_RECORD_KEYS = {"loadgen": ["ops"] + PERCENTILE_KEYS}
-
 
 def load(path):
     try:
@@ -49,24 +44,11 @@ def check_shape(doc, label, errors):
         errors.append("%s: build keys %s != %s"
                       % (label, sorted(doc["build"].keys()),
                          sorted(BUILD_KEYS)))
-    expected = RECORD_KEYS + EXTRA_RECORD_KEYS.get(doc.get("bench"), [])
     for rec in doc["records"]:
-        if sorted(rec.keys()) != sorted(expected):
+        if sorted(rec.keys()) != sorted(RECORD_KEYS):
             errors.append("%s: record %r keys %s != %s"
                           % (label, rec.get("name", "?"),
-                             sorted(rec.keys()), sorted(expected)))
-            continue
-        check_percentiles(rec, label, errors)
-
-
-def check_percentiles(rec, label, errors):
-    """A percentile ladder, when present, must be nondecreasing in q."""
-    if not all(k in rec for k in PERCENTILE_KEYS):
-        return
-    ladder = [rec[k] for k in PERCENTILE_KEYS]
-    if any(b < a for a, b in zip(ladder, ladder[1:])):
-        errors.append("%s: record %r percentile ladder not monotonic: %s"
-                      % (label, rec.get("name", "?"), ladder))
+                             sorted(rec.keys()), sorted(RECORD_KEYS)))
 
 
 def check_committed_build(doc, label, errors):

@@ -312,20 +312,27 @@ Result<AnnotationReport> NebulaEngine::DiscoverWithQueries(
     m.queries_generated->Increment(report.queries.size());
     m.candidates->Increment(report.candidates.size());
     m.stage_execution->Observe(report.timings.search_us);
-    // Refresh the per-table value-index size gauges (cheap: one mutex grab
-    // per table; unbuilt or degraded indexes report nothing).
-    auto& registry = obs::MetricsRegistry::Global();
+    // Refresh the per-table value-index size gauges (one mutex grab per
+    // table; unbuilt or degraded indexes report nothing). The registry
+    // lookup runs once per table, not per operation.
     for (const auto& table : catalog_->tables()) {
       const Table::ValueIndexInfo info = table->value_index_info();
       if (!info.built) continue;
-      registry
-          .GetGauge("nebula_value_index_tokens", {{"table", table->name()}},
-                    "Distinct tokens in the table's inverted value index")
-          ->Set(static_cast<double>(info.tokens));
-      registry
-          .GetGauge("nebula_value_index_postings", {{"table", table->name()}},
-                    "Posting-list entries in the table's inverted value index")
-          ->Set(static_cast<double>(info.postings));
+      if (index_gauges_.size() <= table->id()) {
+        index_gauges_.resize(table->id() + 1);
+      }
+      auto& [tokens, postings] = index_gauges_[table->id()];
+      if (tokens == nullptr) {
+        auto& registry = obs::MetricsRegistry::Global();
+        tokens = registry.GetGauge(
+            "nebula_value_index_tokens", {{"table", table->name()}},
+            "Distinct tokens in the table's inverted value index");
+        postings = registry.GetGauge(
+            "nebula_value_index_postings", {{"table", table->name()}},
+            "Posting-list entries in the table's inverted value index");
+      }
+      tokens->Set(static_cast<int64_t>(info.tokens));
+      postings->Set(static_cast<int64_t>(info.postings));
     }
   }
   return report;

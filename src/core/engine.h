@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "annotation/annotation_store.h"
@@ -24,6 +25,7 @@
 #include "meta/nebula_meta.h"
 #include "obs/event.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage/schema.h"
 
@@ -245,6 +247,10 @@ class NebulaEngine {
   /// Meta version covered by the last journaled blob (or the snapshot
   /// written/loaded at OpenDurability).
   uint64_t journaled_meta_version_ = 0;
+  /// Each table's value-index size gauges (tokens, postings) by table id,
+  /// looked up in the metrics registry the first time its index is seen
+  /// built.
+  std::vector<std::pair<obs::Gauge*, obs::Gauge*>> index_gauges_;
   // Declared last: destroyed first, joining any in-flight workers while
   // the rest of the engine is still alive.
   std::unique_ptr<ThreadPool> pool_;

@@ -1,14 +1,17 @@
 #include "core/identify.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "core/acg.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
@@ -18,6 +21,7 @@
 #include "sql/escape.h"
 #include "storage/query.h"
 #include "storage/schema.h"
+#include "storage/table.h"
 
 namespace nebula {
 
@@ -58,6 +62,127 @@ size_t EntryBytes(const std::string& key,
     bytes += sql.query.predicates.size() * sizeof(Predicate);
   }
   return bytes;
+}
+
+/// One row a statement returned: the tuple, the index of the query the
+/// statement belongs to, and the statement's confidence. 24 bytes, where a
+/// TupleId member would pad it to 32.
+struct Contribution {
+  uint32_t table_id;
+  uint32_t query;
+  uint64_t row;
+  double confidence;
+
+  TupleId tuple() const { return {table_id, row}; }
+};
+
+/// One tuple after the fold: its confidence, its §6.2 reward, and its
+/// evidence as the label ids evidence[evidence_begin, evidence_end).
+struct Candidate {
+  TupleId tuple;
+  double confidence = 0.0;
+  double reward = 0.0;
+  uint32_t evidence_begin = 0;
+  uint32_t evidence_end = 0;
+};
+
+/// The evidence label of each query: its label, or its keywords when it
+/// has none, rendered once. id(qi) is the first query whose label equals
+/// qi's, so deduping ids dedupes labels by string equality.
+class EvidenceLabels {
+ public:
+  explicit EvidenceLabels(const std::vector<KeywordQuery>& queries)
+      : queries_(queries), rendered_(queries.size()), ids_(queries.size()) {
+    for (uint32_t qi = 0; qi < queries.size(); ++qi) {
+      if (queries[qi].label.empty()) rendered_[qi] = queries[qi].ToString();
+      ids_[qi] = qi;
+      for (uint32_t qj = 0; qj < qi; ++qj) {
+        if (ids_[qj] == qj && text(qj) == text(qi)) {
+          ids_[qi] = qj;
+          break;
+        }
+      }
+    }
+  }
+
+  uint32_t id(uint32_t qi) const { return ids_[qi]; }
+  const std::string& text(uint32_t qi) const {
+    return queries_[qi].label.empty() ? rendered_[qi] : queries_[qi].label;
+  }
+
+ private:
+  const std::vector<KeywordQuery>& queries_;
+  std::vector<std::string> rendered_;
+  std::vector<uint32_t> ids_;
+};
+
+/// Step 2 of the paper's algorithm over the flat entries, which arrive in
+/// ascending query order and, within a query, in plan order. One stable
+/// sort by tuple keeps that order inside each tuple's run; then the run
+/// takes the max per query (MergeHits' rule: the first of equal maxima),
+/// scales it by the query weight, and adds the products from 0.0 in
+/// ascending query order (or, under the ablation, keeps their max).
+/// Candidates come out in TupleId order; each one's evidence label ids, in
+/// ascending query order without repeats, go to `evidence`.
+std::vector<Candidate> Fold(const std::vector<KeywordQuery>& queries,
+                            const EvidenceLabels& labels, bool group_reward,
+                            std::vector<Contribution>* entries,
+                            std::vector<uint32_t>* evidence) {
+  std::stable_sort(entries->begin(), entries->end(),
+                   [](const Contribution& a, const Contribution& b) {
+                     if (a.table_id != b.table_id) {
+                       return a.table_id < b.table_id;
+                     }
+                     return a.row < b.row;
+                   });
+  std::vector<Candidate> out;
+  // The candidate that last took each label id, to skip repeats.
+  std::vector<uint32_t> taken_by(queries.size(), UINT32_MAX);
+  const std::vector<Contribution>& e = *entries;
+  for (size_t i = 0; i < e.size();) {
+    const uint32_t index = static_cast<uint32_t>(out.size());
+    Candidate c;
+    c.tuple = e[i].tuple();
+    c.evidence_begin = static_cast<uint32_t>(evidence->size());
+    while (i < e.size() && e[i].tuple() == c.tuple) {
+      const uint32_t qi = e[i].query;
+      double best = e[i].confidence;
+      for (++i; i < e.size() && e[i].tuple() == c.tuple && e[i].query == qi;
+           ++i) {
+        if (e[i].confidence > best) best = e[i].confidence;
+      }
+      const double contribution = best * queries[qi].weight;
+      c.confidence = group_reward ? c.confidence + contribution
+                                  : std::max(c.confidence, contribution);
+      const uint32_t id = labels.id(qi);
+      if (taken_by[id] != index) {
+        taken_by[id] = index;
+        evidence->push_back(id);
+      }
+    }
+    c.evidence_end = static_cast<uint32_t>(evidence->size());
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// §6.2 direct-edge reward: each ACG edge between a candidate and a focal
+/// tuple adds edge_weight * conf, over the focal tuples in focal order (a
+/// repeated focal tuple counts again). The candidates are in TupleId
+/// order, as is each focal tuple's Neighbors list, whose weights equal
+/// EdgeWeight's bit for bit; so one merge-join per focal tuple finds every
+/// edge. A missing edge would add 0 * conf = +0.0 and is skipped.
+void AddDirectEdgeReward(const Acg& acg, const std::vector<TupleId>& focal,
+                         std::vector<Candidate>* candidates) {
+  std::vector<Candidate>& cands = *candidates;
+  for (const TupleId& f : focal) {
+    size_t c = 0;
+    for (const auto& [tuple, w] : acg.Neighbors(f)) {
+      while (c < cands.size() && cands[c].tuple < tuple) ++c;
+      if (c == cands.size()) break;
+      if (cands[c].tuple == tuple) cands[c].reward += w * cands[c].confidence;
+    }
+  }
 }
 
 }  // namespace
@@ -152,117 +277,111 @@ void PlanCache::Clear() {
 Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
     const std::vector<KeywordQuery>& queries,
     const std::vector<TupleId>& focal, const MiniDb* mini_db) {
-  // Step 1: execute every keyword query; each answer tuple's confidence is
-  // scaled by its query's generation weight.
+  // Step 1: execute every keyword query into one flat list of (tuple,
+  // query, statement confidence) entries, a query's statements in plan
+  // order.
   //
   // With a plan cache attached, the whole group's compilation is resolved
-  // up front (cached or cold) and every execution path below consumes the
-  // precompiled plans; candidates are identical either way.
+  // up front (cached or cold); candidates are identical either way.
   const bool use_plans = plan_cache_ != nullptr;
   std::vector<std::vector<GeneratedSql>> plans;
   if (use_plans) {
     plans = plan_cache_->GetOrCompileGroup(*engine_, queries);
   }
-  std::vector<std::vector<SearchHit>> per_query;
+  std::vector<Contribution> entries;
   if (params_.shared_execution) {
     SharedKeywordExecutor shared(engine_);
+    std::vector<std::vector<SearchHit>> per_query;
     NEBULA_RETURN_NOT_OK(shared.ExecuteGroup(queries, &per_query, mini_db,
                                              use_plans ? &plans : nullptr));
+    for (uint32_t qi = 0; qi < per_query.size(); ++qi) {
+      for (const SearchHit& hit : per_query[qi]) {
+        entries.push_back(
+            {hit.tuple.table_id, qi, hit.tuple.row, hit.confidence});
+      }
+    }
   } else {
-    per_query.reserve(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      Result<std::vector<SearchHit>> hits = std::vector<SearchHit>{};
-      if (use_plans) {
+    for (uint32_t qi = 0; qi < queries.size(); ++qi) {
+      std::vector<GeneratedSql> compiled;
+      if (!use_plans) compiled = engine_->CompileToSql(queries[qi]);
+      const std::vector<GeneratedSql>& plan = use_plans ? plans[qi] : compiled;
+      // A query's counters fold only once all its statements ran, as
+      // KeywordSearchEngine::Search reports them.
+      ExecStats query_stats;
+      for (const GeneratedSql& sql : plan) {
         ExecStats one;
-        hits = engine_->SearchPlan(plans[qi], mini_db, &one);
-        engine_->AccumulateStats(one);
-      } else {
-        hits = engine_->Search(queries[qi], mini_db);
-      }
-      NEBULA_RETURN_NOT_OK(hits.status());
-      per_query.push_back(std::move(hits).value());
-    }
-  }
-
-  // Step 2: group identical tuples across queries; reward multi-query
-  // tuples by summing (or keep the max under the ablation setting).
-  struct Accum {
-    double confidence = 0.0;
-    std::vector<std::string> evidence;
-  };
-  std::unordered_map<TupleId, Accum, TupleIdHash> grouped;
-  for (size_t qi = 0; qi < per_query.size(); ++qi) {
-    const double qweight = queries[qi].weight;
-    for (const auto& hit : per_query[qi]) {
-      const double contribution = hit.confidence * qweight;
-      Accum& acc = grouped[hit.tuple];
-      if (params_.group_reward) {
-        acc.confidence += contribution;
-      } else {
-        acc.confidence = std::max(acc.confidence, contribution);
-      }
-      acc.evidence.push_back(queries[qi].label.empty()
-                                 ? queries[qi].ToString()
-                                 : queries[qi].label);
-    }
-  }
-
-  // §6.2: focal-based confidence adjustment through the ACG — each direct
-  // edge to a focal tuple rewards the candidate by edge_weight * conf.
-  if (params_.focal_adjustment && acg_ != nullptr && !focal.empty()) {
-    // nebula-lint: order-insensitive — per-candidate adjustment, no cross-element state
-    for (auto& [tuple, acc] : grouped) {
-      double reward = 0.0;
-      if (params_.focal_reward_mode == FocalRewardMode::kDirectEdge) {
-        for (const auto& f : focal) {
-          const double w = acg_->EdgeWeight(tuple, f);
-          reward += w * acc.confidence;
+        NEBULA_ASSIGN_OR_RETURN(KeywordSearchEngine::StatementRows selected,
+                                engine_->ExecuteRows(sql, mini_db, &one));
+        query_stats += one;
+        for (Table::RowId r : selected.rows) {
+          entries.push_back({selected.table_id, qi, r, sql.confidence});
         }
-      } else {
-        // Shortest-path extension: one reward from the best path to any
-        // focal tuple (summing per focal would double-count shared path
-        // prefixes).
-        const double w =
-            acg_->PathWeight(focal, tuple, params_.path_max_hops);
-        reward = w * acc.confidence;
       }
-      acc.confidence += reward;
+      engine_->AccumulateStats(query_stats);
     }
   }
 
-  // Step 3: normalize relative to the maximum confidence.
-  double max_conf = 0.0;
-  // nebula-lint: order-insensitive — commutative max fold
-  for (const auto& [_, acc] : grouped) {
-    max_conf = std::max(max_conf, acc.confidence);
-  }
-  std::vector<CandidateTuple> out;
-  out.reserve(grouped.size());
-  // nebula-lint: order-insensitive — total-order stable_sort below
-  for (auto& [tuple, acc] : grouped) {
-    CandidateTuple c;
-    c.tuple = tuple;
-    c.confidence = max_conf > 0.0 ? acc.confidence / max_conf : 0.0;
-    // Deduplicate evidence labels while preserving order.
-    for (auto& e : acc.evidence) {
-      if (std::find(c.evidence.begin(), c.evidence.end(), e) ==
-          c.evidence.end()) {
-        c.evidence.push_back(std::move(e));
+  // Step 2: one fold groups the entries by tuple.
+  const EvidenceLabels labels(queries);
+  std::vector<uint32_t> evidence;
+  std::vector<Candidate> candidates =
+      Fold(queries, labels, params_.group_reward, &entries, &evidence);
+
+  // §6.2: focal-based confidence adjustment through the ACG.
+  if (params_.focal_adjustment && acg_ != nullptr && !focal.empty()) {
+    if (params_.focal_reward_mode == FocalRewardMode::kDirectEdge) {
+      AddDirectEdgeReward(*acg_, focal, &candidates);
+    } else {
+      // Shortest-path extension: one reward from the best path to any
+      // focal tuple (summing per focal would double-count shared path
+      // prefixes).
+      for (Candidate& c : candidates) {
+        c.reward = acg_->PathWeight(focal, c.tuple, params_.path_max_hops) *
+                   c.confidence;
       }
     }
-    out.push_back(std::move(c));
+    for (Candidate& c : candidates) c.confidence += c.reward;
   }
-  // Stable sort on (confidence desc, tuple id asc): the tuple-id tie-break
-  // makes the ranking a total order, so equal-confidence candidates can
-  // never flake across runs or configurations (the differential harness
-  // compares rankings bit-for-bit).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CandidateTuple& a, const CandidateTuple& b) {
-                     if (a.confidence != b.confidence) {
-                       return a.confidence > b.confidence;
-                     }
-                     return a.tuple < b.tuple;
-                   });
+
+  // Step 3: normalize relative to the maximum confidence, then rank.
+  double max_conf = 0.0;
+  for (const Candidate& c : candidates) {
+    max_conf = std::max(max_conf, c.confidence);
+  }
+  for (Candidate& c : candidates) {
+    c.confidence = max_conf > 0.0 ? c.confidence / max_conf : 0.0;
+  }
+  // (confidence desc, tuple id asc): the tuple-id tie-break makes the
+  // ranking a total order, so equal-confidence candidates can never flake
+  // across runs or configurations (the differential harness compares
+  // rankings bit-for-bit). The candidates are in TupleId order, so their
+  // index stands in for the tuple.
+  struct RankKey {
+    double confidence;
+    uint32_t index;
+  };
+  std::vector<RankKey> ranked;
+  ranked.reserve(candidates.size());
+  for (uint32_t i = 0; i < candidates.size(); ++i) {
+    ranked.push_back({candidates[i].confidence, i});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankKey& a, const RankKey& b) {
+              if (a.confidence != b.confidence) {
+                return a.confidence > b.confidence;
+              }
+              return a.index < b.index;
+            });
+  std::vector<CandidateTuple> out(candidates.size());
+  for (size_t k = 0; k < ranked.size(); ++k) {
+    const Candidate& c = candidates[ranked[k].index];
+    out[k].tuple = c.tuple;
+    out[k].confidence = c.confidence;
+    out[k].evidence.reserve(c.evidence_end - c.evidence_begin);
+    for (uint32_t j = c.evidence_begin; j < c.evidence_end; ++j) {
+      out[k].evidence.push_back(labels.text(evidence[j]));
+    }
+  }
   return out;
 }
 

@@ -113,6 +113,15 @@ class PlanCache {
 /// Stage 2 of the Nebula pipeline: executes the generated keyword queries
 /// and produces ranked candidate tuples (paper Figure 5, extended with the
 /// §6.2 focal-based confidence adjustment).
+///
+/// The merge runs on flat arrays: every returned row becomes one (tuple,
+/// query, statement confidence) entry; one sort by tuple groups them, and
+/// one fold per tuple takes the max over each query's statements, weights
+/// it and sums across queries in query order. Evidence stays label ids
+/// until each candidate's strings are built once. The direct-edge reward
+/// merge-joins the TupleId-ordered candidates with each focal tuple's
+/// Acg::Neighbors list. DESIGN.md §6 gives the rules and why the result
+/// is bit-identical to a per-query hash-map merge.
 class TupleIdentifier {
  public:
   /// `plan_cache`, when given, serves the group's compiled plans; without

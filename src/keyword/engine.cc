@@ -1,11 +1,13 @@
 #include "keyword/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -51,7 +53,58 @@ const KeywordEngineMetrics& Metrics() {
   return m;
 }
 
+/// Literal identity for statement dedup: Value equality, except that a
+/// double compares by bit pattern. Value::Hash agrees with it.
+bool SameLiteral(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
+  return a == b;
+}
+
+bool SamePredicate(const Predicate& a, const Predicate& b) {
+  return a.op == b.op && a.column == b.column && SameLiteral(a.value, b.value);
+}
+
+/// (confidence desc, tuple asc): a total order over distinct tuples.
+bool RanksBefore(const SearchHit& a, const SearchHit& b) {
+  if (a.confidence != b.confidence) return a.confidence > b.confidence;
+  return a.tuple < b.tuple;
+}
+
 }  // namespace
+
+uint64_t GeneratedSql::StructuralHash() const {
+  // A sum is the same for every order of the predicates, which is what
+  // hashing them in (column, op, value) order buys, without the sort.
+  uint64_t predicates = 0;
+  for (const Predicate& p : query.predicates) {
+    predicates += HashCombine(
+        HashCombine(Fnv1a(p.column), static_cast<uint64_t>(p.op)),
+        p.value.Hash());
+  }
+  return HashCombine(HashCombine(Fnv1a(ToLower(query.table)), predicates),
+                     query.predicates.size());
+}
+
+bool GeneratedSql::SameStatement(const GeneratedSql& other) const {
+  const std::vector<Predicate>& a = query.predicates;
+  const std::vector<Predicate>& b = other.query.predicates;
+  if (a.size() != b.size() ||
+      !EqualsIgnoreCase(query.table, other.query.table)) {
+    return false;
+  }
+  // Multiset equality: each predicate occurs as often in `b` as in `a`.
+  for (const Predicate& p : a) {
+    auto same = [&p](const Predicate& q) { return SamePredicate(p, q); };
+    if (std::count_if(a.begin(), a.end(), same) !=
+        std::count_if(b.begin(), b.end(), same)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::string GeneratedSql::CanonicalKey() const {
   std::vector<std::string> preds;
@@ -335,13 +388,14 @@ std::vector<GeneratedSql> KeywordSearchEngine::CompileToSql(
   }
 
   // Deduplicate identical statements, keeping the highest confidence.
-  std::unordered_map<std::string, size_t> seen;
+  std::unordered_multimap<uint64_t, size_t> seen;  // StructuralHash -> index
   std::vector<GeneratedSql> deduped;
   for (auto& sql : out) {
-    const std::string key = sql.CanonicalKey();
-    auto it = seen.find(key);
-    if (it == seen.end()) {
-      seen.emplace(key, deduped.size());
+    const uint64_t hash = sql.StructuralHash();
+    auto [it, end] = seen.equal_range(hash);
+    while (it != end && !deduped[it->second].SameStatement(sql)) ++it;
+    if (it == end) {
+      seen.emplace(hash, deduped.size());
       deduped.push_back(std::move(sql));
     } else if (sql.confidence > deduped[it->second].confidence) {
       deduped[it->second].confidence = sql.confidence;
@@ -351,24 +405,30 @@ std::vector<GeneratedSql> KeywordSearchEngine::CompileToSql(
 }
 
 Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
-    const GeneratedSql& sql, const MiniDb* mini_db) {
-  ExecStats local;
-  Result<std::vector<SearchHit>> hits = ExecuteSql(sql, mini_db, &local);
-  executor_.AccumulateStats(local);
+    const GeneratedSql& sql, const MiniDb* mini_db, ExecStats* stats) const {
+  NEBULA_ASSIGN_OR_RETURN(StatementRows selected,
+                          ExecuteRows(sql, mini_db, stats));
+  std::vector<SearchHit> hits;
+  hits.reserve(selected.rows.size());
+  for (Table::RowId r : selected.rows) {
+    hits.push_back({TupleId{selected.table_id, r}, sql.confidence});
+  }
   return hits;
 }
 
-Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
+Result<KeywordSearchEngine::StatementRows> KeywordSearchEngine::ExecuteRows(
     const GeneratedSql& sql, const MiniDb* mini_db, ExecStats* stats) const {
   NEBULA_ASSIGN_OR_RETURN(const Table* table,
                           catalog_->GetTable(sql.query.table));
+  StatementRows out;
+  out.table_id = table->id();
   const std::vector<Table::RowId>* restrict = nullptr;
   if (mini_db != nullptr) {
     restrict = mini_db->ForTable(table->id());
     if (restrict == nullptr) {
       // No rows of this table inside the mini database.
       if (stats != nullptr) stats->Reset();
-      return std::vector<SearchHit>{};
+      return out;
     }
   }
 
@@ -399,37 +459,32 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
     }
     if (paths.legacy_path > 0) m.probe_legacy->Increment(paths.legacy_path);
   }
-  NEBULA_ASSIGN_OR_RETURN(std::vector<Table::RowId> rows,
-                          std::move(rows_result));
-  std::vector<SearchHit> hits;
-  hits.reserve(rows.size());
-  for (Table::RowId r : rows) {
-    hits.push_back({TupleId{table->id(), r}, sql.confidence});
-  }
-  return hits;
+  NEBULA_ASSIGN_OR_RETURN(out.rows, std::move(rows_result));
+  return out;
 }
 
 std::vector<SearchHit> KeywordSearchEngine::MergeHits(
-    const std::vector<std::vector<SearchHit>>& per_sql_hits) {
-  std::unordered_map<TupleId, double, TupleIdHash> best;
-  for (const auto& hits : per_sql_hits) {
-    for (const auto& h : hits) {
-      auto [it, inserted] = best.emplace(h.tuple, h.confidence);
-      if (!inserted && h.confidence > it->second) it->second = h.confidence;
+    std::vector<SearchHit> hits) {
+  // The stable sort keeps each tuple's hits in statement order, and only
+  // a strictly larger confidence replaces the kept one, so of equal
+  // maxima the first statement's stays.
+  std::stable_sort(hits.begin(), hits.end(),
+                   [](const SearchHit& a, const SearchHit& b) {
+                     return a.tuple < b.tuple;
+                   });
+  size_t kept = 0;
+  for (size_t i = 0; i < hits.size();) {
+    SearchHit best = hits[i];
+    for (++i; i < hits.size() && hits[i].tuple == best.tuple; ++i) {
+      if (hits[i].confidence > best.confidence) {
+        best.confidence = hits[i].confidence;
+      }
     }
+    hits[kept++] = best;
   }
-  std::vector<SearchHit> merged;
-  merged.reserve(best.size());
-  // nebula-lint: order-insensitive — total-order sort below
-  for (const auto& [tuple, conf] : best) merged.push_back({tuple, conf});
-  std::sort(merged.begin(), merged.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              if (a.confidence != b.confidence) {
-                return a.confidence > b.confidence;
-              }
-              return a.tuple < b.tuple;
-            });
-  return merged;
+  hits.resize(kept);
+  std::sort(hits.begin(), hits.end(), RanksBefore);
+  return hits;
 }
 
 Result<std::vector<SearchHit>> KeywordSearchEngine::Search(
@@ -449,21 +504,22 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::Search(
 Result<std::vector<SearchHit>> KeywordSearchEngine::SearchPlan(
     const std::vector<GeneratedSql>& plan, const MiniDb* mini_db,
     ExecStats* stats) const {
-  std::vector<std::vector<SearchHit>> per_sql;
-  per_sql.reserve(plan.size());
+  std::vector<SearchHit> hits;
   // Aggregate the per-statement counters locally and assign once at the
   // end: the out-param is overwrite-semantics (see header), and an error
   // return must leave it untouched.
   ExecStats total;
   for (const auto& sql : plan) {
     ExecStats one;
-    NEBULA_ASSIGN_OR_RETURN(std::vector<SearchHit> hits,
-                            ExecuteSql(sql, mini_db, &one));
+    NEBULA_ASSIGN_OR_RETURN(StatementRows selected,
+                            ExecuteRows(sql, mini_db, &one));
     total += one;
-    per_sql.push_back(std::move(hits));
+    for (Table::RowId r : selected.rows) {
+      hits.push_back({TupleId{selected.table_id, r}, sql.confidence});
+    }
   }
   if (stats != nullptr) *stats = total;
-  return MergeHits(per_sql);
+  return MergeHits(std::move(hits));
 }
 
 }  // namespace nebula

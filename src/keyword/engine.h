@@ -1,6 +1,7 @@
 #ifndef NEBULA_KEYWORD_ENGINE_H_
 #define NEBULA_KEYWORD_ENGINE_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,9 +22,19 @@ struct GeneratedSql {
   SelectQuery query;
   double confidence = 0.0;
 
-  /// Canonical string used for duplicate elimination and cross-query
-  /// sharing (table + sorted predicates).
+  /// Display form of the statement (table + sorted predicates). Not
+  /// injective for doubles: literals render through Value::ToString's
+  /// `%.6g`, so 1.0000001 and 1.0000002 share a key. Duplicate
+  /// elimination uses StructuralHash and SameStatement instead.
   std::string CanonicalKey() const;
+
+  /// Hash of the lower-cased table and the predicate multiset.
+  /// SameStatement implies equal hashes.
+  uint64_t StructuralHash() const;
+  /// True when both select the same rows: tables equal ignoring ASCII
+  /// case, and the predicates equal as multisets of (column, op, value),
+  /// a double compared by bit pattern (so a NaN literal equals itself).
+  bool SameStatement(const GeneratedSql& other) const;
 };
 
 /// Metadata-driven keyword search over the relational catalog — Nebula's
@@ -84,28 +95,40 @@ class KeywordSearchEngine {
       ExecStats* stats) const;
 
   /// Step 3 — executes one generated statement; hits carry
-  /// `sql.confidence`.
-  [[nodiscard]] Result<std::vector<SearchHit>> ExecuteSql(const GeneratedSql& sql,
-                                            const MiniDb* mini_db = nullptr);
-
-  /// Thread-safe variant of ExecuteSql (same contract as the thread-safe
-  /// Search): per-call executor, counters into `stats` (may be null).
-  /// Like Search, `*stats` is overwritten, not accumulated into.
+  /// `sql.confidence`. Thread-safe like the const Search: per-call
+  /// executor, counters into `stats` (may be null), which is overwritten,
+  /// not accumulated into.
   [[nodiscard]] Result<std::vector<SearchHit>> ExecuteSql(const GeneratedSql& sql,
                                             const MiniDb* mini_db,
                                             ExecStats* stats) const;
 
-  /// Merges hits from many statements of the *same* keyword query:
-  /// per-tuple max confidence (cross-query aggregation is the caller's
-  /// job — see IdentifyRelatedTuples).
-  static std::vector<SearchHit> MergeHits(
-      const std::vector<std::vector<SearchHit>>& per_sql_hits);
+  /// The rows one statement selected, all in table `table_id`.
+  struct StatementRows {
+    uint32_t table_id = 0;
+    std::vector<Table::RowId> rows;
+  };
+
+  /// ExecuteSql's core: the statement's rows without SearchHits, for
+  /// callers that fold rows of many statements themselves (Stage 2).
+  /// Same thread-safety, stats and observability contract as
+  /// ExecuteSql; the statement's confidence is not read.
+  [[nodiscard]] Result<StatementRows> ExecuteRows(const GeneratedSql& sql,
+                                                  const MiniDb* mini_db,
+                                                  ExecStats* stats) const;
+
+  /// Merges the hits of the statements of the *same* keyword query,
+  /// concatenated in statement order: per-tuple max confidence (the
+  /// first statement's on a tie), ranked by (confidence desc, tuple asc).
+  /// One sort by tuple and one fold; cross-query aggregation is
+  /// TupleIdentifier's job.
+  static std::vector<SearchHit> MergeHits(std::vector<SearchHit> hits);
 
   const ExecStats& stats() const { return executor_.stats(); }
   void ResetStats() { executor_.ResetStats(); }
-  /// Folds counters reported by the const Search/SearchPlan/ExecuteSql
-  /// overloads into the engine's accumulator. Stage 2 calls it after each
-  /// statement, in plan order.
+  /// Folds counters reported by the const Search/SearchPlan/ExecuteSql/
+  /// ExecuteRows overloads into the engine's accumulator. Stage 2 calls it
+  /// once per query (per distinct statement under shared execution), in
+  /// order.
   void AccumulateStats(const ExecStats& stats) {
     executor_.AccumulateStats(stats);
   }

@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/fault_points.h"
@@ -16,12 +17,14 @@
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "storage/query.h"
+#include "storage/schema.h"
+#include "storage/table.h"
 
 namespace nebula {
 
 namespace {
 
-/// One canonical statement plus every (query, confidence) pair consuming
+/// One distinct statement plus every (query, confidence) pair consuming
 /// its row set.
 struct PlannedSql {
   GeneratedSql sql;
@@ -29,17 +32,16 @@ struct PlannedSql {
   std::vector<std::pair<size_t, double>> consumers;
 };
 
-/// Hands one executed statement's row set to all consuming queries with
-/// their own confidences, in plan order.
-void Distribute(const PlannedSql& planned, const std::vector<SearchHit>& hits,
-                std::vector<std::vector<std::vector<SearchHit>>>* per_query) {
+/// Appends one executed statement's rows to every consuming query's hits,
+/// each at that query's confidence for the statement.
+void Distribute(const PlannedSql& planned,
+                const KeywordSearchEngine::StatementRows& selected,
+                std::vector<std::vector<SearchHit>>* per_query) {
   for (const auto& [qi, conf] : planned.consumers) {
-    std::vector<SearchHit> scaled;
-    scaled.reserve(hits.size());
-    for (const auto& h : hits) {
-      scaled.push_back({h.tuple, h.confidence * conf});
+    std::vector<SearchHit>& hits = (*per_query)[qi];
+    for (Table::RowId r : selected.rows) {
+      hits.push_back({TupleId{selected.table_id, r}, conf});
     }
-    (*per_query)[qi].push_back(std::move(scaled));
   }
 }
 
@@ -91,8 +93,8 @@ Status SharedKeywordExecutor::ExecuteGroup(
   }
 
   // Phase 1: compile every query (or take the caller's precompiled
-  // plans), canonicalize statements group-wide.
-  std::unordered_map<std::string, size_t> index_by_key;
+  // plans), find repeated statements group-wide.
+  std::unordered_multimap<uint64_t, size_t> index_by_hash;
   std::vector<PlannedSql> plan;
   KeywordSearchEngine::MappingCache mapping_cache;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -101,10 +103,11 @@ Status SharedKeywordExecutor::ExecuteGroup(
                          : engine_->CompileToSql(queries[qi], &mapping_cache);
     for (auto& sql : compiled) {
       ++stats_.total_sql;
-      std::string key = sql.CanonicalKey();
-      auto it = index_by_key.find(key);
-      if (it == index_by_key.end()) {
-        index_by_key.emplace(std::move(key), plan.size());
+      const uint64_t hash = sql.StructuralHash();
+      auto [it, end] = index_by_hash.equal_range(hash);
+      while (it != end && !plan[it->second].sql.SameStatement(sql)) ++it;
+      if (it == end) {
+        index_by_hash.emplace(hash, plan.size());
         PlannedSql planned;
         planned.consumers.push_back({qi, sql.confidence});
         planned.sql = std::move(sql);
@@ -134,21 +137,17 @@ Status SharedKeywordExecutor::ExecuteGroup(
     }
   }
 
-  // Phase 2: execute each distinct statement once, in plan order; hand the
-  // row set to all consumers with their own confidences.
-  std::vector<std::vector<std::vector<SearchHit>>> per_query_hits(
-      queries.size());
+  // Phase 2: execute each distinct statement once, in plan order; append
+  // its rows to every consumer's hits at that consumer's confidence.
+  std::vector<std::vector<SearchHit>> per_query_hits(queries.size());
   for (const PlannedSql& planned : plan) {
     // Fault injection: lets tests fail an individual distinct statement
     // mid-group.
     NEBULA_INJECT_FAULT(kFaultKeywordSharedStatement);
-    // Execute with confidence 1; scale per consumer on distribution.
-    GeneratedSql unit = planned.sql;
-    unit.confidence = 1.0;
     ExecStats one;
     Stopwatch watch;
-    Result<std::vector<SearchHit>> hits =
-        engine_->ExecuteSql(unit, mini_db, &one);
+    Result<KeywordSearchEngine::StatementRows> selected =
+        engine_->ExecuteRows(planned.sql, mini_db, &one);
     if constexpr (obs::kEnabled) {
       Metrics().sql_duration_us->Observe(watch.ElapsedMicros());
     }
@@ -156,14 +155,14 @@ Status SharedKeywordExecutor::ExecuteGroup(
     // counters still count (same as the historical in-engine path).
     engine_->AccumulateStats(one);
     stats_.exec += one;
-    NEBULA_RETURN_NOT_OK(hits.status());
-    Distribute(planned, *hits, &per_query_hits);
+    NEBULA_RETURN_NOT_OK(selected.status());
+    Distribute(planned, *selected, &per_query_hits);
   }
 
   if constexpr (obs::kEnabled) {
     Metrics().rows_examined->Increment(stats_.exec.rows_examined);
     // The distinct-statement executions already charged the calling
-    // operation's context through ExecuteSql; only sharing is counted here.
+    // operation's context through ExecuteRows; only sharing is counted here.
     if (obs::EventContext* ctx = obs::CurrentEventContext()) {
       ctx->sql_shared += stats_.total_sql - stats_.distinct_sql;
     }
@@ -171,7 +170,8 @@ Status SharedKeywordExecutor::ExecuteGroup(
 
   // Phase 3: per-query merge, identical to the isolated path.
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    (*results)[qi] = KeywordSearchEngine::MergeHits(per_query_hits[qi]);
+    (*results)[qi] =
+        KeywordSearchEngine::MergeHits(std::move(per_query_hits[qi]));
   }
   return Status::OK();
 }

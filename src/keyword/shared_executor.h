@@ -38,10 +38,12 @@ struct SharedExecutionStats {
 /// The queries in a group overlap heavily: the same embedded reference is
 /// often emitted in several forms (e.g. a Type-2 and a Type-3 variant), and
 /// the underlying engine compiles those to identical SQL. Instead of
-/// executing each query in isolation, the shared executor canonicalizes
-/// every generated statement across the whole group, executes each
-/// distinct statement exactly once, and distributes the cached result to
-/// every (query, statement) pair.
+/// executing each query in isolation, the shared executor finds repeated
+/// statements across the whole group (GeneratedSql::StructuralHash, each
+/// hash match confirmed by SameStatement), executes each distinct
+/// statement exactly once, and appends its rows to every consuming
+/// query's hits at that query's confidence; MergeHits then folds each
+/// query's hits as the isolated path does.
 ///
 /// The group runs on the calling thread: distinct statements execute in
 /// plan order, and hits are distributed and counters folded as each one

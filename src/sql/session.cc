@@ -1,7 +1,8 @@
 #include "sql/session.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <optional>
 
 #include "annotation/annotation_store.h"
 #include "common/fault.h"
@@ -57,6 +58,10 @@ std::string QueryResult::ToString() const {
 Result<QueryResult> SqlSession::Execute(const std::string& statement) {
   NEBULA_INJECT_FAULT(kFaultSqlSessionExecute);
   NEBULA_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(statement));
+  return Execute(parsed);
+}
+
+Result<QueryResult> SqlSession::Execute(const Statement& parsed) {
   if (auto* select = std::get_if<SelectStatement>(&parsed)) {
     return ExecuteSelect(*select);
   }
@@ -218,30 +223,35 @@ Result<QueryResult> SqlSession::ExecuteInsert(const InsertStatement& stmt) {
                   schema.num_columns(), stmt.table.c_str(),
                   stmt.values.size()));
   }
-  // Coerce the literals to the column types.
+  // Coerce the literals to the column types. A cell must be one whole
+  // in-range decimal: no clamp, and no nan, inf or hex float.
   std::vector<Value> row;
   row.reserve(stmt.values.size());
   for (size_t c = 0; c < stmt.values.size(); ++c) {
     const std::string& text = stmt.values[c];
     switch (schema.column(c).type) {
-      case DataType::kInt64:
-        if (stmt.value_is_string[c] || !LooksLikeInteger(text)) {
+      case DataType::kInt64: {
+        const std::optional<int64_t> v =
+            stmt.value_is_string[c] ? std::nullopt : ParseInt64(text);
+        if (!v) {
           return Status::InvalidArgument(
               StrFormat("column %s expects an integer, got '%s'",
                         schema.column(c).name.c_str(), text.c_str()));
         }
-        row.push_back(
-            Value(static_cast<int64_t>(std::strtoll(text.c_str(), nullptr,
-                                                    10))));
+        row.push_back(Value(*v));
         break;
-      case DataType::kDouble:
-        if (stmt.value_is_string[c] || !LooksLikeNumber(text)) {
+      }
+      case DataType::kDouble: {
+        const std::optional<double> v =
+            stmt.value_is_string[c] ? std::nullopt : ParseFiniteDouble(text);
+        if (!v) {
           return Status::InvalidArgument(
-              StrFormat("column %s expects a number, got '%s'",
+              StrFormat("column %s expects a finite number, got '%s'",
                         schema.column(c).name.c_str(), text.c_str()));
         }
-        row.push_back(Value(std::strtod(text.c_str(), nullptr)));
+        row.push_back(Value(*v));
         break;
+      }
       case DataType::kString:
         row.push_back(Value(text));
         break;

@@ -35,6 +35,10 @@ class SqlSession {
   /// Parses and executes one statement.
   [[nodiscard]] Result<QueryResult> Execute(const std::string& statement);
 
+  /// Executes a parsed statement. One built in code, with literal texts
+  /// no lexer produces, meets the same checks.
+  [[nodiscard]] Result<QueryResult> Execute(const Statement& statement);
+
  private:
   [[nodiscard]] Result<QueryResult> ExecuteSelect(const SelectStatement& stmt);
   [[nodiscard]] Result<QueryResult> ExecuteInsert(const InsertStatement& stmt);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -305,8 +306,8 @@ TEST(MiniDbTest, ContainsAndSizeAgreeWithSetOracle) {
 
 TEST_F(KeywordEngineTest, MergeHitsKeepsMaxPerTuple) {
   const TupleId t{0, 0};
-  const auto merged = KeywordSearchEngine::MergeHits(
-      {{{t, 0.3}}, {{t, 0.8}}, {{{1, 1}, 0.5}}});
+  const auto merged =
+      KeywordSearchEngine::MergeHits({{t, 0.3}, {t, 0.8}, {{1, 1}, 0.5}});
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_DOUBLE_EQ(merged[0].confidence, 0.8);
   EXPECT_EQ(merged[0].tuple, t);
@@ -314,7 +315,7 @@ TEST_F(KeywordEngineTest, MergeHitsKeepsMaxPerTuple) {
 
 TEST_F(KeywordEngineTest, MergeHitsSortedByConfidenceThenTuple) {
   const auto merged = KeywordSearchEngine::MergeHits(
-      {{{{0, 2}, 0.5}, {{0, 1}, 0.5}, {{0, 3}, 0.9}}});
+      {{{0, 2}, 0.5}, {{0, 1}, 0.5}, {{0, 3}, 0.9}});
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].tuple.row, 3u);
   EXPECT_EQ(merged[1].tuple.row, 1u);
@@ -459,6 +460,77 @@ TEST_F(KeywordEngineTest, GeneratedSqlCanonicalKeyOrderInsensitive) {
   b.query.predicates = {{"name", CompareOp::kEq, Value("y")},
                         {"gid", CompareOp::kEq, Value("x")}};
   EXPECT_EQ(a.CanonicalKey(), b.CanonicalKey());
+  EXPECT_TRUE(a.SameStatement(b));
+  EXPECT_EQ(a.StructuralHash(), b.StructuralHash());
+}
+
+TEST(GeneratedSqlIdentityTest, StructuralIdentityComparesEveryField) {
+  auto sql = [](std::vector<Predicate> preds) {
+    GeneratedSql s;
+    s.query.table = "m";
+    s.query.predicates = std::move(preds);
+    return s;
+  };
+  const GeneratedSql base = sql({{"mass", CompareOp::kEq, Value(1.5)}});
+  const double nan = std::nan("");
+  const std::vector<GeneratedSql> different = {
+      sql({{"mass", CompareOp::kEq, Value(1.5000001)}}),
+      sql({{"mass", CompareOp::kNe, Value(1.5)}}),
+      sql({{"weight", CompareOp::kEq, Value(1.5)}}),
+      sql({{"mass", CompareOp::kEq, Value("1.5")}}),
+      sql({{"mass", CompareOp::kEq, Value(1.5)},
+           {"mass", CompareOp::kEq, Value(1.5)}}),
+      sql({}),
+  };
+  for (const GeneratedSql& d : different) {
+    EXPECT_FALSE(base.SameStatement(d)) << d.query.ToSqlString();
+    EXPECT_FALSE(d.SameStatement(base)) << d.query.ToSqlString();
+  }
+  GeneratedSql other_table = base;
+  other_table.query.table = "n";
+  EXPECT_FALSE(base.SameStatement(other_table));
+  // Doubles compare by bit pattern: -0.0 is not 0.0, and NaN equals
+  // itself.
+  const GeneratedSql zero = sql({{"mass", CompareOp::kEq, Value(0.0)}});
+  EXPECT_FALSE(
+      zero.SameStatement(sql({{"mass", CompareOp::kEq, Value(-0.0)}})));
+  const GeneratedSql a = sql({{"mass", CompareOp::kEq, Value(nan)}});
+  const GeneratedSql b = sql({{"mass", CompareOp::kEq, Value(nan)}});
+  EXPECT_TRUE(a.SameStatement(b));
+  EXPECT_EQ(a.StructuralHash(), b.StructuralHash());
+  // Multisets: {x, x, y} is not {x, y, y}.
+  const Predicate x{"c", CompareOp::kEq, Value(int64_t{1})};
+  const Predicate y{"c", CompareOp::kEq, Value(int64_t{2})};
+  EXPECT_FALSE(sql({x, x, y}).SameStatement(sql({x, y, y})));
+  EXPECT_TRUE(sql({x, y, x}).SameStatement(sql({x, x, y})));
+  EXPECT_EQ(sql({x, y, x}).StructuralHash(), sql({x, x, y}).StructuralHash());
+}
+
+// Two double literals that print alike under Value::ToString's "%.6g" are
+// two statements. Deduplicating by CanonicalKey kept only the first, and
+// the search lost the second row.
+TEST(GeneratedSqlIdentityTest, DistinctDoubleLiteralsFindBothRows) {
+  Catalog catalog;
+  Table* m = *catalog.CreateTable(
+      "m", Schema({{"id", DataType::kString, true},
+                   {"mass", DataType::kDouble}}));
+  ASSERT_TRUE(m->Insert({Value("r0"), Value(1.0000001)}).ok());
+  ASSERT_TRUE(m->Insert({Value("r1"), Value(1.0000002)}).ok());
+  NebulaMeta meta;
+  ASSERT_TRUE(meta.AddConcept("M", "m", {{"mass"}}).ok());
+  ASSERT_TRUE(meta.SetColumnPattern("m", "mass", "[0-9]+\\.[0-9]+").ok());
+  KeywordSearchEngine engine(&catalog, &meta);
+
+  const KeywordQuery query{{"1.0000001", "1.0000002"}, 1.0, ""};
+  const std::vector<GeneratedSql> plan = engine.CompileToSql(query);
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan[0].CanonicalKey(), plan[1].CanonicalKey());
+  EXPECT_FALSE(plan[0].SameStatement(plan[1]));
+
+  const auto hits = *engine.Search(query);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ((std::set<TupleId>{hits[0].tuple, hits[1].tuple}),
+            (std::set<TupleId>{{m->id(), 0}, {m->id(), 1}}));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
@@ -8,6 +9,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "annotation/annotation_store.h"
 #include "annotation/quality.h"
@@ -31,6 +35,7 @@
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
+#include "testing/check_workload.h"
 #include "text/tokenizer.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
@@ -301,6 +306,31 @@ TEST_P(AcgWeightProperty, WeightsSymmetricAndBounded) {
       EXPECT_LE(w, 1.0);
       EXPECT_NEAR(w, acg.EdgeWeight({0, j}, {0, i}), 1e-12);
     }
+  }
+  // Neighbors(f) lists exactly the tuples with a non-zero EdgeWeight to f,
+  // in TupleId order, each weight equal to EdgeWeight in both argument
+  // orders bit for bit: Identify's focal merge-join relies on all three.
+  for (uint64_t i = 0; i <= tuples; ++i) {  // row `tuples` is absent
+    const TupleId f{0, i};
+    const auto neighbors = acg.Neighbors(f);
+    EXPECT_TRUE(std::is_sorted(
+        neighbors.begin(), neighbors.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; }));
+    size_t listed = 0;
+    for (uint64_t j = 0; j <= tuples; ++j) {
+      const TupleId t{0, j};
+      auto it = std::find_if(neighbors.begin(), neighbors.end(),
+                             [&t](const auto& n) { return n.first == t; });
+      const double w = it == neighbors.end() ? 0.0 : it->second;
+      EXPECT_EQ(std::bit_cast<uint64_t>(w),
+                std::bit_cast<uint64_t>(acg.EdgeWeight(t, f)))
+          << i << "-" << j;
+      EXPECT_EQ(std::bit_cast<uint64_t>(w),
+                std::bit_cast<uint64_t>(acg.EdgeWeight(f, t)))
+          << i << "-" << j;
+      if (it != neighbors.end()) ++listed;
+    }
+    EXPECT_EQ(listed, neighbors.size());
   }
 }
 
@@ -754,6 +784,330 @@ TEST(PlanCacheInvalidation, EveryMetaMutationBumpsVersionAndFlushes) {
   const size_t before_entries = cache.size();
   (void)cache.GetOrCompileGroup(engine, queries);
   EXPECT_LE(cache.size(), before_entries);
+}
+
+// ------- Property: the Stage-2 fold equals the hash-map merge ---------
+// TupleIdentifier::Identify and KeywordSearchEngine::MergeHits sort and
+// fold flat arrays. Their references are the hash-map merges they
+// replaced, kept here; results must match bit for bit.
+
+/// MergeHits as a hash map: the first statement's confidence per tuple,
+/// replaced only by a strictly larger one; then the (confidence desc,
+/// tuple asc) sort.
+std::vector<SearchHit> ReferenceMergeHits(
+    const std::vector<std::vector<SearchHit>>& per_sql_hits) {
+  std::unordered_map<TupleId, double, TupleIdHash> best;
+  for (const auto& hits : per_sql_hits) {
+    for (const auto& h : hits) {
+      auto [it, inserted] = best.emplace(h.tuple, h.confidence);
+      if (!inserted && h.confidence > it->second) it->second = h.confidence;
+    }
+  }
+  std::vector<SearchHit> merged;
+  for (const auto& [tuple, conf] : best) merged.push_back({tuple, conf});
+  std::sort(merged.begin(), merged.end(),
+            [](const SearchHit& a, const SearchHit& b) {
+              if (a.confidence != b.confidence) {
+                return a.confidence > b.confidence;
+              }
+              return a.tuple < b.tuple;
+            });
+  return merged;
+}
+
+/// Identify as a hash-map merge: Search per query, a hash-map grouping
+/// with one label per hit, a linear evidence dedup, EdgeWeight per
+/// (candidate, focal tuple) or PathWeight per candidate, normalization
+/// and a stable sort.
+std::vector<CandidateTuple> ReferenceIdentify(
+    KeywordSearchEngine* engine, const Acg& acg, const IdentifyParams& params,
+    const std::vector<KeywordQuery>& queries,
+    const std::vector<TupleId>& focal, const MiniDb* mini_db) {
+  std::vector<std::vector<SearchHit>> per_query;
+  for (const KeywordQuery& q : queries) {
+    per_query.push_back(*engine->Search(q, mini_db));
+  }
+  struct Accum {
+    double confidence = 0.0;
+    std::vector<std::string> evidence;
+  };
+  std::unordered_map<TupleId, Accum, TupleIdHash> grouped;
+  for (size_t qi = 0; qi < per_query.size(); ++qi) {
+    for (const SearchHit& hit : per_query[qi]) {
+      const double contribution = hit.confidence * queries[qi].weight;
+      Accum& acc = grouped[hit.tuple];
+      acc.confidence = params.group_reward
+                           ? acc.confidence + contribution
+                           : std::max(acc.confidence, contribution);
+      acc.evidence.push_back(queries[qi].label.empty() ? queries[qi].ToString()
+                                                       : queries[qi].label);
+    }
+  }
+  if (params.focal_adjustment && !focal.empty()) {
+    for (auto& [tuple, acc] : grouped) {
+      double reward = 0.0;
+      if (params.focal_reward_mode == FocalRewardMode::kDirectEdge) {
+        for (const TupleId& f : focal) {
+          reward += acg.EdgeWeight(tuple, f) * acc.confidence;
+        }
+      } else {
+        reward = acg.PathWeight(focal, tuple, params.path_max_hops) *
+                 acc.confidence;
+      }
+      acc.confidence += reward;
+    }
+  }
+  double max_conf = 0.0;
+  for (const auto& [_, acc] : grouped) {
+    max_conf = std::max(max_conf, acc.confidence);
+  }
+  std::vector<CandidateTuple> out;
+  for (auto& [tuple, acc] : grouped) {
+    CandidateTuple c;
+    c.tuple = tuple;
+    c.confidence = max_conf > 0.0 ? acc.confidence / max_conf : 0.0;
+    for (auto& e : acc.evidence) {
+      if (std::find(c.evidence.begin(), c.evidence.end(), e) ==
+          c.evidence.end()) {
+        c.evidence.push_back(std::move(e));
+      }
+    }
+    out.push_back(std::move(c));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const CandidateTuple& a, const CandidateTuple& b) {
+                     if (a.confidence != b.confidence) {
+                       return a.confidence > b.confidence;
+                     }
+                     return a.tuple < b.tuple;
+                   });
+  return out;
+}
+
+/// The first difference between two rankings (tuple, confidence bits,
+/// evidence), or "" when they are equal.
+std::string FirstDifference(const std::vector<CandidateTuple>& got,
+                            const std::vector<CandidateTuple>& want) {
+  if (got.size() != want.size()) {
+    return "size " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    const std::string at = "rank " + std::to_string(i) + ": ";
+    if (!(got[i].tuple == want[i].tuple)) {
+      return at + got[i].tuple.ToString() + " vs " + want[i].tuple.ToString();
+    }
+    if (std::bit_cast<uint64_t>(got[i].confidence) !=
+        std::bit_cast<uint64_t>(want[i].confidence)) {
+      return at + StrFormat("confidence %.17g vs %.17g", got[i].confidence,
+                            want[i].confidence);
+    }
+    if (got[i].evidence != want[i].evidence) return at + "evidence";
+  }
+  return "";
+}
+
+/// Runs one query group through Identify and through the reference in
+/// every configuration: group reward on/off x focal adjustment off /
+/// direct edge / shortest path x shared execution off/on x plan cache
+/// off/on x without/with `mini`. Isolated runs must also report the
+/// reference's ExecStats.
+void ExpectFoldEqualsReference(const Catalog& catalog, const NebulaMeta& meta,
+                               const Acg& acg,
+                               const std::vector<KeywordQuery>& queries,
+                               const std::vector<TupleId>& focal,
+                               const MiniDb& mini, const std::string& name) {
+  for (int config = 0; config < 48; ++config) {
+    IdentifyParams params;
+    params.group_reward = (config & 1) != 0;
+    params.shared_execution = (config & 2) != 0;
+    const bool use_plan_cache = (config & 4) != 0;
+    const MiniDb* restrict = (config & 8) != 0 ? &mini : nullptr;
+    params.focal_adjustment = config / 16 != 0;
+    params.focal_reward_mode = config / 16 == 2 ? FocalRewardMode::kShortestPath
+                                                : FocalRewardMode::kDirectEdge;
+    KeywordSearchEngine reference_engine(&catalog, &meta);
+    KeywordSearchEngine engine(&catalog, &meta);
+    PlanCache plan_cache(&meta);
+    TupleIdentifier identifier(&engine, &acg, params,
+                               use_plan_cache ? &plan_cache : nullptr);
+    const auto want = ReferenceIdentify(&reference_engine, acg, params,
+                                        queries, focal, restrict);
+    const auto got = identifier.Identify(queries, focal, restrict);
+    ASSERT_TRUE(got.ok()) << name << " config " << config;
+    EXPECT_EQ(FirstDifference(*got, want), "") << name << " config " << config;
+    if (!params.shared_execution) {
+      EXPECT_EQ(engine.stats().rows_examined,
+                reference_engine.stats().rows_examined)
+          << name << " config " << config;
+      EXPECT_EQ(engine.stats().index_lookups,
+                reference_engine.stats().index_lookups)
+          << name << " config " << config;
+      EXPECT_EQ(engine.stats().matches, reference_engine.stats().matches)
+          << name << " config " << config;
+    }
+  }
+}
+
+MiniDb FocalMiniDb(const Acg& acg, const std::vector<TupleId>& focal) {
+  FocalSpreadingParams sp;
+  sp.require_stable_acg = false;
+  return FocalSpreading(&acg, sp).BuildMiniDb(focal, 2);
+}
+
+TEST(FoldEqualsReference, TinyWorkloadAnnotations) {
+  BioDataset* ds = SharedDataset();
+  ASSERT_NE(ds, nullptr);
+  Acg acg;
+  acg.BuildFromStore(ds->store);
+  QueryGenerator gen(&ds->meta);
+  for (size_t a = 0; a < 60 && a < ds->workload.annotations.size(); a += 7) {
+    const WorkloadAnnotation& wa = ds->workload.annotations[a];
+    const std::vector<TupleId> focal{wa.ideal_tuples.front()};
+    ExpectFoldEqualsReference(ds->catalog, ds->meta, acg,
+                              gen.Generate(wa.text).queries, focal,
+                              FocalMiniDb(acg, focal),
+                              "tiny annotation " + std::to_string(a));
+  }
+}
+
+TEST(FoldEqualsReference, HostileCheckUniverse) {
+  check::CheckWorkloadParams params;
+  params.hostile_tokens = true;
+  auto universe = check::BuildCheckUniverse(11, params);
+  ASSERT_TRUE(universe.ok());
+  const check::CheckUniverse& u = **universe;
+  Acg acg;
+  acg.BuildFromStore(u.store);
+  QueryGenerator gen(&u.meta);
+  const check::CheckWorkload workload =
+      check::GenerateCheckWorkload(11, u, params);
+  ASSERT_FALSE(workload.annotations.empty());
+  for (size_t a = 0; a < workload.annotations.size(); ++a) {
+    const check::CheckAnnotation& ann = workload.annotations[a];
+    ExpectFoldEqualsReference(u.catalog, u.meta, acg,
+                              gen.Generate(ann.text).queries, ann.focal,
+                              FocalMiniDb(acg, ann.focal),
+                              "hostile annotation " + std::to_string(a));
+  }
+}
+
+/// Targeted groups over one Tiny annotation whose candidates include ACG
+/// neighbours of its focal tuple.
+class FoldEqualsReferenceTargeted : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ds_ = SharedDataset();
+    ASSERT_NE(ds_, nullptr);
+    acg_.BuildFromStore(ds_->store);
+    QueryGenerator gen(&ds_->meta);
+    // The first annotation with three or more queries, a candidate that
+    // is an ACG neighbour of its focal tuple, and a candidate that is not.
+    for (const WorkloadAnnotation& wa : ds_->workload.annotations) {
+      queries_ = gen.Generate(wa.text).queries;
+      focal_ = wa.ideal_tuples.front();
+      if (queries_.size() < 3) continue;
+      KeywordSearchEngine engine(&ds_->catalog, &ds_->meta);
+      IdentifyParams plain;
+      plain.focal_adjustment = false;
+      candidates_ = *TupleIdentifier(&engine, &acg_, plain)
+                         .Identify(queries_, {focal_});
+      size_t connected = 0;
+      for (const CandidateTuple& c : candidates_) {
+        if (acg_.EdgeWeight(c.tuple, focal_) > 0.0) ++connected;
+      }
+      if (connected > 0 && connected < candidates_.size()) return;
+    }
+    FAIL() << "no Tiny annotation has a focal-connected candidate";
+  }
+
+  void Expect(const std::vector<KeywordQuery>& queries,
+              const std::vector<TupleId>& focal, const std::string& name) {
+    ExpectFoldEqualsReference(ds_->catalog, ds_->meta, acg_, queries, focal,
+                              FocalMiniDb(acg_, {focal_}), name);
+  }
+
+  BioDataset* ds_ = nullptr;
+  Acg acg_;
+  std::vector<KeywordQuery> queries_;
+  TupleId focal_;
+  std::vector<CandidateTuple> candidates_;
+};
+
+TEST_F(FoldEqualsReferenceTargeted, FocalShapes) {
+  const TupleId absent{0, 1u << 30};
+  ASSERT_FALSE(acg_.HasNode(absent));
+  Expect(queries_, {focal_}, "focal");
+  Expect(queries_, {focal_, focal_}, "duplicated focal tuple");
+  Expect(queries_, {focal_, absent, focal_}, "duplicated and absent focal");
+  Expect(queries_, {absent}, "only an absent focal tuple");
+  // A candidate that is itself a focal tuple, first and last in focal.
+  Expect(queries_, {candidates_.front().tuple, focal_},
+         "top candidate as a focal tuple");
+  Expect(queries_, {focal_, candidates_.back().tuple},
+         "last candidate as a focal tuple");
+}
+
+TEST_F(FoldEqualsReferenceTargeted, EvidenceLabels) {
+  std::vector<KeywordQuery> shared_label = queries_;
+  shared_label[2].label = shared_label[0].label;
+  Expect(shared_label, {focal_}, "two queries with one label");
+  std::vector<KeywordQuery> empty_label = queries_;
+  empty_label[1].label.clear();
+  Expect(empty_label, {focal_}, "an empty label");
+  // An empty label renders as the keywords, which may equal another
+  // query's explicit label.
+  std::vector<KeywordQuery> rendered_equal = queries_;
+  rendered_equal[1].label.clear();
+  rendered_equal[2].label = rendered_equal[1].ToString();
+  Expect(rendered_equal, {focal_}, "a rendered label equal to a label");
+  // The same query twice under one label: one evidence entry, two terms.
+  std::vector<KeywordQuery> repeated = queries_;
+  repeated.push_back(queries_[0]);
+  Expect(repeated, {focal_}, "a repeated query");
+}
+
+TEST_F(FoldEqualsReferenceTargeted, EqualConfidences) {
+  // Unit weights leave many candidates at equal confidence, so the
+  // ranking falls back to the tuple order.
+  std::vector<KeywordQuery> unit = queries_;
+  for (KeywordQuery& q : unit) q.weight = 1.0;
+  Expect(unit, {focal_}, "unit weights");
+  Expect(unit, {}, "unit weights, no focal");
+  std::vector<KeywordQuery> zero = queries_;
+  zero[0].weight = 0.0;
+  Expect(zero, {focal_}, "a zero weight");
+}
+
+TEST(MergeHitsProperty, EqualsHashMapMergeOnRandomHits) {
+  // Few tuples and few confidence levels, -0.0 among them: duplicates
+  // within and across statements, and ties everywhere.
+  const double levels[] = {0.0, -0.0, 0.25, 0.5, 0.5, 0.75};
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng(seed);
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::vector<SearchHit>> per_sql(rng.Uniform(6));
+      std::vector<SearchHit> concatenated;
+      for (auto& hits : per_sql) {
+        const size_t n = rng.Uniform(10);
+        for (size_t i = 0; i < n; ++i) {
+          hits.push_back({{static_cast<uint32_t>(rng.Uniform(3)),
+                           rng.Uniform(5)},
+                          levels[rng.Uniform(std::size(levels))]});
+        }
+        concatenated.insert(concatenated.end(), hits.begin(), hits.end());
+      }
+      const auto want = ReferenceMergeHits(per_sql);
+      const auto got = KeywordSearchEngine::MergeHits(concatenated);
+      ASSERT_EQ(got.size(), want.size()) << seed << "/" << round;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].tuple, want[i].tuple) << seed << "/" << round;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].confidence),
+                  std::bit_cast<uint64_t>(want[i].confidence))
+            << seed << "/" << round;
+      }
+    }
+  }
 }
 
 // §5.2.2: a full {table, column, value} context (Type-1) must reward a

@@ -7,6 +7,7 @@
 #include "keyword/shared_executor.h"
 #include "meta/nebula_meta.h"
 #include "storage/catalog.h"
+#include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
@@ -121,6 +122,46 @@ TEST_F(SharedExecutorTest, StatsAreReportedPerGroupNotAccumulated) {
   EXPECT_EQ(shared.stats().total_sql, total);
   EXPECT_EQ(shared.stats().distinct_sql, distinct);
   EXPECT_DOUBLE_EQ(shared.stats().sharing_ratio(), ratio);
+}
+
+// Two double literals that print alike under Value::ToString's "%.6g" are
+// two statements. Keyed by CanonicalKey, the group ran one of them and
+// handed its rows to both queries.
+TEST(SharedExecutorDoubleLiteralTest, DistinctDoubleLiteralsRunTwoStatements) {
+  Catalog catalog;
+  Table* m = *catalog.CreateTable(
+      "m", Schema({{"id", DataType::kString, true},
+                   {"mass", DataType::kDouble}}));
+  ASSERT_TRUE(m->Insert({Value("r0"), Value(1.0000001)}).ok());
+  ASSERT_TRUE(m->Insert({Value("r1"), Value(1.0000002)}).ok());
+  NebulaMeta meta;
+  ASSERT_TRUE(meta.AddConcept("M", "m", {{"mass"}}).ok());
+  ASSERT_TRUE(meta.SetColumnPattern("m", "mass", "[0-9]+\\.[0-9]+").ok());
+  KeywordSearchEngine engine(&catalog, &meta);
+
+  const std::vector<KeywordQuery> queries = {
+      {{"1.0000001"}, 1.0, "first"},
+      {{"1.0000002"}, 1.0, "second"},
+      {{"1.0000001", "1.0000002"}, 1.0, "both"},
+  };
+  SharedKeywordExecutor shared(&engine);
+  std::vector<std::vector<SearchHit>> results;
+  ASSERT_TRUE(shared.ExecuteGroup(queries, &results).ok());
+  EXPECT_EQ(shared.stats().total_sql, 4u);
+  EXPECT_EQ(shared.stats().distinct_sql, 2u);
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results[0].size(), 1u);
+  EXPECT_EQ(results[0][0].tuple, (TupleId{m->id(), 0}));
+  ASSERT_EQ(results[1].size(), 1u);
+  EXPECT_EQ(results[1][0].tuple, (TupleId{m->id(), 1}));
+  ASSERT_EQ(results[2].size(), 2u);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const auto isolated = *engine.Search(queries[qi]);
+    ASSERT_EQ(results[qi].size(), isolated.size()) << "query " << qi;
+    for (size_t h = 0; h < isolated.size(); ++h) {
+      EXPECT_EQ(results[qi][h].tuple, isolated[h].tuple);
+    }
+  }
 }
 
 TEST(SharedExecutionStatsTest, ResetZeroesCounters) {

@@ -12,6 +12,7 @@
 #include "sql/session.h"
 #include "storage/catalog.h"
 #include "storage/query.h"
+#include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
@@ -304,6 +305,69 @@ TEST_F(SqlSessionTest, InsertTypeMismatchFails) {
                    .ok());
   EXPECT_FALSE(
       session_->Execute("INSERT INTO gene VALUES ('JW0016')").ok());
+}
+
+TEST_F(SqlSessionTest, InsertRejectsOverflowingIntegers) {
+  for (const char* cell : {"99999999999999999999", "-99999999999999999999",
+                           "9223372036854775808"}) {
+    const auto result = session_->Execute(
+        std::string("INSERT INTO gene VALUES ('JW0099', 'abcD', ") + cell +
+        ")");
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << cell;
+  }
+  // Built in code, a sign, a space or a fraction is no integer either.
+  for (const char* cell : {"+7", " 7", "7 ", "1.5", ""}) {
+    const Statement stmt =
+        InsertStatement{"gene", {"JW0099", "abcD", cell}, {true, true, false}};
+    EXPECT_EQ(session_->Execute(stmt).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << cell << "'";
+  }
+  EXPECT_EQ((*catalog_.GetTable("gene"))->num_rows(), 2u);
+}
+
+TEST_F(SqlSessionTest, InsertRejectsNonFiniteAndMalformedDoubles) {
+  Table* m = *catalog_.CreateTable(
+      "m", Schema({{"id", DataType::kString, true},
+                   {"mass", DataType::kDouble}}));
+  for (const char* cell : {"nan", "NAN", "inf", "-inf", "infinity", "0x1p3",
+                           "1e999", " 1.5", "1.5 ", "+1.5", "1.2.3", ""}) {
+    const Statement stmt = InsertStatement{"m", {"r0", cell}, {true, false}};
+    EXPECT_EQ(session_->Execute(stmt).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << cell << "'";
+  }
+  // 1 followed by 400 zeros lexes as one number and overflows a double.
+  const auto huge = session_->Execute("INSERT INTO m VALUES ('r0', 1" +
+                                      std::string(400, '0') + ")");
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(m->num_rows(), 0u);
+}
+
+TEST_F(SqlSessionTest, InsertStoresWellFormedNumbersExactly) {
+  Table* m = *catalog_.CreateTable(
+      "m", Schema({{"id", DataType::kString, true},
+                   {"mass", DataType::kDouble}}));
+  ASSERT_TRUE(session_
+                  ->Execute("INSERT INTO gene VALUES "
+                            "('JW0097', 'abcD', 9223372036854775807)")
+                  .ok());
+  ASSERT_TRUE(
+      session_->Execute("INSERT INTO gene VALUES ('JW0098', 'abcE', -5)")
+          .ok());
+  const Table* gene = *catalog_.GetTable("gene");
+  ASSERT_EQ(gene->num_rows(), 4u);
+  EXPECT_EQ(gene->GetCell(2, 2), Value(int64_t{9223372036854775807}));
+  EXPECT_EQ(gene->GetCell(3, 2), Value(int64_t{-5}));
+
+  ASSERT_TRUE(
+      session_->Execute("INSERT INTO m VALUES ('r0', 1.0000001)").ok());
+  ASSERT_TRUE(session_->Execute("INSERT INTO m VALUES ('r1', -2.5)").ok());
+  ASSERT_TRUE(session_->Execute("INSERT INTO m VALUES ('r2', 42)").ok());
+  ASSERT_EQ(m->num_rows(), 3u);
+  EXPECT_EQ(m->GetCell(0, 1).AsDouble(), 1.0000001);
+  EXPECT_EQ(m->GetCell(1, 1).AsDouble(), -2.5);
+  EXPECT_EQ(m->GetCell(2, 1).AsDouble(), 42.0);
 }
 
 TEST_F(SqlSessionTest, AnnotateTriggersDiscoveryAndPropagation) {

@@ -3,12 +3,14 @@
 /// of K.
 ///
 /// Setup mirrors §8.2: the largest dataset, eps = 0.6, the L^100
-/// annotation set, no sharing. The distortion degree Delta (number of
-/// focal attachments kept) varies over {1,2,3} and the search radius K
-/// over {2,3,4}.
+/// annotation set. The distortion degree Delta (number of focal
+/// attachments kept) varies over {1,2,3} and the search radius K over
+/// {2,3,4}.
 ///
-///   14(a) execution time: basic full-database search vs shared execution
-///         vs focal spreading (expected ~8-15x faster than basic);
+///   14(a) execution time: basic full-database search vs focal spreading
+///         (expected ~8-15x faster than basic). Stage 2 always shares
+///         statements across a query group, so the paper's "shared" bar
+///         is the basic one;
 ///   14(b) produced candidate tuples (expected ~an order of magnitude
 ///         fewer under focal spreading);
 ///   14(a') the same comparison under the paper's RDBMS cost model, where
@@ -22,7 +24,6 @@
 
 #include "bench/bench_util.h"
 #include "core/focal_spreading.h"
-#include "keyword/shared_executor.h"
 
 using namespace nebula;
 using namespace nebula::bench;
@@ -98,13 +99,12 @@ int main() {
            profile_ms, 0);
   }
 
-  // ---- Baselines: basic and shared full-database search --------------
+  // ---- Baseline: basic full-database search ---------------------------
+  // Stage 2 always shares statements across a group, so the paper's
+  // "shared" bar is this one.
   double basic_ms = 0;
-  double shared_ms = 0;
   size_t basic_tuples = 0;
-  size_t shared_tuples = 0;
   uint64_t basic_rows = 0;
-  uint64_t shared_rows = 0;
   for (size_t idx : annotation_set) {
     const WorkloadAnnotation& wa = ds->workload.annotations[idx];
     const std::vector<TupleId> focal{wa.ideal_tuples.front()};
@@ -116,16 +116,6 @@ int main() {
     basic_ms += sw.ElapsedMillis();
     basic_rows += engine.stats().rows_examined;
     if (full.ok()) basic_tuples += full->size();
-
-    IdentifyParams shared_params;
-    shared_params.shared_execution = true;
-    TupleIdentifier shared_identifier(&engine, &acg, shared_params);
-    engine.ResetStats();
-    sw.Restart();
-    auto shared = shared_identifier.Identify(queries, focal);
-    shared_ms += sw.ElapsedMillis();
-    shared_rows += engine.stats().rows_examined;
-    if (shared.ok()) shared_tuples += shared->size();
   }
   const auto per_annotation = [count](double total) {
     return Fmt("%.1f", total / static_cast<double>(count));
@@ -133,23 +123,15 @@ int main() {
   record("fig14a/basic",
          {{"tuples", per_annotation(basic_tuples)}, {"minidb_tuples", "-"}},
          basic_ms / count, basic_rows / count);
-  record("fig14a/shared",
-         {{"tuples", per_annotation(shared_tuples)}, {"minidb_tuples", "-"}},
-         shared_ms / count, shared_rows / count);
 
   // ---- Focal spreading over Delta x K ---------------------------------
-  TablePrinter fig14a({"config", "time_ms", "vs_basic", "vs_shared",
-                       "rows_examined", "search_reduction", "miniDB_tuples"});
+  TablePrinter fig14a({"config", "time_ms", "vs_basic", "rows_examined",
+                       "search_reduction", "miniDB_tuples"});
   TablePrinter fig14b({"config", "tuples", "basic_tuples", "reduction"});
   fig14a.AddRow({"basic (full DB)", Fmt("%.3f", basic_ms / count), "1.0x",
-                 "-", Fmt("%llu", static_cast<unsigned long long>(
-                                      basic_rows / count)),
-                 "1.0x", "-"});
-  fig14a.AddRow({"shared (full DB)", Fmt("%.3f", shared_ms / count),
-                 Fmt("%.1fx", basic_ms / shared_ms), "1.0x",
                  Fmt("%llu", static_cast<unsigned long long>(
-                                 shared_rows / count)),
-                 "-", "-"});
+                                 basic_rows / count)),
+                 "1.0x", "-"});
 
   for (size_t delta : {1u, 2u, 3u}) {
     for (size_t k : {2u, 3u, 4u}) {
@@ -181,7 +163,6 @@ int main() {
       const uint64_t rows = engine.stats().rows_examined;
       fig14a.AddRow({config, Fmt("%.3f", ms / count),
                      Fmt("%.1fx", basic_ms / ms),
-                     Fmt("%.1fx", shared_ms / ms),
                      Fmt("%llu", static_cast<unsigned long long>(
                                      rows / count)),
                      rows > 0 ? Fmt("%.1fx", static_cast<double>(basic_rows) /

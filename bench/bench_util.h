@@ -68,7 +68,7 @@ QueryClassification ClassifyQueries(const WorkloadAnnotation& wa,
 /// One measured configuration of a benchmark, for the machine-readable
 /// sidecar file (the printed tables stay the human-facing output).
 struct BenchRecord {
-  std::string name;  ///< e.g. "shared_execution/D_small/L^50/eps=0.6"
+  std::string name;  ///< e.g. "fig13/D_small/L^50/eps=0.6"
   /// Free-form configuration (epsilon, dataset, ...).
   std::vector<std::pair<std::string, std::string>> params;
   uint64_t wall_us = 0;

@@ -32,7 +32,7 @@ Status AnnotationStore::Attach(AnnotationId annotation, const TupleId& tuple,
   }
   if (type == AttachmentType::kTrue) {
     weight = 1.0;
-  } else if (weight <= 0.0 || weight >= 1.0) {
+  } else if (!(weight > 0.0 && weight < 1.0)) {  // NaN fails both tests
     return Status::InvalidArgument(
         StrFormat("predicted attachment weight %.4f outside (0,1)", weight));
   }

@@ -1,8 +1,11 @@
 #include "annotation/serialize.h"
 
-#include <cstdlib>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "annotation/annotation_store.h"
@@ -65,19 +68,30 @@ std::string SerializeValue(const Value& v) {
   return v.ToString();
 }
 
+/// A double cell as SerializeValue writes it: a finite "%.17g" number, or
+/// one of the spellings glibc gives the non-finite values.
+std::optional<double> ParseDoubleCell(const std::string& text) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (text == "inf") return kInf;
+  if (text == "-inf") return -kInf;
+  if (text == "nan") return kNaN;
+  if (text == "-nan") return -kNaN;
+  return ParseFiniteDouble(text);
+}
+
 Result<Value> DeserializeValue(const std::string& text, DataType type) {
   switch (type) {
-    case DataType::kInt64:
-      if (!LooksLikeInteger(text)) {
-        return Status::Corruption("bad int64 value '" + text + "'");
-      }
-      return Value(static_cast<int64_t>(std::strtoll(text.c_str(), nullptr,
-                                                     10)));
-    case DataType::kDouble:
-      if (!LooksLikeNumber(text)) {
-        return Status::Corruption("bad double value '" + text + "'");
-      }
-      return Value(std::strtod(text.c_str(), nullptr));
+    case DataType::kInt64: {
+      const std::optional<int64_t> v = ParseInt64(text);
+      if (!v) return Status::Corruption("bad int64 value '" + text + "'");
+      return Value(*v);
+    }
+    case DataType::kDouble: {
+      const std::optional<double> v = ParseDoubleCell(text);
+      if (!v) return Status::Corruption("bad double value '" + text + "'");
+      return Value(*v);
+    }
     case DataType::kString:
       return Value(text);
   }
@@ -239,7 +253,11 @@ Status DatabaseSerializer::Load(const std::string& dir, Catalog* catalog,
     if (header.size() != 2 || header[0] != "nebula-db") {
       return Status::Corruption("bad MANIFEST header");
     }
-    if (std::strtol(header[1].c_str(), nullptr, 10) != kFormatVersion) {
+    const std::optional<uint64_t> version = ParseUint64(header[1]);
+    if (!version) {
+      return Status::Corruption("bad MANIFEST version '" + header[1] + "'");
+    }
+    if (*version != kFormatVersion) {
       return Status::NotSupported("unsupported format version " + header[1]);
     }
   }
@@ -325,9 +343,11 @@ Status DatabaseSerializer::LoadStore(const std::string& dir,
       if (fields.size() != 3) {
         return Status::Corruption("bad annotations line");
       }
+      const std::optional<uint64_t> want = ParseUint64(fields[0]);
+      if (!want) return Status::Corruption("bad annotation id");
       const AnnotationId id = store->AddAnnotation(
           UnescapeField(fields[2]), UnescapeField(fields[1]));
-      if (id != std::strtoull(fields[0].c_str(), nullptr, 10)) {
+      if (id != *want) {
         return Status::Corruption("annotation ids out of order");
       }
     }
@@ -340,16 +360,24 @@ Status DatabaseSerializer::LoadStore(const std::string& dir,
       if (fields.size() != 5) {
         return Status::Corruption("bad attachments line");
       }
-      const TupleId tuple{
-          static_cast<uint32_t>(std::strtoul(fields[1].c_str(), nullptr,
-                                             10)),
-          std::strtoull(fields[2].c_str(), nullptr, 10)};
-      const AttachmentType type =
-          fields[3] == "T" ? AttachmentType::kTrue
-                           : AttachmentType::kPredicted;
-      NEBULA_RETURN_NOT_OK(store->Attach(
-          std::strtoull(fields[0].c_str(), nullptr, 10), tuple, type,
-          std::strtod(fields[4].c_str(), nullptr)));
+      const std::optional<uint64_t> annotation = ParseUint64(fields[0]);
+      const std::optional<uint64_t> table_id = ParseUint64(fields[1]);
+      const std::optional<uint64_t> row = ParseUint64(fields[2]);
+      const std::optional<double> weight = ParseFiniteDouble(fields[4]);
+      if (!annotation || !table_id || *table_id > UINT32_MAX || !row ||
+          (fields[3] != "T" && fields[3] != "P") || !weight) {
+        return Status::Corruption("bad attachments line");
+      }
+      const AttachmentType type = fields[3] == "T"
+                                      ? AttachmentType::kTrue
+                                      : AttachmentType::kPredicted;
+      const Status attached =
+          store->Attach(*annotation,
+                        {static_cast<uint32_t>(*table_id), *row}, type,
+                        *weight);
+      if (!attached.ok()) {
+        return Status::Corruption("bad attachment: " + attached.ToString());
+      }
     }
   }
   return Status::OK();

@@ -64,18 +64,6 @@ size_t EntryBytes(const std::string& key,
   return bytes;
 }
 
-/// One row a statement returned: the tuple, the index of the query the
-/// statement belongs to, and the statement's confidence. 24 bytes, where a
-/// TupleId member would pad it to 32.
-struct Contribution {
-  uint32_t table_id;
-  uint32_t query;
-  uint64_t row;
-  double confidence;
-
-  TupleId tuple() const { return {table_id, row}; }
-};
-
 /// One tuple after the fold: its confidence, its §6.2 reward, and its
 /// evidence as the label ids evidence[evidence_begin, evidence_end).
 struct Candidate {
@@ -126,10 +114,10 @@ class EvidenceLabels {
 /// ascending query order without repeats, go to `evidence`.
 std::vector<Candidate> Fold(const std::vector<KeywordQuery>& queries,
                             const EvidenceLabels& labels, bool group_reward,
-                            std::vector<Contribution>* entries,
+                            std::vector<GroupRow>* entries,
                             std::vector<uint32_t>* evidence) {
   std::stable_sort(entries->begin(), entries->end(),
-                   [](const Contribution& a, const Contribution& b) {
+                   [](const GroupRow& a, const GroupRow& b) {
                      if (a.table_id != b.table_id) {
                        return a.table_id < b.table_id;
                      }
@@ -138,7 +126,7 @@ std::vector<Candidate> Fold(const std::vector<KeywordQuery>& queries,
   std::vector<Candidate> out;
   // The candidate that last took each label id, to skip repeats.
   std::vector<uint32_t> taken_by(queries.size(), UINT32_MAX);
-  const std::vector<Contribution>& e = *entries;
+  const std::vector<GroupRow>& e = *entries;
   for (size_t i = 0; i < e.size();) {
     const uint32_t index = static_cast<uint32_t>(out.size());
     Candidate c;
@@ -277,49 +265,15 @@ void PlanCache::Clear() {
 Result<std::vector<CandidateTuple>> TupleIdentifier::Identify(
     const std::vector<KeywordQuery>& queries,
     const std::vector<TupleId>& focal, const MiniDb* mini_db) {
-  // Step 1: execute every keyword query into one flat list of (tuple,
-  // query, statement confidence) entries, a query's statements in plan
-  // order.
-  //
-  // With a plan cache attached, the whole group's compilation is resolved
-  // up front (cached or cold); candidates are identical either way.
-  const bool use_plans = plan_cache_ != nullptr;
-  std::vector<std::vector<GeneratedSql>> plans;
-  if (use_plans) {
-    plans = plan_cache_->GetOrCompileGroup(*engine_, queries);
-  }
-  std::vector<Contribution> entries;
-  if (params_.shared_execution) {
-    SharedKeywordExecutor shared(engine_);
-    std::vector<std::vector<SearchHit>> per_query;
-    NEBULA_RETURN_NOT_OK(shared.ExecuteGroup(queries, &per_query, mini_db,
-                                             use_plans ? &plans : nullptr));
-    for (uint32_t qi = 0; qi < per_query.size(); ++qi) {
-      for (const SearchHit& hit : per_query[qi]) {
-        entries.push_back(
-            {hit.tuple.table_id, qi, hit.tuple.row, hit.confidence});
-      }
-    }
-  } else {
-    for (uint32_t qi = 0; qi < queries.size(); ++qi) {
-      std::vector<GeneratedSql> compiled;
-      if (!use_plans) compiled = engine_->CompileToSql(queries[qi]);
-      const std::vector<GeneratedSql>& plan = use_plans ? plans[qi] : compiled;
-      // A query's counters fold only once all its statements ran, as
-      // KeywordSearchEngine::Search reports them.
-      ExecStats query_stats;
-      for (const GeneratedSql& sql : plan) {
-        ExecStats one;
-        NEBULA_ASSIGN_OR_RETURN(KeywordSearchEngine::StatementRows selected,
-                                engine_->ExecuteRows(sql, mini_db, &one));
-        query_stats += one;
-        for (Table::RowId r : selected.rows) {
-          entries.push_back({selected.table_id, qi, r, sql.confidence});
-        }
-      }
-      engine_->AccumulateStats(query_stats);
-    }
-  }
+  // Step 1: compile the group once and execute it: one entry (tuple,
+  // query, statement confidence) per returned row per query holding the
+  // statement, in query order and, within a query, in plan order.
+  const std::vector<std::vector<GeneratedSql>> plans =
+      plan_cache_ != nullptr ? plan_cache_->GetOrCompileGroup(*engine_, queries)
+                             : engine_->CompileGroup(queries);
+  SharedKeywordExecutor executor(engine_);
+  std::vector<GroupRow> entries;
+  NEBULA_RETURN_NOT_OK(executor.ExecuteGroup(plans, mini_db, &entries));
 
   // Step 2: one fold groups the entries by tuple.
   const EvidenceLabels labels(queries);

@@ -52,9 +52,6 @@ struct IdentifyParams {
   FocalRewardMode focal_reward_mode = FocalRewardMode::kDirectEdge;
   /// Hop budget for the kShortestPath mode.
   size_t path_max_hops = 3;
-  /// Execute the query group through the shared multi-query executor
-  /// instead of one-query-at-a-time.
-  bool shared_execution = false;
 };
 
 /// Keyword -> configuration plan cache: memoizes CompileToSql results (the
@@ -86,7 +83,7 @@ class PlanCache {
 
   /// Returns plans[i] == engine.CompileToSql(queries[i]) for every query,
   /// serving repeats from the cache. Cold compilations within one group
-  /// share a MappingCache, mirroring the shared executor's behaviour.
+  /// share a MappingCache, as KeywordSearchEngine::CompileGroup's do.
   std::vector<std::vector<GeneratedSql>> GetOrCompileGroup(
       const KeywordSearchEngine& engine,
       const std::vector<KeywordQuery>& queries) EXCLUDES(mutex_);
@@ -114,14 +111,16 @@ class PlanCache {
 /// and produces ranked candidate tuples (paper Figure 5, extended with the
 /// §6.2 focal-based confidence adjustment).
 ///
-/// The merge runs on flat arrays: every returned row becomes one (tuple,
-/// query, statement confidence) entry; one sort by tuple groups them, and
-/// one fold per tuple takes the max over each query's statements, weights
-/// it and sums across queries in query order. Evidence stays label ids
-/// until each candidate's strings are built once. The direct-edge reward
-/// merge-joins the TupleId-ordered candidates with each focal tuple's
-/// Acg::Neighbors list. DESIGN.md §6 gives the rules and why the result
-/// is bit-identical to a per-query hash-map merge.
+/// The group is compiled once and runs through the SharedKeywordExecutor,
+/// which executes each distinct statement once and returns one (tuple,
+/// query, statement confidence) row per returned row per query holding the
+/// statement. One sort by tuple groups them, and one fold per tuple takes
+/// the max over each query's statements, weights it and sums across
+/// queries in query order. Evidence stays label ids until each candidate's
+/// strings are built once. The direct-edge reward merge-joins the
+/// TupleId-ordered candidates with each focal tuple's Acg::Neighbors list.
+/// DESIGN.md §6 gives the rules and why the result is bit-identical to a
+/// per-query hash-map merge.
 class TupleIdentifier {
  public:
   /// `plan_cache`, when given, serves the group's compiled plans; without

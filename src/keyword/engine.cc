@@ -32,6 +32,7 @@ struct KeywordEngineMetrics {
   obs::Counter* probe_index;
   obs::Counter* probe_legacy;
   obs::Histogram* index_lookup_us;
+  obs::Histogram* sql_duration_us;
 };
 
 const KeywordEngineMetrics& Metrics() {
@@ -48,6 +49,9 @@ const KeywordEngineMetrics& Metrics() {
     out.index_lookup_us =
         r.GetHistogram("nebula_value_index_lookup_us", {},
                        "Wall time of one value-index-served statement");
+    out.sql_duration_us =
+        r.GetHistogram("nebula_sql_duration_us", {},
+                       "Wall time of one SQL statement execution");
     return out;
   }();
   return m;
@@ -404,16 +408,15 @@ std::vector<GeneratedSql> KeywordSearchEngine::CompileToSql(
   return deduped;
 }
 
-Result<std::vector<SearchHit>> KeywordSearchEngine::ExecuteSql(
-    const GeneratedSql& sql, const MiniDb* mini_db, ExecStats* stats) const {
-  NEBULA_ASSIGN_OR_RETURN(StatementRows selected,
-                          ExecuteRows(sql, mini_db, stats));
-  std::vector<SearchHit> hits;
-  hits.reserve(selected.rows.size());
-  for (Table::RowId r : selected.rows) {
-    hits.push_back({TupleId{selected.table_id, r}, sql.confidence});
+std::vector<std::vector<GeneratedSql>> KeywordSearchEngine::CompileGroup(
+    const std::vector<KeywordQuery>& queries) const {
+  std::vector<std::vector<GeneratedSql>> plans;
+  plans.reserve(queries.size());
+  MappingCache cache;
+  for (const KeywordQuery& q : queries) {
+    plans.push_back(CompileToSql(q, &cache));
   }
-  return hits;
+  return plans;
 }
 
 Result<KeywordSearchEngine::StatementRows> KeywordSearchEngine::ExecuteRows(
@@ -453,6 +456,7 @@ Result<KeywordSearchEngine::StatementRows> KeywordSearchEngine::ExecuteRows(
     }
     const IndexPathStats& paths = executor.path_stats();
     const KeywordEngineMetrics& m = Metrics();
+    m.sql_duration_us->Observe(elapsed_us);
     if (paths.index_path > 0) {
       m.probe_index->Increment(paths.index_path);
       m.index_lookup_us->Observe(elapsed_us);

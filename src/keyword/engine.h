@@ -74,18 +74,23 @@ class KeywordSearchEngine {
   /// come from NebulaMeta::ScoreWord, the memo Stage 1 fills.
   std::vector<KeywordMapping> MapKeyword(const std::string& word) const;
 
-  /// Memoization table for MapKeyword, scoped by the caller (the shared
-  /// executor keeps one per query group: the same keyword — typically the
-  /// concept word — appears in most queries of a group, and mapping it is
-  /// the expensive part of compilation).
+  /// Memoization table for MapKeyword, scoped by the caller (one per
+  /// query group: the same keyword — typically the concept word — appears
+  /// in most queries of a group, and mapping it is the expensive part of
+  /// compilation).
   using MappingCache =
       std::unordered_map<std::string, std::vector<KeywordMapping>>;
 
-  /// Steps 1+2 — the SQL plan for a query (exposed for the shared
-  /// executor and for tests). `cache`, when given, memoizes keyword
-  /// mappings across calls.
+  /// Steps 1+2 — the SQL plan for a query. `cache`, when given, memoizes
+  /// keyword mappings across calls.
   std::vector<GeneratedSql> CompileToSql(const KeywordQuery& query,
                                          MappingCache* cache = nullptr) const;
+
+  /// Steps 1+2 for a query group, with one MappingCache:
+  /// plans[i] == CompileToSql(queries[i]). The shape
+  /// SharedKeywordExecutor::ExecuteGroup takes.
+  std::vector<std::vector<GeneratedSql>> CompileGroup(
+      const std::vector<KeywordQuery>& queries) const;
 
   /// Step 3 over a precompiled plan: what the thread-safe Search does
   /// after CompileToSql. Exposed so the plan cache (core layer) can skip
@@ -94,24 +99,18 @@ class KeywordSearchEngine {
       const std::vector<GeneratedSql>& plan, const MiniDb* mini_db,
       ExecStats* stats) const;
 
-  /// Step 3 — executes one generated statement; hits carry
-  /// `sql.confidence`. Thread-safe like the const Search: per-call
-  /// executor, counters into `stats` (may be null), which is overwritten,
-  /// not accumulated into.
-  [[nodiscard]] Result<std::vector<SearchHit>> ExecuteSql(const GeneratedSql& sql,
-                                            const MiniDb* mini_db,
-                                            ExecStats* stats) const;
-
   /// The rows one statement selected, all in table `table_id`.
   struct StatementRows {
     uint32_t table_id = 0;
     std::vector<Table::RowId> rows;
   };
 
-  /// ExecuteSql's core: the statement's rows without SearchHits, for
-  /// callers that fold rows of many statements themselves (Stage 2).
-  /// Same thread-safety, stats and observability contract as
-  /// ExecuteSql; the statement's confidence is not read.
+  /// Step 3 — executes one generated statement and returns its rows; the
+  /// statement's confidence is not read. Thread-safe like the const
+  /// Search: per-call executor, counters into `stats` (may be null),
+  /// which is overwritten, not accumulated into. Each statement that runs
+  /// is timed once, into nebula_sql_duration_us, and charged to the
+  /// calling operation's wide event.
   [[nodiscard]] Result<StatementRows> ExecuteRows(const GeneratedSql& sql,
                                                   const MiniDb* mini_db,
                                                   ExecStats* stats) const;
@@ -125,10 +124,9 @@ class KeywordSearchEngine {
 
   const ExecStats& stats() const { return executor_.stats(); }
   void ResetStats() { executor_.ResetStats(); }
-  /// Folds counters reported by the const Search/SearchPlan/ExecuteSql/
-  /// ExecuteRows overloads into the engine's accumulator. Stage 2 calls it
-  /// once per query (per distinct statement under shared execution), in
-  /// order.
+  /// Folds counters reported by the const Search/SearchPlan/ExecuteRows
+  /// overloads into the engine's accumulator. Stage 2 calls it once per
+  /// distinct statement, in plan order.
   void AccumulateStats(const ExecStats& stats) {
     executor_.AccumulateStats(stats);
   }

@@ -1,49 +1,23 @@
 #include "keyword/shared_executor.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
-#include "keyword/query_types.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "storage/query.h"
-#include "storage/schema.h"
 #include "storage/table.h"
 
 namespace nebula {
 
 namespace {
-
-/// One distinct statement plus every (query, confidence) pair consuming
-/// its row set.
-struct PlannedSql {
-  GeneratedSql sql;
-  // (query index, confidence under that query's plan).
-  std::vector<std::pair<size_t, double>> consumers;
-};
-
-/// Appends one executed statement's rows to every consuming query's hits,
-/// each at that query's confidence for the statement.
-void Distribute(const PlannedSql& planned,
-                const KeywordSearchEngine::StatementRows& selected,
-                std::vector<std::vector<SearchHit>>* per_query) {
-  for (const auto& [qi, conf] : planned.consumers) {
-    std::vector<SearchHit>& hits = (*per_query)[qi];
-    for (Table::RowId r : selected.rows) {
-      hits.push_back({TupleId{selected.table_id, r}, conf});
-    }
-  }
-}
 
 /// Process-wide instruments, resolved once (the registry hands out
 /// stable pointers).
@@ -52,7 +26,6 @@ struct SharedExecMetrics {
   obs::Counter* sql_executed;
   obs::Counter* sql_shared;
   obs::Counter* rows_examined;
-  obs::Histogram* sql_duration_us;
 };
 
 const SharedExecMetrics& Metrics() {
@@ -70,108 +43,124 @@ const SharedExecMetrics& Metrics() {
     out.rows_examined =
         r.GetCounter("nebula_shared_exec_rows_examined_total", {},
                      "Rows examined executing distinct statements");
-    out.sql_duration_us =
-        r.GetHistogram("nebula_sql_duration_us", {},
-                       "Wall time of one distinct SQL statement execution");
     return out;
   }();
   return m;
 }
 
+/// A statement of the group, its position counted in query order and, within
+/// a query, in plan order.
+struct KeyedSql {
+  uint64_t hash;
+  uint32_t position;
+  const GeneratedSql* sql;
+};
+
 }  // namespace
 
 Status SharedKeywordExecutor::ExecuteGroup(
-    const std::vector<KeywordQuery>& queries,
-    std::vector<std::vector<SearchHit>>* results, const MiniDb* mini_db,
-    const std::vector<std::vector<GeneratedSql>>* plans) {
-  results->clear();
-  results->resize(queries.size());
+    const std::vector<std::vector<GeneratedSql>>& plans, const MiniDb* mini_db,
+    std::vector<GroupRow>* rows) {
+  rows->clear();
   stats_.Reset();
-  if (plans != nullptr && plans->size() != queries.size()) {
-    return Status::InvalidArgument(
-        "precompiled plan count does not match query count");
-  }
 
-  // Phase 1: compile every query (or take the caller's precompiled
-  // plans), find repeated statements group-wide.
-  std::unordered_multimap<uint64_t, size_t> index_by_hash;
-  std::vector<PlannedSql> plan;
-  KeywordSearchEngine::MappingCache mapping_cache;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    std::vector<GeneratedSql> compiled =
-        plans != nullptr ? (*plans)[qi]
-                         : engine_->CompileToSql(queries[qi], &mapping_cache);
-    for (auto& sql : compiled) {
-      ++stats_.total_sql;
-      const uint64_t hash = sql.StructuralHash();
-      auto [it, end] = index_by_hash.equal_range(hash);
-      while (it != end && !plan[it->second].sql.SameStatement(sql)) ++it;
-      if (it == end) {
-        index_by_hash.emplace(hash, plan.size());
-        PlannedSql planned;
-        planned.consumers.push_back({qi, sql.confidence});
-        planned.sql = std::move(sql);
-        plan.push_back(std::move(planned));
-      } else {
-        plan[it->second].consumers.push_back({qi, sql.confidence});
-      }
+  // Find repeated statements group-wide: sort the statements by (hash,
+  // position) and confirm each hash match with SameStatement.
+  size_t total = 0;
+  for (const std::vector<GeneratedSql>& plan : plans) total += plan.size();
+  std::vector<KeyedSql> keyed;
+  keyed.reserve(total);
+  for (const std::vector<GeneratedSql>& plan : plans) {
+    for (const GeneratedSql& sql : plan) {
+      keyed.push_back(
+          {sql.StructuralHash(), static_cast<uint32_t>(keyed.size()), &sql});
     }
   }
-  stats_.distinct_sql = plan.size();
+  stats_.total_sql = keyed.size();
+  std::sort(keyed.begin(), keyed.end(),
+            [](const KeyedSql& a, const KeyedSql& b) {
+              if (a.hash != b.hash) return a.hash < b.hash;
+              return a.position < b.position;
+            });
+  // slots[k].leader is the position of the first statement equal to
+  // statement k; `repeated` marks a first statement a later one repeats.
+  struct Slot {
+    uint32_t leader;
+    bool repeated;
+  };
+  std::vector<Slot> slots(keyed.size());
+  for (size_t run = 0; run < keyed.size();) {
+    size_t end = run + 1;
+    while (end < keyed.size() && keyed[end].hash == keyed[run].hash) ++end;
+    for (size_t i = run; i < end; ++i) {
+      const uint32_t k = keyed[i].position;
+      slots[k] = {k, false};
+      for (size_t j = run; j < i; ++j) {
+        const uint32_t first = keyed[j].position;
+        if (slots[first].leader == first &&
+            keyed[j].sql->SameStatement(*keyed[i].sql)) {
+          slots[k].leader = first;
+          slots[first].repeated = true;
+          break;
+        }
+      }
+    }
+    run = end;
+  }
+
+  // Execute each distinct statement once, in plan order, and hand its rows
+  // to every query holding it, at that query's confidence. Only a repeated
+  // statement's rows outlive its first position, in `kept`.
+  const auto append = [rows](const KeywordSearchEngine::StatementRows& from,
+                             uint32_t qi, double confidence) {
+    for (Table::RowId r : from.rows) {
+      rows->push_back({from.table_id, qi, r, confidence});
+    }
+  };
+  std::vector<std::pair<uint32_t, KeywordSearchEngine::StatementRows>> kept;
+  uint32_t k = 0;
+  for (uint32_t qi = 0; qi < plans.size(); ++qi) {
+    for (const GeneratedSql& sql : plans[qi]) {
+      const Slot slot = slots[k];
+      if (slot.leader != k) {
+        const auto first =
+            std::find_if(kept.begin(), kept.end(), [&slot](const auto& e) {
+              return e.first == slot.leader;
+            });
+        append(first->second, qi, sql.confidence);
+        ++k;
+        continue;
+      }
+      // Fault injection: lets tests fail an individual distinct statement
+      // mid-group.
+      NEBULA_INJECT_FAULT(kFaultKeywordSharedStatement);
+      ExecStats one;
+      Result<KeywordSearchEngine::StatementRows> result =
+          engine_->ExecuteRows(sql, mini_db, &one);
+      // Fold before the error check: a failing statement's partial
+      // counters still count.
+      engine_->AccumulateStats(one);
+      stats_.exec += one;
+      NEBULA_RETURN_NOT_OK(result.status());
+      ++stats_.distinct_sql;
+      append(*result, qi, sql.confidence);
+      if (slot.repeated) kept.emplace_back(k, std::move(*result));
+      ++k;
+    }
+  }
 
   if constexpr (obs::kEnabled) {
     const SharedExecMetrics& m = Metrics();
+    const size_t shared = stats_.total_sql - stats_.distinct_sql;
     m.groups->Increment();
     m.sql_executed->Increment(stats_.distinct_sql);
-    m.sql_shared->Increment(stats_.total_sql - stats_.distinct_sql);
-    // Per-table breakdown of the planned statements (counted at planning
-    // time): one labeled-counter lookup per table per group.
-    std::map<std::string, uint64_t> per_table;
-    for (const PlannedSql& planned : plan) ++per_table[planned.sql.query.table];
-    auto& registry = obs::MetricsRegistry::Global();
-    for (const auto& [table, count] : per_table) {
-      registry
-          .GetCounter("nebula_sql_statements_total", {{"table", table}},
-                      "Distinct statements executed, by target table")
-          ->Increment(count);
-    }
-  }
-
-  // Phase 2: execute each distinct statement once, in plan order; append
-  // its rows to every consumer's hits at that consumer's confidence.
-  std::vector<std::vector<SearchHit>> per_query_hits(queries.size());
-  for (const PlannedSql& planned : plan) {
-    // Fault injection: lets tests fail an individual distinct statement
-    // mid-group.
-    NEBULA_INJECT_FAULT(kFaultKeywordSharedStatement);
-    ExecStats one;
-    Stopwatch watch;
-    Result<KeywordSearchEngine::StatementRows> selected =
-        engine_->ExecuteRows(planned.sql, mini_db, &one);
-    if constexpr (obs::kEnabled) {
-      Metrics().sql_duration_us->Observe(watch.ElapsedMicros());
-    }
-    // Fold before the error check: a failing statement's partial
-    // counters still count (same as the historical in-engine path).
-    engine_->AccumulateStats(one);
-    stats_.exec += one;
-    NEBULA_RETURN_NOT_OK(selected.status());
-    Distribute(planned, *selected, &per_query_hits);
-  }
-
-  if constexpr (obs::kEnabled) {
-    Metrics().rows_examined->Increment(stats_.exec.rows_examined);
-    // The distinct-statement executions already charged the calling
-    // operation's context through ExecuteRows; only sharing is counted here.
+    m.sql_shared->Increment(shared);
+    m.rows_examined->Increment(stats_.exec.rows_examined);
+    // ExecuteRows already charged each distinct statement to the calling
+    // operation's context; only sharing is counted here.
     if (obs::EventContext* ctx = obs::CurrentEventContext()) {
-      ctx->sql_shared += stats_.total_sql - stats_.distinct_sql;
+      ctx->sql_shared += shared;
     }
-  }
-
-  // Phase 3: per-query merge, identical to the isolated path.
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    (*results)[qi] =
-        KeywordSearchEngine::MergeHits(std::move(per_query_hits[qi]));
   }
   return Status::OK();
 }

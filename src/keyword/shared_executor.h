@@ -1,13 +1,14 @@
 #ifndef NEBULA_KEYWORD_SHARED_EXECUTOR_H_
 #define NEBULA_KEYWORD_SHARED_EXECUTOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
 #include "keyword/engine.h"
 #include "keyword/mini_db.h"
-#include "keyword/query_types.h"
 #include "storage/query.h"
+#include "storage/schema.h"
 
 namespace nebula {
 
@@ -32,44 +33,50 @@ struct SharedExecutionStats {
   void Reset() { *this = SharedExecutionStats(); }
 };
 
+/// One row a statement returned, handed to one query whose plan holds the
+/// statement: the tuple, the query's index in the group, and the
+/// statement's confidence under that query's plan. 24 bytes, where a
+/// TupleId member would pad it to 32.
+struct GroupRow {
+  uint32_t table_id;
+  uint32_t query;
+  uint64_t row;
+  double confidence;
+
+  TupleId tuple() const { return {table_id, row}; }
+};
+
 /// Shared execution of the keyword-query group generated from a single
-/// annotation (the multi-query optimization of §6).
+/// annotation (the multi-query optimization of §6), Stage 2's one
+/// execution path.
 ///
-/// The queries in a group overlap heavily: the same embedded reference is
-/// often emitted in several forms (e.g. a Type-2 and a Type-3 variant), and
-/// the underlying engine compiles those to identical SQL. Instead of
-/// executing each query in isolation, the shared executor finds repeated
-/// statements across the whole group (GeneratedSql::StructuralHash, each
-/// hash match confirmed by SameStatement), executes each distinct
-/// statement exactly once, and appends its rows to every consuming
-/// query's hits at that query's confidence; MergeHits then folds each
-/// query's hits as the isolated path does.
-///
-/// The group runs on the calling thread: distinct statements execute in
-/// plan order, and hits are distributed and counters folded as each one
-/// finishes (see DESIGN.md "Concurrency model").
+/// The queries in a group overlap: the same embedded reference is often
+/// emitted in several forms (e.g. a Type-2 and a Type-3 variant), and
+/// those compile to identical SQL. The executor finds repeated statements
+/// across the group's plans (GeneratedSql::StructuralHash, each hash match
+/// confirmed by SameStatement), executes each distinct statement exactly
+/// once, in plan order, on the calling thread, and hands its rows to every
+/// query whose plan holds it, at that query's confidence.
 ///
 /// Observability: every group feeds the nebula_shared_exec_* counters and
-/// the nebula_sql_duration_us histogram, and charges its shared-statement
-/// count to the calling operation's wide event.
+/// charges its shared-statement count to the calling operation's wide
+/// event; ExecuteRows times each statement.
 class SharedKeywordExecutor {
  public:
   explicit SharedKeywordExecutor(KeywordSearchEngine* engine)
       : engine_(engine) {}
 
-  /// Executes all queries; `results[i]` are the merged hits of queries[i]
-  /// (identical to what engine->Search(queries[i]) would return).
-  ///
-  /// `plans`, when given, must hold the compiled statements of queries[i]
-  /// at plans[i] (what engine->CompileToSql(queries[i]) returns); Phase 1
-  /// then skips recompilation entirely. This is how the core layer's
-  /// keyword->configuration plan cache feeds the group without the
-  /// keyword layer knowing the cache exists.
+  /// Executes the group whose compiled plans are `plans`: plans[i] is
+  /// what engine->CompileToSql(queries[i]) returns, as
+  /// KeywordSearchEngine::CompileGroup and PlanCache::GetOrCompileGroup
+  /// give them. `*rows` becomes one GroupRow per returned row per query
+  /// whose plan holds the statement, in ascending query order and, within
+  /// a query, in plan order. Each distinct statement's counters fold into
+  /// the engine's ExecStats once, in plan order; a failing statement's
+  /// partial counters count too.
   [[nodiscard]] Status ExecuteGroup(
-      const std::vector<KeywordQuery>& queries,
-      std::vector<std::vector<SearchHit>>* results,
-      const MiniDb* mini_db = nullptr,
-      const std::vector<std::vector<GeneratedSql>>* plans = nullptr);
+      const std::vector<std::vector<GeneratedSql>>& plans,
+      const MiniDb* mini_db, std::vector<GroupRow>* rows);
 
   const SharedExecutionStats& stats() const { return stats_; }
 

@@ -224,7 +224,6 @@ NebulaConfig DifferentialRunner::BaseConfig(uint64_t seed) const {
   // not one point of it.
   static constexpr double kEpsilons[] = {0.45, 0.6, 0.75};
   config.generation.epsilon = kEpsilons[seed % 3];
-  config.identify.shared_execution = ((seed >> 2) & 1) != 0;
   config.spreading.fixed_k = 1 + static_cast<size_t>(seed % 3);
   // Quiet by default; the kObs pair turns the runtime surface on.
   config.event_capacity = 0;

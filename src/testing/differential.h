@@ -85,9 +85,13 @@ const char* ConfigPairDescription(ConfigPair pair);
 void AppendStateLines(const AnnotationStore& store, NebulaEngine& engine,
                       std::vector<std::string>* lines);
 
+/// The largest pool size a sweep or a repro file may ask for, checked
+/// where the number is read, before any pool exists.
+inline constexpr size_t kMaxCheckThreads = 64;
+
 struct DiffOptions {
   /// Batch Stage-1 pool size of the pooled side of kThreads and of both
-  /// sides of kBatch and kLockdep.
+  /// sides of kBatch and kLockdep; at most kMaxCheckThreads.
   size_t num_threads = 3;
   /// Test hook: deliberately mis-configures the B side (different epsilon
   /// and grouping) so the harness's own divergence detection, shrinking,
@@ -124,8 +128,8 @@ class DifferentialRunner {
   explicit DifferentialRunner(DiffOptions options = {});
 
   /// Engine configuration both sides share, varied deterministically by
-  /// seed so a sweep covers the config space (epsilon, shared execution,
-  /// spreading K) instead of one fixed point.
+  /// seed so a sweep covers the config space (epsilon and spreading K from
+  /// seed % 3) instead of one fixed point.
   NebulaConfig BaseConfig(uint64_t seed) const;
 
   /// One side: builds the universe for workload.seed, streams the

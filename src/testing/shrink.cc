@@ -1,7 +1,8 @@
 #include "testing/shrink.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/status.h"
@@ -21,15 +22,14 @@ Result<std::vector<TupleId>> ParseFocal(const std::string& field) {
   if (field == "-") return focal;
   for (const std::string& part : Split(field, ',')) {
     const std::vector<std::string> pieces = Split(part, ':');
-    if (pieces.size() != 2 || !IsAllDigits(pieces[0]) ||
-        !IsAllDigits(pieces[1])) {
+    const std::optional<uint64_t> table =
+        pieces.size() == 2 ? ParseUint64(pieces[0]) : std::nullopt;
+    const std::optional<uint64_t> row =
+        pieces.size() == 2 ? ParseUint64(pieces[1]) : std::nullopt;
+    if (!table || *table > UINT32_MAX || !row) {
       return Status::InvalidArgument("bad focal field '" + field + "'");
     }
-    TupleId t;
-    t.table_id =
-        static_cast<uint32_t>(std::strtoull(pieces[0].c_str(), nullptr, 10));
-    t.row = std::strtoull(pieces[1].c_str(), nullptr, 10);
-    focal.push_back(t);
+    focal.push_back({static_cast<uint32_t>(*table), *row});
   }
   return focal;
 }
@@ -155,28 +155,32 @@ Result<ReproCase> LoadRepro(const std::string& path) {
           StrFormat("%s:%zu: %s", path.c_str(), lineno, why.c_str()));
     };
     if (key == "seed") {
-      if (!IsAllDigits(value)) return bad("seed must be an integer");
-      repro.seed = std::strtoull(value.c_str(), nullptr, 10);
+      const std::optional<uint64_t> seed = ParseUint64(value);
+      if (!seed) return bad("seed must be an unsigned 64-bit integer");
+      repro.seed = *seed;
     } else if (key == "pair") {
       NEBULA_ASSIGN_OR_RETURN(repro.pair, ParseConfigPair(value));
     } else if (key == "threads") {
-      if (!IsAllDigits(value)) return bad("threads must be an integer");
-      repro.num_threads = std::strtoull(value.c_str(), nullptr, 10);
+      const std::optional<uint64_t> threads = ParseUint64(value);
+      if (!threads || *threads > kMaxCheckThreads) {
+        return bad(StrFormat("threads must be an integer in [0, %zu]",
+                             kMaxCheckThreads));
+      }
+      repro.num_threads = static_cast<size_t>(*threads);
     } else if (key == "inject_bug") {
       repro.inject_bug = value == "1";
     } else if (key == "crash") {
       const std::vector<std::string> parts = SplitWhitespace(value);
-      if (parts.size() != 2 || !IsAllDigits(parts[1])) {
-        return bad("crash must be '<mode> <skip>'");
-      }
+      const std::optional<uint64_t> skip =
+          parts.size() == 2 ? ParseUint64(parts[1]) : std::nullopt;
+      if (!skip) return bad("crash must be '<mode> <skip>'");
       repro.crash = true;
       NEBULA_ASSIGN_OR_RETURN(repro.crash_mode, ParseCrashMode(parts[0]));
-      repro.crash_skip = std::strtoull(parts[1].c_str(), nullptr, 10);
+      repro.crash_skip = *skip;
     } else if (key == "snapshot_every") {
-      if (!IsAllDigits(value)) {
-        return bad("snapshot_every must be an integer");
-      }
-      repro.snapshot_every = std::strtoull(value.c_str(), nullptr, 10);
+      const std::optional<uint64_t> every = ParseUint64(value);
+      if (!every) return bad("snapshot_every must be an integer");
+      repro.snapshot_every = *every;
     } else if (key == "replay_bug") {
       repro.replay_bug = value == "1";
     } else if (key == "annotation") {

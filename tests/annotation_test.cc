@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "annotation/annotation_store.h"
 #include "annotation/quality.h"
 #include "common/status.h"
@@ -48,6 +50,18 @@ TEST_F(AnnotationStoreTest, AttachPredictedValidatesWeight) {
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(store_.Attach(a, kT0, AttachmentType::kPredicted, 0.5).ok());
   EXPECT_DOUBLE_EQ(store_.FindAttachment(a, kT0)->weight, 0.5);
+}
+
+TEST_F(AnnotationStoreTest, AttachPredictedRejectsNonFiniteWeight) {
+  const AnnotationId a = store_.AddAnnotation("x");
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(store_.Attach(a, kT0, AttachmentType::kPredicted, w).code(),
+              StatusCode::kInvalidArgument)
+        << w;
+  }
+  EXPECT_EQ(store_.num_attachments(), 0u);
 }
 
 TEST_F(AnnotationStoreTest, AttachToMissingAnnotationFails) {

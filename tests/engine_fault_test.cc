@@ -108,7 +108,6 @@ TEST_F(EngineFaultTest, MidBatchQueryFaultSurfacesCleanly) {
 
 TEST_F(EngineFaultTest, SharedExecutorFaultDoesNotPoisonTheBatch) {
   NebulaConfig config;
-  config.identify.shared_execution = true;
   config.num_threads = 2;
   NebulaEngine engine(&universe_->catalog, &universe_->store,
                       &universe_->meta, config);

@@ -196,7 +196,7 @@ uint64_t NumberField(const std::string& line, const std::string& key) {
   return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
 }
 
-TEST(EngineEventTest, OneEventPerOperationUnderSharedExecution) {
+TEST(EngineEventTest, OneEventPerOperationInAPooledBatch) {
   if (!kEnabled) GTEST_SKIP() << "instrumentation compiled out";
   auto universe = check::BuildCheckUniverse(11);
   ASSERT_TRUE(universe.ok()) << universe.status().ToString();
@@ -206,7 +206,6 @@ TEST(EngineEventTest, OneEventPerOperationUnderSharedExecution) {
 
   NebulaConfig config;
   config.num_threads = 2;
-  config.identify.shared_execution = true;
   NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
                       &(*universe)->meta, config);
   engine.RebuildAcg();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "annotation/annotation_store.h"
 #include "common/string_util.h"
 #include "core/acg.h"
@@ -8,7 +12,10 @@
 #include "keyword/mini_db.h"
 #include "keyword/query_types.h"
 #include "meta/nebula_meta.h"
+#include "obs/event.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
+#include "storage/query.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -155,23 +162,77 @@ TEST_F(IdentifyTest, MiniDbRestrictsCandidates) {
   EXPECT_EQ(candidates[0].tuple, Tid(2));
 }
 
-TEST_F(IdentifyTest, SharedExecutionProducesSameCandidates) {
+// Two queries share a statement (gid = 'JW0002', at a different
+// confidence in each), and tuple 2 is also hit by a statement only the
+// first query holds. The shared statement runs once, and each query still
+// sees its own confidence for it.
+TEST_F(IdentifyTest, SharedStatementRunsOnceAtEachQuerysConfidence) {
   const std::vector<KeywordQuery> queries = {
-      {{"gene", "JW0002"}, 1.0, "q1"},
-      {{"gene", "JW0002"}, 0.7, "q1b"},
-      {{"gene", "JW0003"}, 0.8, "q2"},
+      {{"gene", "JW0002", "aacX"}, 1.0, "q0"},
+      {{"JW0002"}, 0.9, "q1"},
+      {{"gene", "JW0005"}, 0.5, "q2"},
   };
-  TupleIdentifier isolated(engine_.get(), &acg_);
-  IdentifyParams shared_params;
-  shared_params.shared_execution = true;
-  TupleIdentifier shared(engine_.get(), &acg_, shared_params);
+  const auto plans = engine_->CompileGroup(queries);
+  ASSERT_EQ(plans.size(), 3u);
+  ASSERT_EQ(plans[0].size(), 2u);
+  ASSERT_EQ(plans[1].size(), 1u);
+  ASSERT_EQ(plans[2].size(), 1u);
+  ASSERT_TRUE(plans[1][0].SameStatement(plans[0][0]));
+  ASSERT_NE(plans[1][0].confidence, plans[0][0].confidence);
 
-  const auto a = *isolated.Identify(queries, {Tid(0)});
-  const auto b = *shared.Identify(queries, {Tid(0)});
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tuple, b[i].tuple);
-    EXPECT_NEAR(a[i].confidence, b[i].confidence, 1e-9);
+  // Reference candidates: Search per query, weighted and summed per tuple
+  // in query order, normalized, ranked by (confidence desc, tuple asc).
+  KeywordSearchEngine reference(&catalog_, &meta_);
+  std::map<TupleId, CandidateTuple> grouped;
+  for (const KeywordQuery& q : queries) {
+    const auto hits = reference.Search(q);
+    ASSERT_TRUE(hits.ok());
+    for (const SearchHit& hit : *hits) {
+      CandidateTuple& c = grouped[hit.tuple];
+      c.tuple = hit.tuple;
+      c.confidence += hit.confidence * q.weight;
+      c.evidence.push_back(q.label);
+    }
+  }
+  double max_conf = 0.0;
+  for (const auto& [tuple, c] : grouped) {
+    max_conf = std::max(max_conf, c.confidence);
+  }
+  std::vector<CandidateTuple> want;
+  for (auto& [tuple, c] : grouped) {
+    c.confidence /= max_conf;
+    want.push_back(c);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [](const CandidateTuple& a, const CandidateTuple& b) {
+                     return a.confidence > b.confidence;
+                   });
+  // Reference counters: each distinct statement once.
+  ExecStats want_stats;
+  for (const GeneratedSql* sql : {&plans[0][0], &plans[0][1], &plans[2][0]}) {
+    ExecStats one;
+    ASSERT_TRUE(reference.ExecuteRows(*sql, nullptr, &one).ok());
+    want_stats += one;
+  }
+  ASSERT_GT(want_stats.rows_examined, 0u);
+
+  obs::ScopedEventContext scope(nullptr);
+  TupleIdentifier identifier(engine_.get(), &acg_);
+  const auto got = *identifier.Identify(queries, {});
+  EXPECT_EQ(engine_->stats().rows_examined, want_stats.rows_examined);
+  EXPECT_EQ(engine_->stats().index_lookups, want_stats.index_lookups);
+  EXPECT_EQ(engine_->stats().matches, want_stats.matches);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(scope.context()->sql_executed, 3u);
+    EXPECT_EQ(scope.context()->sql_shared, 1u);
+  }
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].tuple, Tid(2));
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].tuple, want[i].tuple) << "rank " << i;
+    EXPECT_EQ(got[i].confidence, want[i].confidence) << "rank " << i;
+    EXPECT_EQ(got[i].evidence, want[i].evidence) << "rank " << i;
   }
 }
 

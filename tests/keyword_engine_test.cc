@@ -353,17 +353,17 @@ TEST_F(KeywordEngineTest, ConstSearchOverwritesReusedStats) {
   EXPECT_EQ(engine_->stats().rows_examined, 2 * once.rows_examined);
 }
 
-TEST_F(KeywordEngineTest, ConstExecuteSqlOverwritesReusedStats) {
+TEST_F(KeywordEngineTest, ConstExecuteRowsOverwritesReusedStats) {
   const KeywordQuery query{{"gene", "JW0014"}, 1.0, ""};
   const auto plan = engine_->CompileToSql(query);
   ASSERT_FALSE(plan.empty());
 
   ExecStats once;
-  ASSERT_TRUE(engine_->ExecuteSql(plan[0], nullptr, &once).ok());
+  ASSERT_TRUE(engine_->ExecuteRows(plan[0], nullptr, &once).ok());
 
   ExecStats reused;
-  ASSERT_TRUE(engine_->ExecuteSql(plan[0], nullptr, &reused).ok());
-  ASSERT_TRUE(engine_->ExecuteSql(plan[0], nullptr, &reused).ok());
+  ASSERT_TRUE(engine_->ExecuteRows(plan[0], nullptr, &reused).ok());
+  ASSERT_TRUE(engine_->ExecuteRows(plan[0], nullptr, &reused).ok());
   EXPECT_EQ(reused.rows_examined, once.rows_examined);
   EXPECT_EQ(reused.index_lookups, once.index_lookups);
 }

@@ -212,11 +212,13 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
   // Main thread: shared group execution, alongside the threads above.
   for (int round = 0; round < kGroupRounds; ++round) {
     const auto queries = StressGroup(round);
-    std::vector<std::vector<SearchHit>> results;
+    std::vector<GroupRow> rows;
     SharedKeywordExecutor shared(engine_.get());
-    ASSERT_TRUE(shared.ExecuteGroup(queries, &results).ok());
-    ASSERT_EQ(results.size(), queries.size());
-    EXPECT_FALSE(results[0].empty()) << "round " << round;
+    ASSERT_TRUE(
+        shared.ExecuteGroup(engine_->CompileGroup(queries), nullptr, &rows)
+            .ok());
+    ASSERT_FALSE(rows.empty()) << "round " << round;
+    EXPECT_EQ(rows.front().query, 0u) << "round " << round;
   }
 
   stop.store(true, std::memory_order_relaxed);
@@ -232,10 +234,19 @@ TEST_F(LockdepStressTest, ConcurrentLookupsSearchesAndExclusiveWriter) {
   KeywordSearchEngine fresh(&catalog_, &meta_);
   for (int round = 0; round < 4; ++round) {
     const auto queries = StressGroup(round);
-    std::vector<std::vector<SearchHit>> shared_results;
+    std::vector<GroupRow> rows;
     SharedKeywordExecutor shared(engine_.get());
-    ASSERT_TRUE(shared.ExecuteGroup(queries, &shared_results).ok());
+    ASSERT_TRUE(
+        shared.ExecuteGroup(engine_->CompileGroup(queries), nullptr, &rows)
+            .ok());
+    // Bucket the rows by query and fold each bucket as Search does.
+    std::vector<std::vector<SearchHit>> shared_results(queries.size());
+    for (const GroupRow& r : rows) {
+      shared_results[r.query].push_back({r.tuple(), r.confidence});
+    }
     for (size_t qi = 0; qi < queries.size(); ++qi) {
+      shared_results[qi] =
+          KeywordSearchEngine::MergeHits(std::move(shared_results[qi]));
       const auto isolated = *fresh.Search(queries[qi]);
       ASSERT_EQ(shared_results[qi].size(), isolated.size())
           << "round " << round << " query " << qi;

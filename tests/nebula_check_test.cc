@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
 
+#include "common/status.h"
 #include "core/engine.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -273,6 +277,50 @@ TEST(CrashSweepTest, CrashReproSurvivesSaveLoadRoundTrip) {
   EXPECT_TRUE(loaded->replay_bug);
   ASSERT_EQ(loaded->annotations.size(), 1u);
   EXPECT_EQ(loaded->annotations[0].text, a.text);
+  std::remove(path.c_str());
+}
+
+// Every number a repro file carries is read whole and in range: an
+// overflowing or trailing-garbage field is InvalidArgument, never clamped
+// or truncated (a focal table id of 2^32 + 1 used to become table 1).
+TEST(ReproFileTest, MalformedNumericFieldsAreInvalidArgument) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "nebula_repro_fields.txt")
+          .string();
+  const auto load = [&path](const std::string& body) {
+    std::ofstream(path) << "pair threads\n" << body;
+    return check::LoadRepro(path);
+  };
+  const char* const bad[] = {
+      "seed 18446744073709551616\n",
+      "seed 12x\n",
+      "seed -1\n",
+      "threads 65\n",
+      "threads abc\n",
+      "crash clean 18446744073709551616\n",
+      "crash clean 1x\n",
+      "snapshot_every 99999999999999999999\n",
+      "annotation a|4294967297:0|text\n",
+      "annotation a|0:18446744073709551616|text\n",
+      "annotation a|0:1:2|text\n",
+      "annotation a|0:|text\n",
+  };
+  for (const char* body : bad) {
+    const auto loaded = load(body);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << body;
+  }
+
+  // The largest accepted values load exactly.
+  const auto loaded = load(
+      "seed 18446744073709551615\nthreads 64\n"
+      "annotation a|4294967295:18446744073709551615|text\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->seed, UINT64_MAX);
+  EXPECT_EQ(loaded->num_threads, check::kMaxCheckThreads);
+  ASSERT_EQ(loaded->annotations.size(), 1u);
+  ASSERT_EQ(loaded->annotations[0].focal.size(), 1u);
+  EXPECT_EQ(loaded->annotations[0].focal[0],
+            (TupleId{UINT32_MAX, UINT64_MAX}));
   std::remove(path.c_str());
 }
 

@@ -113,19 +113,16 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, BatchIngestTest,
 // ===================================================================
 // The pool's one job: batch Stage 1. Single inserts and discoveries run
 // all of Stage 2 on the caller and submit nothing; a batch submits one
-// Stage-1 task per request, with isolated or shared execution alike.
-// A "threadpool.submit" fault armed never to fire still counts every
-// submission, with or without observability compiled in.
+// Stage-1 task per request. A "threadpool.submit" fault armed never to
+// fire still counts every submission, with or without observability
+// compiled in.
 // ===================================================================
 
-class PoolContractTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PoolContractTest, OnlyBatchStageOneRunsOnThePool) {
+TEST(PoolContractTest, OnlyBatchStageOneRunsOnThePool) {
   auto ds = GenerateBioDataset(DatasetSpec::Tiny());
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   NebulaConfig config;
   config.num_threads = 2;
-  config.identify.shared_execution = GetParam();
   NebulaEngine engine(&(*ds)->catalog, &(*ds)->store, &(*ds)->meta, config);
   engine.RebuildAcg();
   const auto requests = MakeRequests(**ds, 6);
@@ -148,9 +145,6 @@ TEST_P(PoolContractTest, OnlyBatchStageOneRunsOnThePool) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(submissions(), requests.size());
 }
-
-INSTANTIATE_TEST_SUITE_P(SharedExecution, PoolContractTest,
-                         ::testing::Bool());
 
 // ===================================================================
 // The word-score memo under concurrency: Stage-1 generation on pool

@@ -32,6 +32,7 @@
 #include "meta/nebula_meta.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
+#include "storage/query.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -97,41 +98,6 @@ TEST_P(EpsilonMonotonicity, NoFalseNegativesAtPointSix) {
 
 INSTANTIATE_TEST_SUITE_P(WorkloadAnnotations, EpsilonMonotonicity,
                          ::testing::Range<size_t>(0, 60, 7));
-
-// ------------- Property: shared == isolated execution ----------------
-
-class SharedExecutionEquivalence
-    : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SharedExecutionEquivalence, IdenticalCandidates) {
-  BioDataset* ds = SharedDataset();
-  ASSERT_NE(ds, nullptr);
-  const WorkloadAnnotation& wa = ds->workload.annotations[GetParam()];
-
-  QueryGenerator gen(&ds->meta);
-  const auto queries = gen.Generate(wa.text).queries;
-  KeywordSearchEngine engine(&ds->catalog, &ds->meta);
-  Acg acg;
-  acg.BuildFromStore(ds->store);
-
-  IdentifyParams isolated_params;
-  IdentifyParams shared_params;
-  shared_params.shared_execution = true;
-  TupleIdentifier isolated(&engine, &acg, isolated_params);
-  TupleIdentifier shared(&engine, &acg, shared_params);
-
-  const std::vector<TupleId> focal{wa.ideal_tuples.front()};
-  const auto a = *isolated.Identify(queries, focal);
-  const auto b = *shared.Identify(queries, focal);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tuple, b[i].tuple);
-    EXPECT_NEAR(a[i].confidence, b[i].confidence, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(WorkloadAnnotations, SharedExecutionEquivalence,
-                         ::testing::Values(0, 9, 21, 33, 45, 57));
 
 // ------------- Property: batch ingest == one-at-a-time ingest ----------
 // InsertAnnotations pipelines Stage-1 generation on the worker pool, but
@@ -907,25 +873,49 @@ std::string FirstDifference(const std::vector<CandidateTuple>& got,
   return "";
 }
 
+/// ExecStats of running each distinct statement of the group once, in
+/// plan order: the statements compiled per query, repeats found by a
+/// linear SameStatement scan.
+ExecStats ReferenceGroupStats(const KeywordSearchEngine& engine,
+                              const std::vector<KeywordQuery>& queries,
+                              const MiniDb* mini_db) {
+  std::vector<GeneratedSql> distinct;
+  for (const KeywordQuery& q : queries) {
+    for (const GeneratedSql& sql : engine.CompileToSql(q)) {
+      if (std::none_of(distinct.begin(), distinct.end(),
+                       [&sql](const GeneratedSql& d) {
+                         return d.SameStatement(sql);
+                       })) {
+        distinct.push_back(sql);
+      }
+    }
+  }
+  ExecStats total;
+  for (const GeneratedSql& sql : distinct) {
+    ExecStats one;
+    EXPECT_TRUE(engine.ExecuteRows(sql, mini_db, &one).ok());
+    total += one;
+  }
+  return total;
+}
+
 /// Runs one query group through Identify and through the reference in
 /// every configuration: group reward on/off x focal adjustment off /
-/// direct edge / shortest path x shared execution off/on x plan cache
-/// off/on x without/with `mini`. Isolated runs must also report the
-/// reference's ExecStats.
+/// direct edge / shortest path x plan cache off/on x without/with `mini`.
+/// Identify must also report ReferenceGroupStats' ExecStats.
 void ExpectFoldEqualsReference(const Catalog& catalog, const NebulaMeta& meta,
                                const Acg& acg,
                                const std::vector<KeywordQuery>& queries,
                                const std::vector<TupleId>& focal,
                                const MiniDb& mini, const std::string& name) {
-  for (int config = 0; config < 48; ++config) {
+  for (int config = 0; config < 24; ++config) {
     IdentifyParams params;
     params.group_reward = (config & 1) != 0;
-    params.shared_execution = (config & 2) != 0;
-    const bool use_plan_cache = (config & 4) != 0;
-    const MiniDb* restrict = (config & 8) != 0 ? &mini : nullptr;
-    params.focal_adjustment = config / 16 != 0;
-    params.focal_reward_mode = config / 16 == 2 ? FocalRewardMode::kShortestPath
-                                                : FocalRewardMode::kDirectEdge;
+    const bool use_plan_cache = (config & 2) != 0;
+    const MiniDb* restrict = (config & 4) != 0 ? &mini : nullptr;
+    params.focal_adjustment = config / 8 != 0;
+    params.focal_reward_mode = config / 8 == 2 ? FocalRewardMode::kShortestPath
+                                               : FocalRewardMode::kDirectEdge;
     KeywordSearchEngine reference_engine(&catalog, &meta);
     KeywordSearchEngine engine(&catalog, &meta);
     PlanCache plan_cache(&meta);
@@ -933,19 +923,17 @@ void ExpectFoldEqualsReference(const Catalog& catalog, const NebulaMeta& meta,
                                use_plan_cache ? &plan_cache : nullptr);
     const auto want = ReferenceIdentify(&reference_engine, acg, params,
                                         queries, focal, restrict);
+    const ExecStats want_stats =
+        ReferenceGroupStats(reference_engine, queries, restrict);
     const auto got = identifier.Identify(queries, focal, restrict);
     ASSERT_TRUE(got.ok()) << name << " config " << config;
     EXPECT_EQ(FirstDifference(*got, want), "") << name << " config " << config;
-    if (!params.shared_execution) {
-      EXPECT_EQ(engine.stats().rows_examined,
-                reference_engine.stats().rows_examined)
-          << name << " config " << config;
-      EXPECT_EQ(engine.stats().index_lookups,
-                reference_engine.stats().index_lookups)
-          << name << " config " << config;
-      EXPECT_EQ(engine.stats().matches, reference_engine.stats().matches)
-          << name << " config " << config;
-    }
+    EXPECT_EQ(engine.stats().rows_examined, want_stats.rows_examined)
+        << name << " config " << config;
+    EXPECT_EQ(engine.stats().index_lookups, want_stats.index_lookups)
+        << name << " config " << config;
+    EXPECT_EQ(engine.stats().matches, want_stats.matches)
+        << name << " config " << config;
   }
 }
 

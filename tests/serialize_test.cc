@@ -5,6 +5,9 @@
 #include <fstream>
 #include <filesystem>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "annotation/annotation_store.h"
 #include "annotation/serialize.h"
@@ -223,6 +226,118 @@ TEST_F(SerializeTest, StoreFilesRoundTripViaSaveStoreLoadStore) {
   AnnotationStore none;
   ASSERT_TRUE(DatabaseSerializer::LoadStore(empty_dir.string(), &none).ok());
   EXPECT_EQ(none.num_annotations(), 0u);
+}
+
+/// Writes `annotations` and `attachments` store files into `dir`.
+void WriteStoreFiles(const std::filesystem::path& dir,
+                     const std::string& annotations,
+                     const std::string& attachments) {
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "annotations") << annotations;
+  std::ofstream(dir / "attachments") << attachments;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST_F(SerializeTest, MalformedStoreFieldsAreCorruption) {
+  // Two annotations; each attachments line below breaks one field of the
+  // well-formed line "0\t1\t2\tP\t0.5".
+  const std::string annotations = "0\talice\tone\n1\tbob\ttwo\n";
+  const std::pair<const char*, std::string> cases[] = {
+      {"annotation id not a number", "x\t1\t2\tP\t0.5\n"},
+      {"annotation id overflows", "18446744073709551616\t1\t2\tP\t0.5\n"},
+      {"annotation id unknown", "7\t1\t2\tP\t0.5\n"},
+      {"table id past uint32", "0\t4294967297\t1\tP\t0.5\n"},
+      {"table id negative", "0\t-1\t2\tP\t0.5\n"},
+      {"row trailing bytes", "0\t1\t2x\tP\t0.5\n"},
+      {"row empty", "0\t1\t\tP\t0.5\n"},
+      {"unknown type", "0\t1\t2\tX\t0.5\n"},
+      {"weight nan", "0\t1\t2\tP\tnan\n"},
+      {"weight inf", "0\t1\t2\tP\tinf\n"},
+      {"weight trailing bytes", "0\t1\t2\tP\t0.5?\n"},
+      {"weight outside (0,1)", "0\t1\t2\tP\t1.5\n"},
+      {"duplicate attachment",
+       "0\t1\t2\tP\t0.5\n0\t1\t2\tP\t0.25\n"},
+      {"missing field", "0\t1\t2\tP\n"},
+  };
+  for (const auto& [what, attachments] : cases) {
+    const auto dir = dir_ / "bad";
+    std::filesystem::remove_all(dir);
+    WriteStoreFiles(dir, annotations, attachments);
+    AnnotationStore store;
+    EXPECT_EQ(DatabaseSerializer::LoadStore(dir.string(), &store).code(),
+              StatusCode::kCorruption)
+        << what;
+  }
+  for (const std::string bad_id : {"x", "-1", "0 ", ""}) {
+    const auto dir = dir_ / "bad_annotation";
+    std::filesystem::remove_all(dir);
+    WriteStoreFiles(dir, bad_id + "\talice\tone\n", "");
+    AnnotationStore store;
+    EXPECT_EQ(DatabaseSerializer::LoadStore(dir.string(), &store).code(),
+              StatusCode::kCorruption)
+        << "annotation id '" << bad_id << "'";
+  }
+
+  // The well-formed files load, and save back byte for byte.
+  const std::string attachments =
+      "0\t1\t2\tP\t0.5\n0\t4294967295\t18446744073709551615\tT\t1\n"
+      "1\t0\t0\tP\t0.30000000000000004\n";
+  const auto good = dir_ / "good";
+  WriteStoreFiles(good, annotations, attachments);
+  AnnotationStore store;
+  ASSERT_TRUE(DatabaseSerializer::LoadStore(good.string(), &store).ok());
+  EXPECT_EQ(store.num_annotations(), 2u);
+  EXPECT_EQ(store.num_attachments(), 3u);
+  const auto again = dir_ / "again";
+  std::filesystem::create_directories(again);
+  ASSERT_TRUE(DatabaseSerializer::SaveStore(again.string(), store).ok());
+  EXPECT_EQ(ReadFile(again / "annotations"), annotations);
+  EXPECT_EQ(ReadFile(again / "attachments"), attachments);
+}
+
+TEST_F(SerializeTest, MalformedManifestVersionAndCellsAreCorruption) {
+  Catalog catalog;
+  AnnotationStore store;
+  Populate(&catalog, &store);
+  ASSERT_TRUE(DatabaseSerializer::Save(dir_.string(), catalog).ok());
+  const std::string manifest = ReadFile(dir_ / "MANIFEST");
+  const std::string gene_rows = ReadFile(dir_ / "gene.rows");
+
+  // A version with trailing bytes is Corruption; a well-formed unknown
+  // one stays NotSupported.
+  for (const auto& [header, code] :
+       {std::pair<std::string, StatusCode>{"nebula-db\t1x",
+                                           StatusCode::kCorruption},
+        {"nebula-db\t", StatusCode::kCorruption},
+        {"nebula-db\t-1", StatusCode::kCorruption},
+        {"nebula-db\t2", StatusCode::kNotSupported}}) {
+    std::ofstream(dir_ / "MANIFEST")
+        << header << manifest.substr(manifest.find('\n'));
+    Catalog loaded;
+    EXPECT_EQ(DatabaseSerializer::Load(dir_.string(), &loaded).code(), code)
+        << header;
+  }
+  std::ofstream(dir_ / "MANIFEST") << manifest;
+
+  // gene is (gid string, length int64, score double).
+  for (const std::string row :
+       {"JW9\t99999999999999999999\t0.5", "JW9\t12abc\t0.5",
+        "JW9\t+5\t0.5", "JW9\t5\t0.5x", "JW9\t5\tnan?", "JW9\t5\t0x1p3"}) {
+    std::ofstream(dir_ / "gene.rows") << gene_rows << row << "\n";
+    Catalog loaded;
+    EXPECT_EQ(DatabaseSerializer::Load(dir_.string(), &loaded).code(),
+              StatusCode::kCorruption)
+        << row;
+  }
+  std::ofstream(dir_ / "gene.rows") << gene_rows;
+  Catalog loaded;
+  EXPECT_TRUE(DatabaseSerializer::Load(dir_.string(), &loaded).ok());
 }
 
 TEST_F(SerializeTest, CatalogOnlySave) {

@@ -47,28 +47,76 @@ std::vector<KeywordQuery> MakeGroup() {
   };
 }
 
+/// The group's rows bucketed by query, each bucket folded by MergeHits:
+/// what engine.Search(queries[q]) returns for query q.
+std::vector<std::vector<SearchHit>> MergePerQuery(
+    const std::vector<GroupRow>& rows, size_t num_queries) {
+  std::vector<std::vector<SearchHit>> buckets(num_queries);
+  for (const GroupRow& r : rows) {
+    buckets[r.query].push_back({r.tuple(), r.confidence});
+  }
+  for (auto& hits : buckets) {
+    hits = KeywordSearchEngine::MergeHits(std::move(hits));
+  }
+  return buckets;
+}
+
+/// Runs `queries` through ExecuteGroup over CompileGroup's plans.
+std::vector<GroupRow> RunGroup(SharedKeywordExecutor* shared,
+                               const KeywordSearchEngine& engine,
+                               const std::vector<KeywordQuery>& queries,
+                               const MiniDb* mini_db = nullptr) {
+  std::vector<GroupRow> rows;
+  EXPECT_TRUE(
+      shared->ExecuteGroup(engine.CompileGroup(queries), mini_db, &rows).ok());
+  return rows;
+}
+
 TEST_F(SharedExecutorTest, ResultsIdenticalToIsolatedExecution) {
   const auto queries = MakeGroup();
-  std::vector<std::vector<SearchHit>> shared_results;
   SharedKeywordExecutor shared(engine_.get());
-  ASSERT_TRUE(shared.ExecuteGroup(queries, &shared_results).ok());
-  ASSERT_EQ(shared_results.size(), queries.size());
+  const auto merged =
+      MergePerQuery(RunGroup(&shared, *engine_, queries), queries.size());
 
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto isolated = *engine_->Search(queries[qi]);
-    ASSERT_EQ(shared_results[qi].size(), isolated.size()) << "query " << qi;
+    ASSERT_EQ(merged[qi].size(), isolated.size()) << "query " << qi;
     for (size_t h = 0; h < isolated.size(); ++h) {
-      EXPECT_EQ(shared_results[qi][h].tuple, isolated[h].tuple);
-      EXPECT_NEAR(shared_results[qi][h].confidence, isolated[h].confidence,
-                  1e-12);
+      EXPECT_EQ(merged[qi][h].tuple, isolated[h].tuple);
+      EXPECT_EQ(merged[qi][h].confidence, isolated[h].confidence);
     }
+  }
+}
+
+TEST_F(SharedExecutorTest, RowsInQueryThenPlanOrder) {
+  const auto queries = MakeGroup();
+  const auto plans = engine_->CompileGroup(queries);
+  SharedKeywordExecutor shared(engine_.get());
+  std::vector<GroupRow> rows;
+  ASSERT_TRUE(shared.ExecuteGroup(plans, nullptr, &rows).ok());
+
+  // Expected: each query's statements in plan order, each statement's
+  // rows as ExecuteRows returns them, at the statement's confidence.
+  std::vector<GroupRow> want;
+  for (uint32_t qi = 0; qi < plans.size(); ++qi) {
+    for (const GeneratedSql& sql : plans[qi]) {
+      const auto selected = *engine_->ExecuteRows(sql, nullptr, nullptr);
+      for (Table::RowId r : selected.rows) {
+        want.push_back({selected.table_id, qi, r, sql.confidence});
+      }
+    }
+  }
+  ASSERT_EQ(rows.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rows[i].tuple(), want[i].tuple()) << "row " << i;
+    EXPECT_EQ(rows[i].query, want[i].query) << "row " << i;
+    EXPECT_EQ(rows[i].confidence, want[i].confidence) << "row " << i;
   }
 }
 
 TEST_F(SharedExecutorTest, SharingReducesDistinctStatements) {
   SharedKeywordExecutor shared(engine_.get());
-  std::vector<std::vector<SearchHit>> results;
-  ASSERT_TRUE(shared.ExecuteGroup(MakeGroup(), &results).ok());
+  (void)RunGroup(&shared, *engine_, MakeGroup());
   EXPECT_GT(shared.stats().total_sql, shared.stats().distinct_sql);
   EXPECT_GT(shared.stats().sharing_ratio(), 0.0);
   EXPECT_LT(shared.stats().sharing_ratio(), 1.0);
@@ -76,9 +124,7 @@ TEST_F(SharedExecutorTest, SharingReducesDistinctStatements) {
 
 TEST_F(SharedExecutorTest, EmptyGroup) {
   SharedKeywordExecutor shared(engine_.get());
-  std::vector<std::vector<SearchHit>> results;
-  ASSERT_TRUE(shared.ExecuteGroup({}, &results).ok());
-  EXPECT_TRUE(results.empty());
+  EXPECT_TRUE(RunGroup(&shared, *engine_, {}).empty());
   EXPECT_EQ(shared.stats().total_sql, 0u);
   EXPECT_DOUBLE_EQ(shared.stats().sharing_ratio(), 0.0);
 }
@@ -87,10 +133,8 @@ TEST_F(SharedExecutorTest, RespectsMiniDb) {
   MiniDb mini;
   mini.Add({gene_->id(), 3});
   SharedKeywordExecutor shared(engine_.get());
-  std::vector<std::vector<SearchHit>> results;
-  ASSERT_TRUE(shared.ExecuteGroup(MakeGroup(), &results, &mini).ok());
-  for (const auto& hits : results) {
-    for (const auto& h : hits) EXPECT_TRUE(mini.Contains(h.tuple));
+  for (const GroupRow& r : RunGroup(&shared, *engine_, MakeGroup(), &mini)) {
+    EXPECT_TRUE(mini.Contains(r.tuple()));
   }
 }
 
@@ -101,16 +145,14 @@ TEST_F(SharedExecutorTest, IdenticalQueriesShareFully) {
       {{"gene", "JW0001"}, 1.0, "c"},
   };
   SharedKeywordExecutor shared(engine_.get());
-  std::vector<std::vector<SearchHit>> results;
-  ASSERT_TRUE(shared.ExecuteGroup(queries, &results).ok());
+  (void)RunGroup(&shared, *engine_, queries);
   // 3 queries compile to the same statements: sharing ratio = 2/3.
   EXPECT_NEAR(shared.stats().sharing_ratio(), 2.0 / 3.0, 1e-9);
 }
 
 TEST_F(SharedExecutorTest, StatsAreReportedPerGroupNotAccumulated) {
   SharedKeywordExecutor shared(engine_.get());
-  std::vector<std::vector<SearchHit>> results;
-  ASSERT_TRUE(shared.ExecuteGroup(MakeGroup(), &results).ok());
+  (void)RunGroup(&shared, *engine_, MakeGroup());
   const size_t total = shared.stats().total_sql;
   const size_t distinct = shared.stats().distinct_sql;
   const double ratio = shared.stats().sharing_ratio();
@@ -118,7 +160,7 @@ TEST_F(SharedExecutorTest, StatsAreReportedPerGroupNotAccumulated) {
 
   // A second round through the same executor reports the same per-group
   // numbers — not twice them: ExecuteGroup resets on entry.
-  ASSERT_TRUE(shared.ExecuteGroup(MakeGroup(), &results).ok());
+  (void)RunGroup(&shared, *engine_, MakeGroup());
   EXPECT_EQ(shared.stats().total_sql, total);
   EXPECT_EQ(shared.stats().distinct_sql, distinct);
   EXPECT_DOUBLE_EQ(shared.stats().sharing_ratio(), ratio);
@@ -145,11 +187,10 @@ TEST(SharedExecutorDoubleLiteralTest, DistinctDoubleLiteralsRunTwoStatements) {
       {{"1.0000001", "1.0000002"}, 1.0, "both"},
   };
   SharedKeywordExecutor shared(&engine);
-  std::vector<std::vector<SearchHit>> results;
-  ASSERT_TRUE(shared.ExecuteGroup(queries, &results).ok());
+  const auto results =
+      MergePerQuery(RunGroup(&shared, engine, queries), queries.size());
   EXPECT_EQ(shared.stats().total_sql, 4u);
   EXPECT_EQ(shared.stats().distinct_sql, 2u);
-  ASSERT_EQ(results.size(), 3u);
   ASSERT_EQ(results[0].size(), 1u);
   EXPECT_EQ(results[0][0].tuple, (TupleId{m->id(), 0}));
   ASSERT_EQ(results[1].size(), 1u);

@@ -1,5 +1,7 @@
-// Fixture rank constants. kLockRankAlphaGhost is the [lock-rank-unknown]
-// plant: its rank name is not in tools/lock_ranks.txt.
+// Fixture rank constants. Two [lock-rank-unknown] plants:
+// kLockRankAlphaGhost's rank name is not in tools/lock_ranks.txt, and
+// kLockRankAlphaBase's tier is not an integer literal (read as 0, it would
+// match alpha.base's registry tier).
 #ifndef NEBULA_ALPHA_LOCK_RANK_H_
 #define NEBULA_ALPHA_LOCK_RANK_H_
 
@@ -8,6 +10,8 @@ struct LockRank {
   int tier;
 };
 
+inline constexpr int kBaseTier = 0;
+inline constexpr LockRank kLockRankAlphaBase = {"alpha.base", kBaseTier};
 inline constexpr LockRank kLockRankAlphaOuter = {"alpha.outer", 10};
 inline constexpr LockRank kLockRankAlphaInner = {"alpha.inner", 20};
 inline constexpr LockRank kLockRankAlphaGhost = {"alpha.ghost", 30};

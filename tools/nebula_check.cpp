@@ -23,11 +23,14 @@
 //
 // Exit code 0 = clean; 1 = divergence or error; 2 = bad usage.
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "common/string_util.h"
 #include "testing/check_runner.h"
 #include "testing/crash.h"
 #include "testing/differential.h"
@@ -42,7 +45,8 @@ void PrintUsage(std::ostream& out) {
          "  --seeds N       number of seeds to sweep (default 20)\n"
          "  --pair P        one config pair below, or all (default all)\n"
          "  --threads N     batch Stage-1 pool size of the pooled sides "
-         "(default 3)\n"
+         "(default 3, at most "
+      << nebula::check::kMaxCheckThreads << ")\n"
          "  --no-shrink     report divergences without minimizing them\n"
          "  --hostile       seed-stable adversarial workload: a root-table "
          "row and one stream token per annotation carry SQL "
@@ -86,11 +90,10 @@ void PrintUsage(std::ostream& out) {
 }
 
 bool ParseU64(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
+  const std::optional<uint64_t> v =
+      s == nullptr ? std::nullopt : nebula::ParseUint64(s);
+  if (!v) return false;
+  *out = *v;
   return true;
 }
 
@@ -145,8 +148,10 @@ int main(int argc, char** argv) {
         options.pairs.push_back(pair.value());
       }
     } else if (arg == "--threads") {
-      if (!ParseU64(next(), &value)) {
-        std::cerr << "--threads needs an integer\n";
+      if (!ParseU64(next(), &value) ||
+          value > nebula::check::kMaxCheckThreads) {
+        std::cerr << "--threads needs an integer in [0, "
+                  << nebula::check::kMaxCheckThreads << "]\n";
         return 2;
       }
       options.num_threads = value;

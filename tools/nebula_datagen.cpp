@@ -10,14 +10,17 @@
 /// workload annotations and their ground truth are written as a TSV the
 /// shell / downstream experiments can replay.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "annotation/serialize.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
@@ -58,7 +61,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      spec.seed = std::strtoull(argv[++i], nullptr, 10);
+      const std::optional<uint64_t> seed = ParseUint64(argv[++i]);
+      if (!seed) {
+        Usage(argv[0]);
+        return 2;
+      }
+      spec.seed = *seed;
     } else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc) {
       workload_path = argv[++i];
     } else {

@@ -336,7 +336,7 @@ int RunSelfTest(const fs::path& fixtures) {
       {"missing-include", 1, "missing_inc.cc"},
       {"dropped-status", 1, "dropped.cc"},
       {"lock-rank-missing", 1, "rank_missing.h"},
-      {"lock-rank-unknown", 1, "lock_rank.h"},
+      {"lock-rank-unknown", 2, "lock_rank.h"},
       {"lock-rank-unknown", 1, "rank_unknown.h"},
       {"lock-order", 1, "lock_order.cc"},
       {"lock-order", 1, "order_attr.h"},

@@ -34,7 +34,7 @@
 #include "lint.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -240,7 +240,24 @@ void ExtractRankConstants(const SourceFile& file,
                   "rank constant '" + ident + "' has no tier");
       continue;
     }
-    constant.tier = std::atoi(flat.text.c_str() + comma + 1);
+    // The tier must be an integer literal; anything else (a named
+    // constant, a typo) is reported, never read as 0.
+    const size_t first = SkipSpace(flat.text, comma + 1);
+    size_t last = close;
+    while (last > first &&
+           std::isspace(static_cast<unsigned char>(flat.text[last - 1])) != 0) {
+      --last;
+    }
+    const char* tier_end = flat.text.data() + last;
+    const auto [parsed_end, ec] =
+        std::from_chars(flat.text.data() + first, tier_end, constant.tier);
+    if (ec != std::errc() || parsed_end != tier_end) {
+      report->Add(file.rel, constant.line, "lock-rank-unknown",
+                  "rank constant '" + ident + "' has tier '" +
+                      flat.text.substr(first, last - first) +
+                      "', not an integer literal");
+      continue;
+    }
     (*index_by_ident)[ident] = constants->size();
     constants->push_back(std::move(constant));
   }

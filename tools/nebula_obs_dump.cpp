@@ -7,8 +7,8 @@
 ///                   [--events-only] [--threads=N] [--check]
 ///
 /// The batch insert pipelines its Stage 1 on a worker pool (default 2
-/// threads) and runs Stage 2 through the shared executor, so the
-/// thread-pool and shared-executor instruments light up too. Sections are
+/// threads, at most 64) and runs Stage 2 through the shared executor, so
+/// the thread-pool and shared-executor instruments light up too. Sections are
 /// delimited by "# ---- metrics ----" / "# ---- percentiles ----" /
 /// "# ---- events ----" lines so the output is easy to split in scripts.
 /// The percentile section prints the p50..p999 ladder of every histogram
@@ -18,13 +18,17 @@
 /// annotation carrying its Stage-1 phases, search mode and mini-db time)
 /// and is what the ctest smoke runs.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "annotation/annotation_store.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/verification.h"
 #include "meta/nebula_meta.h"
@@ -38,6 +42,18 @@
 using namespace nebula;
 
 namespace {
+
+/// The largest --threads value: the Stage-1 pool gains nothing past a few
+/// workers on a three-annotation batch.
+constexpr uint64_t kMaxThreads = 64;
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--metrics=prometheus|json] [--metrics-only] "
+               "[--events-only] [--threads=N (0-%llu)] [--check]\n",
+               argv0, static_cast<unsigned long long>(kMaxThreads));
+  return 2;
+}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "FATAL: %s\n", status.ToString().c_str());
@@ -97,14 +113,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--check") {
       check = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<size_t>(
-          std::strtoul(arg.c_str() + strlen("--threads="), nullptr, 10));
+      // Bounded while parsing, before any pool exists.
+      const std::optional<uint64_t> n =
+          ParseUint64(std::string_view(arg).substr(strlen("--threads=")));
+      if (!n || *n > kMaxThreads) return Usage(argv[0]);
+      threads = static_cast<size_t>(*n);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--metrics=prometheus|json] [--metrics-only] "
-                   "[--events-only] [--threads=N] [--check]\n",
-                   argv[0]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
 
@@ -161,7 +176,6 @@ int main(int argc, char** argv) {
   NebulaConfig config;
   config.bounds = {0.30, 0.85};
   config.num_threads = threads;
-  config.identify.shared_execution = true;
   NebulaEngine engine(&catalog, &store, &meta, config);
 
   const std::vector<AnnotationRequest> requests = {

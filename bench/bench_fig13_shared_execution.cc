@@ -4,10 +4,12 @@
 /// generated query group (a) one query at a time through
 /// KeywordSearchEngine::Search and (b) the engine's Stage-2 path: the
 /// group compiled once and run through the shared executor, which runs
-/// each distinct statement once. Reports both times, the speedup and the
-/// SQL sharing ratio. Each query's shared rows, folded by MergeHits, must
-/// equal its Search result tuple for tuple and bit for bit; on any
-/// mismatch the bench prints the cell and exits 1.
+/// each distinct statement once. Reports both times, the speedup, the
+/// SQL sharing ratio and the rows each side examined. Each query's shared
+/// rows, folded by MergeHits, must equal its Search result tuple for
+/// tuple and bit for bit, and the shared side may not examine more rows
+/// than the isolated one; on either failure the bench prints the cell and
+/// exits 1.
 ///
 /// Expected shape: ~40-50% execution-time saving with identical output
 /// tuples (the paper reports 40-50% speedup).
@@ -55,7 +57,8 @@ int main() {
   };
 
   TablePrinter table({"dataset", "set", "eps", "isolated_ms", "shared_ms",
-                      "speedup", "sql_dedup", "rows_examined"});
+                      "speedup", "sql_dedup", "rows_examined",
+                      "isolated_rows_examined"});
   std::vector<BenchRecord> records;
 
   for (const auto& sized : sizes) {
@@ -69,10 +72,10 @@ int main() {
         params.epsilon = eps;
         QueryGenerator generator(&ds->meta, params);
 
-        // The engine's ExecStats accumulate across calls; reset so the
-        // reported row count is per (set, eps) round, not a running total.
-        engine.ResetStats();
-
+        // Both sides fold into the engine's ExecStats; each side's rows
+        // are the growth of that running total across its own pass.
+        uint64_t isolated_rows = 0;
+        uint64_t shared_rows = 0;
         double isolated_ms = 0;
         double shared_ms = 0;
         double sharing_sum = 0;
@@ -92,6 +95,7 @@ int main() {
 
           // (a) Isolated execution.
           std::vector<std::vector<SearchHit>> isolated(queries.size());
+          uint64_t rows_before = engine.stats().rows_examined;
           Stopwatch sw;
           for (size_t q = 0; q < queries.size(); ++q) {
             auto hits = engine.Search(queries[q]);
@@ -99,18 +103,21 @@ int main() {
             isolated[q] = std::move(*hits);
           }
           isolated_ms += sw.ElapsedMillis();
+          isolated_rows += engine.stats().rows_examined - rows_before;
 
           // (b) Shared execution, the engine's Stage-2 path: the measured
           // saving is canonicalization + dedup alone, the paper's Figure 13
           // claim.
           SharedKeywordExecutor shared(&engine);
           std::vector<GroupRow> rows;
+          rows_before = engine.stats().rows_examined;
           sw.Restart();
           if (!shared.ExecuteGroup(engine.CompileGroup(queries), nullptr, &rows)
                    .ok()) {
             return fail("ExecuteGroup failed", 0);
           }
           shared_ms += sw.ElapsedMillis();
+          shared_rows += engine.stats().rows_examined - rows_before;
           sharing_sum += shared.stats().sharing_ratio();
           ++groups;
 
@@ -129,6 +136,17 @@ int main() {
           }
         }
         if (groups == 0) continue;
+        // Sharing runs each distinct statement once, so it never reads
+        // more rows than running every statement.
+        if (shared_rows > isolated_rows) {
+          std::fprintf(stderr,
+                       "Figure 13: shared rows %llu exceed isolated rows %llu "
+                       "at %s L^%zu eps=%.1f\n",
+                       static_cast<unsigned long long>(shared_rows),
+                       static_cast<unsigned long long>(isolated_rows),
+                       sized.label, m, eps);
+          return 1;
+        }
         table.AddRow({sized.label, Fmt("L^%zu", m), Fmt("%.1f", eps),
                       Fmt("%.3f", isolated_ms / groups),
                       Fmt("%.3f", shared_ms / groups),
@@ -138,8 +156,9 @@ int main() {
                                     isolated_ms)
                           : "-",
                       Fmt("%.0f%%", 100.0 * sharing_sum / groups),
-                      Fmt("%llu", static_cast<unsigned long long>(
-                                      engine.stats().rows_examined))});
+                      Fmt("%llu", static_cast<unsigned long long>(shared_rows)),
+                      Fmt("%llu",
+                          static_cast<unsigned long long>(isolated_rows))});
 
         BenchRecord rec;
         rec.name = Fmt("fig13/%s/L^%zu/eps=%.1f", sized.label, m, eps);
@@ -147,9 +166,12 @@ int main() {
                       {"size_class", Fmt("%zu", m)},
                       {"epsilon", Fmt("%.1f", eps)},
                       {"groups", Fmt("%zu", groups)},
-                      {"isolated_ms", Fmt("%.3f", isolated_ms)}};
+                      {"isolated_ms", Fmt("%.3f", isolated_ms)},
+                      {"isolated_rows_examined",
+                       Fmt("%llu",
+                           static_cast<unsigned long long>(isolated_rows))}};
         rec.wall_us = static_cast<uint64_t>(shared_ms * 1000.0);
-        rec.rows_examined = engine.stats().rows_examined;
+        rec.rows_examined = shared_rows;
         records.push_back(std::move(rec));
       }
     }

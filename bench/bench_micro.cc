@@ -82,21 +82,14 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
-void BM_TrigramJaccard(benchmark::State& state) {
+void BM_TrigramJaccardIds(benchmark::State& state) {
+  const auto a = TrigramIdSet("braktorin2");
+  const auto b = TrigramIdSet("braktorin");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TrigramJaccard("braktorin2", "braktorin"));
+    benchmark::DoNotOptimize(TrigramJaccardIds(a, b));
   }
 }
-BENCHMARK(BM_TrigramJaccard);
-
-void BM_TrigramPrecomputed(benchmark::State& state) {
-  const auto a = TrigramSet("braktorin2");
-  const auto b = TrigramSet("braktorin");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TrigramJaccardPrecomputed(a, b));
-  }
-}
-BENCHMARK(BM_TrigramPrecomputed);
+BENCHMARK(BM_TrigramJaccardIds);
 
 void BM_SignatureMaps(benchmark::State& state) {
   BioDataset* ds = Dataset();

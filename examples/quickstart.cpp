@@ -8,10 +8,13 @@
 /// raises verification tasks for the missing attachments.
 
 #include <cstdio>
+#include <string>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "core/engine.h"
 #include "meta/nebula_meta.h"
+#include "sql/session.h"
 #include "storage/catalog.h"
 
 using namespace nebula;
@@ -111,13 +114,14 @@ int main() {
               report.verification.auto_rejected);
 
   // An expert reviews the pending queue through the extended SQL command.
+  sql::SqlSession session(&engine);
   for (const VerificationTask* task : engine.verification().PendingTasks()) {
     std::printf("  pending v%llu -> gene row %llu (conf %.2f): VERIFY\n",
                 static_cast<unsigned long long>(task->vid),
                 static_cast<unsigned long long>(task->tuple.row),
                 task->confidence);
-    CHECK_OK(engine.verification().ExecuteCommand(
-        "VERIFY ATTACHMENT " + std::to_string(task->vid) + ";"));
+    CHECK_OK(session.Execute("VERIFY ATTACHMENT " + std::to_string(task->vid))
+                 .status());
   }
 
   std::printf("\nAnnotation is now attached to %zu tuples (was 1).\n",

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -127,45 +128,6 @@ void RecordOperationEvent(obs::EventLog* log, const char* op,
   log->Record(event);
 }
 
-/// VerificationManager state <-> durability::TaskImage conversions
-/// (durability sits below core in the layer DAG, so it mirrors the task
-/// type).
-durability::TaskImage TasksToRecords(const VerificationManager& manager) {
-  durability::TaskImage image;
-  image.next_vid = manager.next_vid();
-  image.auto_rejected = manager.auto_rejected();
-  image.tasks.reserve(manager.tasks().size());
-  for (const VerificationTask& t : manager.tasks()) {
-    durability::TaskRecord r;
-    r.vid = t.vid;
-    r.annotation = t.annotation;
-    r.table_id = t.tuple.table_id;
-    r.row = t.tuple.row;
-    r.confidence = t.confidence;
-    r.state = TaskStateName(t.state);
-    r.evidence = t.evidence;
-    image.tasks.push_back(std::move(r));
-  }
-  return image;
-}
-
-Result<std::vector<VerificationTask>> RecordsToTasks(
-    const std::vector<durability::TaskRecord>& records) {
-  std::vector<VerificationTask> out;
-  out.reserve(records.size());
-  for (const durability::TaskRecord& r : records) {
-    VerificationTask t;
-    t.vid = r.vid;
-    t.annotation = r.annotation;
-    t.tuple = TupleId{r.table_id, r.row};
-    t.confidence = r.confidence;
-    NEBULA_ASSIGN_OR_RETURN(t.state, ParseTaskState(r.state));
-    t.evidence = r.evidence;
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
 }  // namespace
 
 NebulaEngine::NebulaEngine(Catalog* catalog, AnnotationStore* store,
@@ -199,7 +161,6 @@ Status NebulaEngine::OpenDurability(const durability::OpenHooks& hooks) {
   std::error_code ec;
   const bool recovering = std::filesystem::exists(
       std::filesystem::path(config_.durability_dir) / "CURRENT", ec);
-  durability::TaskImage tasks;
   if (recovering) {
     // next_vid, not tasks(): an engine whose every candidate was
     // auto-rejected retains no task yet has used vids.
@@ -213,25 +174,20 @@ Status NebulaEngine::OpenDurability(const durability::OpenHooks& hooks) {
     *store_ = AnnotationStore();
     NebulaMeta fresh_meta(meta_->lexicon());
     *meta_ = std::move(fresh_meta);
-  } else {
-    tasks = TasksToRecords(verification_);
   }
+  TaskImage recovered;
   NEBULA_ASSIGN_OR_RETURN(
       durability_,
-      durability::Manager::Open(options, store_, meta_, &tasks, hooks));
+      durability::Manager::Open(options, store_, meta_, &verification_.image(),
+                                &recovered, hooks));
   if (durability_->recovery_info().recovered) {
-    NEBULA_ASSIGN_OR_RETURN(std::vector<VerificationTask> restored,
-                            RecordsToTasks(tasks.tasks));
-    NEBULA_RETURN_NOT_OK(verification_.RestoreTasks(
-        std::move(restored), tasks.next_vid, tasks.auto_rejected));
+    NEBULA_RETURN_NOT_OK(verification_.RestoreTasks(std::move(recovered)));
     // Derived state: the ACG is rebuilt eagerly (its fingerprint is the
     // recovery oracle); value indexes and caches rebuild lazily on use.
     RebuildAcg();
   }
   recovery_info_ = durability_->recovery_info();
   journaled_meta_version_ = meta_->version();
-  durability_->set_task_source(
-      [this] { return TasksToRecords(verification_); });
   verification_.set_journal(durability_.get());
   return Status::OK();
 }
@@ -366,19 +322,18 @@ Result<AnnotationId> NebulaEngine::StoreWithFocal(
     const std::string& text, const std::vector<TupleId>& focal,
     const std::string& author) {
   // Stage 0: store the annotation and its focal (True) attachments.
-  if (durability_ != nullptr) {
-    // Journal-before-apply. Pre-validate the only way the apply below
-    // could fail — a duplicate focal tuple — so a journaled stage-0 unit
-    // always applies cleanly (disk never gets ahead of memory).
-    std::unordered_set<TupleId, TupleIdHash> seen;
-    for (const TupleId& t : focal) {
-      if (!seen.insert(t).second) {
-        return Status::InvalidArgument("duplicate focal tuple " +
-                                       t.ToString());
-      }
+  // Refuse a repeated focal tuple first: it is the only way the apply
+  // below can fail, so nothing is applied (or journaled) in part.
+  std::unordered_set<TupleId, TupleIdHash> seen;
+  for (const TupleId& t : focal) {
+    if (!seen.insert(t).second) {
+      return Status::InvalidArgument("duplicate focal tuple " + t.ToString());
     }
-    const AnnotationId id = store_->num_annotations();
-    durability::CommitUnit unit;
+  }
+  const AnnotationId id = store_->num_annotations();
+  durability::CommitUnit unit;
+  if (durability_ != nullptr) {
+    // Journal-before-apply: disk never gets ahead of memory.
     unit.flags = durability::kOpStart;
     {
       durability::JournalRecord r;
@@ -392,103 +347,74 @@ Result<AnnotationId> NebulaEngine::StoreWithFocal(
       durability::JournalRecord r;
       r.kind = durability::JournalRecord::Kind::kAttach;
       r.annotation = id;
-      r.table_id = t.table_id;
-      r.row = t.row;
-      r.is_true = true;
-      r.weight = 1.0;
+      r.tuple = t;
       unit.records.push_back(std::move(r));
     }
     NEBULA_RETURN_NOT_OK(JournalUnit(&unit));
-    const AnnotationId stored = store_->AddAnnotation(text, author);
-    (void)stored;  // == id: AddAnnotation assigns sequential ids
-    for (size_t i = 0; i < focal.size(); ++i) {
-      NEBULA_RETURN_NOT_OK(
-          store_->Attach(id, focal[i], AttachmentType::kTrue));
-      std::vector<TupleId> siblings(focal.begin(), focal.begin() + i);
-      acg_.AddAttachment(id, focal[i], siblings);
-    }
-    durability_->OnApplied(unit);
-    return id;
   }
-  const AnnotationId id = store_->AddAnnotation(text, author);
+  store_->AddAnnotation(text, author);  // assigns `id`: ids are sequential
   for (size_t i = 0; i < focal.size(); ++i) {
     NEBULA_RETURN_NOT_OK(store_->Attach(id, focal[i], AttachmentType::kTrue));
     // The focal attachments themselves also enter the ACG incrementally.
     std::vector<TupleId> siblings(focal.begin(), focal.begin() + i);
     acg_.AddAttachment(id, focal[i], siblings);
   }
+  if (durability_ != nullptr) durability_->OnApplied(unit);
   return id;
 }
 
 Status NebulaEngine::SubmitCandidates(AnnotationReport* report) {
   // Footnote-1 spam guard: an annotation whose prediction covers an
   // excessive share of the database must not flood the verification
-  // queue.
+  // queue. Its round submits no candidate, yet the operation still
+  // commits: under durability its empty stage-3 unit closes the insert so
+  // recovery counts it.
   if (config_.enable_spam_guard) {
     report->spam = DetectSpam(report->candidates, catalog_->TotalRows(),
                               config_.spam_guard);
-    if (report->spam.spam_suspected) {
-      if constexpr (obs::kEnabled) Metrics().spam_suspected->Increment();
-      if (durability_ != nullptr) {
-        // The operation still commits, just with zero tasks: an empty
-        // stage-3 unit closes it so recovery counts a completed insert.
-        durability::CommitUnit unit;
-        unit.flags = durability::kOpEnd;
-        NEBULA_RETURN_NOT_OK(JournalUnit(&unit));
-        durability_->OnApplied(unit);
-      }
-      return Status::OK();
+    if constexpr (obs::kEnabled) {
+      if (report->spam.spam_suspected) Metrics().spam_suspected->Increment();
     }
   }
+  const std::vector<CandidateTuple> none;
 
   // Stage 3: submit the candidates for verification; auto-accepts apply
   // their side effects (True attachment, ACG update, profile update).
   verification_.set_bounds(config_.bounds);
-  if (durability_ == nullptr) {
-    report->verification = verification_.Submit(report->annotation,
-                                                report->candidates);
-    return Status::OK();
-  }
-  // Durable path: plan, journal the whole stage-3 unit, then apply the
-  // identical plan. Accepted tasks also journal their store effect (the
-  // task records alone replay no attachments); auto-rejections journal
-  // one count record, as they keep no task.
-  PlannedSubmit planned =
-      verification_.PlanSubmit(report->annotation, report->candidates);
+  PlannedSubmit planned = verification_.PlanSubmit(
+      report->annotation,
+      report->spam.spam_suspected ? none : report->candidates);
   durability::CommitUnit unit;
-  unit.flags = durability::kOpEnd;
-  for (const VerificationTask& task : planned.tasks) {
-    durability::JournalRecord r;
-    r.kind = durability::JournalRecord::Kind::kTask;
-    r.id = task.vid;
-    r.annotation = task.annotation;
-    r.table_id = task.tuple.table_id;
-    r.row = task.tuple.row;
-    r.weight = task.confidence;
-    r.text = TaskStateName(task.state);
-    r.evidence = task.evidence;
-    unit.records.push_back(std::move(r));
-    if (task.state == TaskState::kAutoAccepted) {
-      durability::JournalRecord attach;
-      attach.kind = durability::JournalRecord::Kind::kAttach;
-      attach.annotation = task.annotation;
-      attach.table_id = task.tuple.table_id;
-      attach.row = task.tuple.row;
-      attach.is_true = true;
-      attach.weight = 1.0;
-      unit.records.push_back(std::move(attach));
+  if (durability_ != nullptr) {
+    // Journal the whole stage-3 unit, then apply the identical plan.
+    // Accepted tasks also journal their store effect (the task records
+    // alone replay no attachments); auto-rejections journal one count
+    // record, as they keep no task.
+    unit.flags = durability::kOpEnd;
+    for (const VerificationTask& task : planned.tasks) {
+      durability::JournalRecord r;
+      r.kind = durability::JournalRecord::Kind::kTask;
+      r.task = task;
+      unit.records.push_back(std::move(r));
+      if (task.state == TaskState::kAutoAccepted) {
+        durability::JournalRecord attach;
+        attach.kind = durability::JournalRecord::Kind::kAttach;
+        attach.annotation = task.annotation;
+        attach.tuple = task.tuple;
+        unit.records.push_back(std::move(attach));
+      }
     }
+    if (planned.outcome.auto_rejected > 0) {
+      durability::JournalRecord rejected;
+      rejected.kind = durability::JournalRecord::Kind::kRejected;
+      rejected.id = planned.next_vid;
+      rejected.count = planned.outcome.auto_rejected;
+      unit.records.push_back(std::move(rejected));
+    }
+    NEBULA_RETURN_NOT_OK(JournalUnit(&unit));
   }
-  if (planned.outcome.auto_rejected > 0) {
-    durability::JournalRecord rejected;
-    rejected.kind = durability::JournalRecord::Kind::kRejected;
-    rejected.id = planned.next_vid;
-    rejected.count = planned.outcome.auto_rejected;
-    unit.records.push_back(std::move(rejected));
-  }
-  NEBULA_RETURN_NOT_OK(JournalUnit(&unit));
   report->verification = verification_.ApplySubmit(std::move(planned));
-  durability_->OnApplied(unit);
+  if (durability_ != nullptr) durability_->OnApplied(unit);
   return Status::OK();
 }
 

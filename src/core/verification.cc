@@ -1,11 +1,13 @@
 #include "core/verification.h"
 
 #include <algorithm>
-#include <optional>
+#include <string>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "core/identify.h"
@@ -66,32 +68,6 @@ auto* FindByVid(Tasks& tasks, uint64_t vid) {
 
 }  // namespace
 
-const char* TaskStateName(TaskState state) {
-  switch (state) {
-    case TaskState::kPending:
-      return "PENDING";
-    case TaskState::kAutoAccepted:
-      return "AUTO_ACCEPTED";
-    case TaskState::kAutoRejected:
-      return "AUTO_REJECTED";
-    case TaskState::kExpertAccepted:
-      return "EXPERT_ACCEPTED";
-    case TaskState::kExpertRejected:
-      return "EXPERT_REJECTED";
-  }
-  return "?";
-}
-
-Result<TaskState> ParseTaskState(std::string_view name) {
-  for (TaskState state :
-       {TaskState::kPending, TaskState::kAutoAccepted,
-        TaskState::kAutoRejected, TaskState::kExpertAccepted,
-        TaskState::kExpertRejected}) {
-    if (name == TaskStateName(state)) return state;
-  }
-  return Status::Corruption("unknown task state '" + std::string(name) + "'");
-}
-
 void VerificationManager::ApplyAccept(VerificationTask* task) {
   // (1) Attach the annotation to the tuple as a True Attachment.
   const std::vector<TupleId> siblings =
@@ -126,7 +102,7 @@ PlannedSubmit VerificationManager::PlanSubmit(
   // duplicate candidate hit HasAttachment. Simulate that with the set of
   // tuples this plan accepts.
   std::unordered_set<TupleId, TupleIdHash> accepted;
-  uint64_t next_vid = next_vid_;
+  uint64_t next_vid = image_.next_vid;
   for (const auto& c : candidates) {
     if (store_->HasAttachment(annotation, c.tuple) ||
         accepted.count(c.tuple) > 0) {
@@ -170,9 +146,9 @@ SubmitOutcome VerificationManager::ApplySubmit(PlannedSubmit planned) {
     }
   }
   for (VerificationTask& task : planned.tasks) {
-    tasks_.push_back(std::move(task));
-    if (tasks_.back().state == TaskState::kAutoAccepted) {
-      ApplyAccept(&tasks_.back());
+    image_.tasks.push_back(std::move(task));
+    if (image_.tasks.back().state == TaskState::kAutoAccepted) {
+      ApplyAccept(&image_.tasks.back());
       if constexpr (obs::kEnabled) {
         Metrics().created_auto_accepted->Increment();
       }
@@ -181,23 +157,22 @@ SubmitOutcome VerificationManager::ApplySubmit(PlannedSubmit planned) {
       Metrics().created_pending->Increment();
     }
   }
-  next_vid_ = planned.next_vid;
-  auto_rejected_ += planned.outcome.auto_rejected;
+  image_.next_vid = planned.next_vid;
+  image_.auto_rejected += planned.outcome.auto_rejected;
   return planned.outcome;
 }
 
-Status VerificationManager::RestoreTasks(std::vector<VerificationTask> tasks,
-                                         uint64_t next_vid,
-                                         uint64_t auto_rejected) {
-  if (next_vid_ != 0) {
+Status VerificationManager::RestoreTasks(TaskImage image) {
+  if (image_.next_vid != 0) {
     return Status::InvalidArgument(
         "RestoreTasks requires a manager that has assigned no vid");
   }
+  const std::vector<VerificationTask>& tasks = image.tasks;
   for (size_t i = 0; i < tasks.size(); ++i) {
     if (i > 0 && tasks[i].vid <= tasks[i - 1].vid) {
       return Status::Corruption("restored task vids do not ascend");
     }
-    if (tasks[i].vid >= next_vid) {
+    if (tasks[i].vid >= image.next_vid) {
       return Status::Corruption("restored task vid is not below next_vid");
     }
     if (tasks[i].state == TaskState::kAutoRejected) {
@@ -205,23 +180,25 @@ Status VerificationManager::RestoreTasks(std::vector<VerificationTask> tasks,
     }
   }
   // The loop bounds tasks.size() by next_vid, so this cannot wrap.
-  if (next_vid - tasks.size() != auto_rejected) {
+  if (image.next_vid - tasks.size() != image.auto_rejected) {
     return Status::Corruption(
         "restored tasks and rejections do not account for every vid");
   }
-  tasks_ = std::move(tasks);
-  next_vid_ = next_vid;
-  auto_rejected_ = auto_rejected;
+  image_ = std::move(image);
   return Status::OK();
 }
 
-Result<VerificationTask*> VerificationManager::FindPending(uint64_t vid) {
-  if (vid >= next_vid_) {
+Status VerificationManager::Verify(uint64_t vid) { return Decide(vid, true); }
+
+Status VerificationManager::Reject(uint64_t vid) { return Decide(vid, false); }
+
+Status VerificationManager::Decide(uint64_t vid, bool accept) {
+  if (vid >= image_.next_vid) {
     return Status::NotFound(StrFormat("verification task %llu",
                                       static_cast<unsigned long long>(vid)));
   }
   // An assigned vid without a retained task was auto-rejected.
-  VerificationTask* task = FindByVid(tasks_, vid);
+  VerificationTask* task = FindByVid(image_.tasks, vid);
   const TaskState state =
       task == nullptr ? TaskState::kAutoRejected : task->state;
   if (state != TaskState::kPending) {
@@ -230,96 +207,43 @@ Result<VerificationTask*> VerificationManager::FindPending(uint64_t vid) {
                   static_cast<unsigned long long>(vid),
                   TaskStateName(state)));
   }
-  return task;
-}
-
-Status VerificationManager::Verify(uint64_t vid) {
-  NEBULA_ASSIGN_OR_RETURN(VerificationTask* const pending, FindPending(vid));
-  VerificationTask& task = *pending;
+  durability::CommitUnit unit;
   if (journal_ != nullptr) {
     // An expert decision is one complete operation: journal the decision
-    // and its accept-side store effect before applying either.
-    durability::CommitUnit unit;
-    unit.flags = durability::kOpStart | durability::kOpEnd;
-    {
-      durability::JournalRecord decision;
-      decision.kind = durability::JournalRecord::Kind::kDecision;
-      decision.id = vid;
-      decision.is_true = true;
-      unit.records.push_back(std::move(decision));
-    }
-    {
-      durability::JournalRecord effect;
-      effect.annotation = task.annotation;
-      effect.table_id = task.tuple.table_id;
-      effect.row = task.tuple.row;
-      if (store_->HasAttachment(task.annotation, task.tuple)) {
-        effect.kind = durability::JournalRecord::Kind::kPromote;
-      } else {
-        effect.kind = durability::JournalRecord::Kind::kAttach;
-        effect.is_true = true;
-        effect.weight = 1.0;
-      }
-      unit.records.push_back(std::move(effect));
-    }
-    NEBULA_RETURN_NOT_OK(journal_->Append(&unit));
-    task.state = TaskState::kExpertAccepted;
-    ApplyAccept(&task);
-    if constexpr (obs::kEnabled) Metrics().resolved_accepted->Increment();
-    journal_->OnApplied(unit);
-    return Status::OK();
-  }
-  task.state = TaskState::kExpertAccepted;
-  ApplyAccept(&task);
-  if constexpr (obs::kEnabled) Metrics().resolved_accepted->Increment();
-  return Status::OK();
-}
-
-Status VerificationManager::Reject(uint64_t vid) {
-  NEBULA_ASSIGN_OR_RETURN(VerificationTask* const pending, FindPending(vid));
-  VerificationTask& task = *pending;
-  if (journal_ != nullptr) {
-    durability::CommitUnit unit;
+    // and an accept's store effect before applying either.
     unit.flags = durability::kOpStart | durability::kOpEnd;
     durability::JournalRecord decision;
     decision.kind = durability::JournalRecord::Kind::kDecision;
     decision.id = vid;
-    decision.is_true = false;
+    decision.is_true = accept;
     unit.records.push_back(std::move(decision));
+    if (accept) {
+      durability::JournalRecord effect;
+      effect.kind = store_->HasAttachment(task->annotation, task->tuple)
+                        ? durability::JournalRecord::Kind::kPromote
+                        : durability::JournalRecord::Kind::kAttach;
+      effect.annotation = task->annotation;
+      effect.tuple = task->tuple;
+      unit.records.push_back(std::move(effect));
+    }
     NEBULA_RETURN_NOT_OK(journal_->Append(&unit));
-    task.state = TaskState::kExpertRejected;
+  }
+  if (accept) {
+    task->state = TaskState::kExpertAccepted;
+    ApplyAccept(task);
+    if constexpr (obs::kEnabled) Metrics().resolved_accepted->Increment();
+  } else {
+    task->state = TaskState::kExpertRejected;
     if constexpr (obs::kEnabled) Metrics().resolved_rejected->Increment();
-    journal_->OnApplied(unit);
-    return Status::OK();
   }
-  task.state = TaskState::kExpertRejected;
-  if constexpr (obs::kEnabled) Metrics().resolved_rejected->Increment();
+  if (journal_ != nullptr) journal_->OnApplied(unit);
   return Status::OK();
-}
-
-Status VerificationManager::ExecuteCommand(const std::string& command) {
-  std::string trimmed(Trim(command));
-  if (!trimmed.empty() && trimmed.back() == ';') trimmed.pop_back();
-  const std::vector<std::string> parts = SplitWhitespace(trimmed);
-  if (parts.size() != 3 || !EqualsIgnoreCase(parts[1], "attachment")) {
-    return Status::InvalidArgument(
-        "expected: [VERIFY | REJECT] ATTACHMENT <vid>");
-  }
-  const std::optional<uint64_t> vid = ParseUint64(parts[2]);
-  if (!vid.has_value()) {
-    return Status::InvalidArgument(
-        "vid must be an unsigned 64-bit integer, got '" + parts[2] + "'");
-  }
-  if (EqualsIgnoreCase(parts[0], "verify")) return Verify(*vid);
-  if (EqualsIgnoreCase(parts[0], "reject")) return Reject(*vid);
-  return Status::InvalidArgument("unknown verb '" + parts[0] +
-                                 "' (expected VERIFY or REJECT)");
 }
 
 VerificationManager::Stats VerificationManager::ComputeStats() const {
   Stats stats;
-  stats.auto_rejected = auto_rejected_;
-  for (const auto& task : tasks_) {
+  stats.auto_rejected = image_.auto_rejected;
+  for (const auto& task : image_.tasks) {
     switch (task.state) {
       case TaskState::kPending:
         ++stats.pending;
@@ -343,7 +267,7 @@ VerificationManager::Stats VerificationManager::ComputeStats() const {
 std::vector<const VerificationTask*> VerificationManager::PendingTasks()
     const {
   std::vector<const VerificationTask*> out;
-  for (const auto& t : tasks_) {
+  for (const auto& t : image_.tasks) {
     if (t.state == TaskState::kPending) out.push_back(&t);
   }
   // (confidence desc, vid asc) — total order, same rationale as the
@@ -360,7 +284,7 @@ std::vector<const VerificationTask*> VerificationManager::PendingTasks()
 
 Result<const VerificationTask*> VerificationManager::GetTask(
     uint64_t vid) const {
-  const VerificationTask* task = FindByVid(tasks_, vid);
+  const VerificationTask* task = FindByVid(image_.tasks, vid);
   if (task == nullptr) {
     return Status::NotFound(StrFormat("verification task %llu",
                                       static_cast<unsigned long long>(vid)));

@@ -2,15 +2,13 @@
 #define NEBULA_CORE_VERIFICATION_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "core/acg.h"
 #include "core/identify.h"
-#include "storage/schema.h"
 
 namespace nebula {
 
@@ -24,29 +22,6 @@ class Manager;
 struct VerificationBounds {
   double lower = 0.32;
   double upper = 0.86;
-};
-
-/// The lifecycle states of a verification task.
-enum class TaskState {
-  kPending,
-  kAutoAccepted,
-  kAutoRejected,
-  kExpertAccepted,
-  kExpertRejected,
-};
-
-const char* TaskStateName(TaskState state);
-/// Inverse of TaskStateName (used when recovering persisted tasks).
-[[nodiscard]] Result<TaskState> ParseTaskState(std::string_view name);
-
-/// A verification task v = (vid, a, t, confidence, evidence) of Def. 7.1.
-struct VerificationTask {
-  uint64_t vid = 0;
-  AnnotationId annotation = 0;
-  TupleId tuple;
-  double confidence = 0.0;
-  std::vector<std::string> evidence;
-  TaskState state = TaskState::kPending;
 };
 
 /// Counts of one Submit() round, bucketed per Figure 8.
@@ -102,14 +77,13 @@ class VerificationManager {
   /// Applies a plan produced by PlanSubmit against unchanged state.
   SubmitOutcome ApplySubmit(PlannedSubmit planned);
 
-  /// Recovery: adopts the state restored from a snapshot / WAL replay —
+  /// Recovery: adopts the image restored from a snapshot / WAL replay —
   /// the retained tasks and the two counters. This manager must not have
   /// used a vid yet. Corruption unless the vids ascend strictly and stay
   /// below `next_vid`, no task is AUTO_REJECTED, and the retained tasks
   /// plus `auto_rejected` account for every vid. Store edges are NOT
   /// touched (they are recovered separately).
-  [[nodiscard]] Status RestoreTasks(std::vector<VerificationTask> tasks,
-                                    uint64_t next_vid, uint64_t auto_rejected);
+  [[nodiscard]] Status RestoreTasks(TaskImage image);
 
   /// When set, expert decisions (Verify/Reject) journal a commit unit
   /// through the durability manager before mutating any state.
@@ -122,11 +96,6 @@ class VerificationManager {
   /// Expert rejects the pending task (the REJECT ATTACHMENT command), with
   /// the same statuses as Verify.
   [[nodiscard]] Status Reject(uint64_t vid);
-
-  /// Parses and executes the paper's extended SQL command:
-  ///   [VERIFY | REJECT] ATTACHMENT <vid>;
-  /// (case-insensitive; trailing semicolon optional).
-  [[nodiscard]] Status ExecuteCommand(const std::string& command);
 
   /// Aggregate counts per task state — the admin dashboard numbers.
   struct Stats {
@@ -154,14 +123,16 @@ class VerificationManager {
   std::vector<const VerificationTask*> PendingTasks() const;
   /// Retained tasks, ascending vid (for assessment). Auto-rejected
   /// candidates are only counted: see next_vid() and auto_rejected().
-  const std::vector<VerificationTask>& tasks() const { return tasks_; }
+  const std::vector<VerificationTask>& tasks() const { return image_.tasks; }
   /// The retained task with this vid; NotFound for an auto-rejected vid
   /// and for one never assigned.
   [[nodiscard]] Result<const VerificationTask*> GetTask(uint64_t vid) const;
   /// The vid the next task will get: every vid below it was assigned.
-  uint64_t next_vid() const { return next_vid_; }
+  uint64_t next_vid() const { return image_.next_vid; }
   /// Candidates rejected outright so far (they hold no task).
-  uint64_t auto_rejected() const { return auto_rejected_; }
+  uint64_t auto_rejected() const { return image_.auto_rejected; }
+  /// All of the above as one image: what a durability snapshot writes.
+  const TaskImage& image() const { return image_; }
 
   const VerificationBounds& bounds() const { return bounds_; }
   void set_bounds(VerificationBounds bounds) { bounds_ = bounds; }
@@ -169,16 +140,14 @@ class VerificationManager {
  private:
   /// The accept side-effects shared by auto-accept and expert accept.
   void ApplyAccept(VerificationTask* task);
-  /// The PENDING task an expert decision may act on, or the status
-  /// Verify/Reject return.
-  [[nodiscard]] Result<VerificationTask*> FindPending(uint64_t vid);
+  /// Verify (accept) or Reject: journals the decision and its store
+  /// effect when a journal is set, then applies them.
+  [[nodiscard]] Status Decide(uint64_t vid, bool accept);
 
   AnnotationStore* store_;
   Acg* acg_;
   VerificationBounds bounds_;
-  std::vector<VerificationTask> tasks_;  ///< retained, ascending vid
-  uint64_t next_vid_ = 0;
-  uint64_t auto_rejected_ = 0;
+  TaskImage image_;
   durability::Manager* journal_ = nullptr;
 };
 

@@ -1,10 +1,16 @@
 #include "durability/journal.h"
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "annotation/serialize.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "storage/schema.h"
 
 namespace nebula::durability {
 
@@ -26,22 +32,60 @@ Result<double> ParseDoubleField(const std::string& field) {
 
 namespace {
 
-void AppendTuple(std::string* out, uint32_t table_id, uint64_t row) {
+void AppendTuple(std::string* out, const TupleId& tuple) {
   *out += '\t';
-  *out += std::to_string(table_id);
+  *out += std::to_string(tuple.table_id);
   *out += '\t';
-  *out += std::to_string(row);
+  *out += std::to_string(tuple.row);
 }
 
-Status ParseTuple(const std::string& table_field, const std::string& row_field,
-                  JournalRecord* record) {
+/// A tuple's table id and row fields; the table id must fit TupleId's
+/// 32 bits.
+Result<TupleId> ParseTuple(const std::string& table_field,
+                           const std::string& row_field) {
   NEBULA_ASSIGN_OR_RETURN(const uint64_t table, ParseU64Field(table_field));
-  NEBULA_ASSIGN_OR_RETURN(record->row, ParseU64Field(row_field));
-  record->table_id = static_cast<uint32_t>(table);
-  return Status::OK();
+  if (table > UINT32_MAX) {
+    return Status::Corruption("table id " + table_field + " out of range");
+  }
+  NEBULA_ASSIGN_OR_RETURN(const uint64_t row, ParseU64Field(row_field));
+  return TupleId{static_cast<uint32_t>(table), row};
 }
 
 }  // namespace
+
+void AppendTaskFields(const VerificationTask& task, std::string* out) {
+  *out += std::to_string(task.vid);
+  *out += '\t';
+  *out += std::to_string(task.annotation);
+  AppendTuple(out, task.tuple);
+  *out += '\t';
+  *out += StrFormat("%.17g", task.confidence);
+  *out += '\t';
+  *out += EscapeField(TaskStateName(task.state));
+  for (const std::string& term : task.evidence) {
+    *out += '\t';
+    *out += EscapeField(term);
+  }
+}
+
+Result<VerificationTask> ParseTaskFields(std::span<const std::string> fields) {
+  if (fields.size() < 6) {
+    return Status::Corruption("task record has " +
+                              std::to_string(fields.size()) +
+                              " fields, wants at least 6");
+  }
+  VerificationTask task;
+  NEBULA_ASSIGN_OR_RETURN(task.vid, ParseU64Field(fields[0]));
+  NEBULA_ASSIGN_OR_RETURN(task.annotation, ParseU64Field(fields[1]));
+  NEBULA_ASSIGN_OR_RETURN(task.tuple, ParseTuple(fields[2], fields[3]));
+  NEBULA_ASSIGN_OR_RETURN(task.confidence, ParseDoubleField(fields[4]));
+  NEBULA_ASSIGN_OR_RETURN(task.state,
+                          ParseTaskState(UnescapeField(fields[5])));
+  for (const std::string& term : fields.subspan(6)) {
+    task.evidence.push_back(UnescapeField(term));
+  }
+  return task;
+}
 
 std::string EncodeUnit(const CommitUnit& unit) {
   std::string out = "u\t" + std::to_string(unit.seq) + '\t' +
@@ -54,27 +98,21 @@ std::string EncodeUnit(const CommitUnit& unit) {
         break;
       case JournalRecord::Kind::kAttach:
         out += "t\t" + std::to_string(r.annotation);
-        AppendTuple(&out, r.table_id, r.row);
+        AppendTuple(&out, r.tuple);
         out += r.is_true ? "\tT\t" : "\tP\t";
         out += StrFormat("%.17g", r.weight);
         break;
       case JournalRecord::Kind::kDetach:
         out += "d\t" + std::to_string(r.annotation);
-        AppendTuple(&out, r.table_id, r.row);
+        AppendTuple(&out, r.tuple);
         break;
       case JournalRecord::Kind::kPromote:
         out += "p\t" + std::to_string(r.annotation);
-        AppendTuple(&out, r.table_id, r.row);
+        AppendTuple(&out, r.tuple);
         break;
       case JournalRecord::Kind::kTask:
-        out += "v\t" + std::to_string(r.id) + '\t' +
-               std::to_string(r.annotation);
-        AppendTuple(&out, r.table_id, r.row);
-        out += '\t' + StrFormat("%.17g", r.weight) + '\t' +
-               EscapeField(r.text);
-        for (const std::string& term : r.evidence) {
-          out += '\t' + EscapeField(term);
-        }
+        out += "v\t";
+        AppendTaskFields(r.task, &out);
         break;
       case JournalRecord::Kind::kRejected:
         out += "r\t" + std::to_string(r.id) + '\t' + std::to_string(r.count);
@@ -122,7 +160,7 @@ Result<CommitUnit> DecodeUnit(std::string_view payload) {
     } else if (tag == "t" && fields.size() == 6) {
       record.kind = JournalRecord::Kind::kAttach;
       NEBULA_ASSIGN_OR_RETURN(record.annotation, ParseU64Field(fields[1]));
-      NEBULA_RETURN_NOT_OK(ParseTuple(fields[2], fields[3], &record));
+      NEBULA_ASSIGN_OR_RETURN(record.tuple, ParseTuple(fields[2], fields[3]));
       if (fields[4] != "T" && fields[4] != "P") {
         return Status::Corruption("bad attachment type '" + fields[4] + "'");
       }
@@ -132,17 +170,11 @@ Result<CommitUnit> DecodeUnit(std::string_view payload) {
       record.kind = tag == "d" ? JournalRecord::Kind::kDetach
                                : JournalRecord::Kind::kPromote;
       NEBULA_ASSIGN_OR_RETURN(record.annotation, ParseU64Field(fields[1]));
-      NEBULA_RETURN_NOT_OK(ParseTuple(fields[2], fields[3], &record));
-    } else if (tag == "v" && fields.size() >= 7) {
+      NEBULA_ASSIGN_OR_RETURN(record.tuple, ParseTuple(fields[2], fields[3]));
+    } else if (tag == "v") {
       record.kind = JournalRecord::Kind::kTask;
-      NEBULA_ASSIGN_OR_RETURN(record.id, ParseU64Field(fields[1]));
-      NEBULA_ASSIGN_OR_RETURN(record.annotation, ParseU64Field(fields[2]));
-      NEBULA_RETURN_NOT_OK(ParseTuple(fields[3], fields[4], &record));
-      NEBULA_ASSIGN_OR_RETURN(record.weight, ParseDoubleField(fields[5]));
-      record.text = UnescapeField(fields[6]);
-      for (size_t f = 7; f < fields.size(); ++f) {
-        record.evidence.push_back(UnescapeField(fields[f]));
-      }
+      NEBULA_ASSIGN_OR_RETURN(record.task,
+                              ParseTaskFields(std::span(fields).subspan(1)));
     } else if (tag == "r" && fields.size() == 3) {
       record.kind = JournalRecord::Kind::kRejected;
       NEBULA_ASSIGN_OR_RETURN(record.id, ParseU64Field(fields[1]));

@@ -2,11 +2,14 @@
 #define NEBULA_DURABILITY_JOURNAL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "annotation/verification_task.h"
 #include "common/status.h"
+#include "storage/schema.h"
 
 namespace nebula::durability {
 
@@ -16,14 +19,14 @@ namespace nebula::durability {
 ///
 /// Field use per kind:
 ///   kAnnotation  id, author, text
-///   kAttach      annotation, table_id, row, is_true, weight
-///   kDetach      annotation, table_id, row
-///   kPromote     annotation, table_id, row
-///   kTask        id (vid), annotation, table_id, row, weight (confidence),
-///                text (state name), evidence
+///   kAttach      annotation, tuple, is_true, weight
+///   kDetach      annotation, tuple
+///   kPromote     annotation, tuple
+///   kTask        task
 ///   kRejected    id (vid counter after the round), count (auto-rejected)
 ///   kDecision    id (vid), is_true (accepted)
 ///   kMetaBlob    text (full MetaSerializer blob)
+/// The defaults of `is_true` and `weight` describe a True attachment.
 struct JournalRecord {
   enum class Kind {
     kAnnotation,
@@ -38,36 +41,13 @@ struct JournalRecord {
   Kind kind = Kind::kAnnotation;
   uint64_t id = 0;
   uint64_t annotation = 0;
-  uint32_t table_id = 0;
-  uint64_t row = 0;
+  TupleId tuple;
   uint64_t count = 0;
   bool is_true = true;
   double weight = 1.0;
   std::string text;
   std::string author;
-  std::vector<std::string> evidence;
-};
-
-/// A verification task as durability stores it — a plain mirror of
-/// core's VerificationTask (durability sits below core in the layer DAG,
-/// so it cannot name that type; the engine converts both ways).
-struct TaskRecord {
-  uint64_t vid = 0;
-  uint64_t annotation = 0;
-  uint32_t table_id = 0;
-  uint64_t row = 0;
-  double confidence = 0.0;
-  std::string state;  ///< TaskStateName spelling, e.g. "AUTO_ACCEPTED"
-  std::vector<std::string> evidence;
-};
-
-/// The verification state a snapshot persists and replay rebuilds: the
-/// retained tasks (ascending vid; an auto-rejected candidate keeps none)
-/// and the two counters that stand in for the rejected ones.
-struct TaskImage {
-  std::vector<TaskRecord> tasks;
-  uint64_t next_vid = 0;
-  uint64_t auto_rejected = 0;
+  VerificationTask task;
 };
 
 /// Operation-boundary flags of a commit unit. One engine insert journals
@@ -95,6 +75,18 @@ struct CommitUnit {
 /// record-format table.
 std::string EncodeUnit(const CommitUnit& unit);
 [[nodiscard]] Result<CommitUnit> DecodeUnit(std::string_view payload);
+
+/// The one line format of a task, shared by the journal's `v` record and
+/// each line of a snapshot's `tasks` file: vid, annotation, table id, row,
+/// confidence ("%.17g"), state name, then one field per evidence term,
+/// tab-separated and escaped. Appends the fields to `out` without a
+/// leading or trailing tab.
+void AppendTaskFields(const VerificationTask& task, std::string* out);
+/// Inverse of AppendTaskFields over a line's split fields: Corruption
+/// for fewer than six fields, a malformed number, a table id above
+/// UINT32_MAX or an unknown state name.
+[[nodiscard]] Result<VerificationTask> ParseTaskFields(
+    std::span<const std::string> fields);
 
 /// Parses one decimal integer field of the journal, snapshot and meta
 /// text formats: digits only (no sign or space) and within uint64_t, else

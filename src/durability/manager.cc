@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
 #include <utility>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "durability/journal.h"
@@ -13,7 +15,6 @@
 #include "durability/wal.h"
 #include "meta/nebula_meta.h"
 #include "obs/metrics.h"
-#include "storage/schema.h"
 
 namespace nebula::durability {
 
@@ -33,7 +34,8 @@ obs::Counter* ReplayedRecordsCounter() {
 Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
                                                AnnotationStore* store,
                                                NebulaMeta* meta,
-                                               TaskImage* tasks,
+                                               const TaskImage* tasks,
+                                               TaskImage* recovered,
                                                const OpenHooks& hooks) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("durability dir must be non-empty");
@@ -46,7 +48,7 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
   }
 
   auto manager =
-      std::unique_ptr<Manager>(new Manager(options, store, meta));
+      std::unique_ptr<Manager>(new Manager(options, store, meta, tasks));
   const bool have_current = fs::exists(fs::path(options.dir) / "CURRENT", ec);
   const std::string wal_path = manager->WalPath();
 
@@ -57,9 +59,8 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
     }
     // Fresh directory: the baseline snapshot captures the caller's seeded
     // state, which WAL replay alone could never rebuild.
-    SnapshotInfo baseline;
-    baseline.task_image = *tasks;
-    NEBULA_RETURN_NOT_OK(WriteSnapshot(options.dir, baseline, *store, *meta));
+    NEBULA_RETURN_NOT_OK(
+        WriteSnapshot(options.dir, SnapshotInfo{}, *store, *meta, *tasks));
     {
       MutexLock lock(manager->mutex_);
       ++manager->snapshots_written_;
@@ -70,14 +71,14 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
   }
 
   // Existing directory: snapshot + WAL tail is the authoritative state.
-  if (store->num_annotations() != 0 || tasks->next_vid != 0 ||
-      !tasks->tasks.empty()) {
+  if (store->num_annotations() != 0 || recovered->next_vid != 0 ||
+      !recovered->tasks.empty()) {
     return Status::InvalidArgument(
         "store and tasks must be fresh before recovery");
   }
-  NEBULA_ASSIGN_OR_RETURN(SnapshotInfo snapshot,
-                          LoadCurrentSnapshot(options.dir, store, meta));
-  *tasks = std::move(snapshot.task_image);
+  NEBULA_ASSIGN_OR_RETURN(
+      const SnapshotInfo snapshot,
+      LoadCurrentSnapshot(options.dir, store, meta, recovered));
 
   RecoveryInfo& info = manager->recovery_info_;
   info.recovered = true;
@@ -95,7 +96,7 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
       NEBULA_ASSIGN_OR_RETURN(const CommitUnit unit, DecodeUnit(payload));
       if (unit.seq <= snapshot.seq) continue;  // already folded in
       for (const JournalRecord& record : unit.records) {
-        NEBULA_RETURN_NOT_OK(manager->ApplyRecord(record, tasks, hooks));
+        NEBULA_RETURN_NOT_OK(manager->ApplyRecord(record, recovered, hooks));
       }
       if (unit.flags & kOpStart) info.partial_op = true;
       if (unit.flags & kOpEnd) {
@@ -136,7 +137,6 @@ Result<std::unique_ptr<Manager>> Manager::Open(const Options& options,
 
 Status Manager::ApplyRecord(const JournalRecord& record, TaskImage* tasks,
                             const OpenHooks& hooks) {
-  const TupleId tuple{record.table_id, record.row};
   switch (record.kind) {
     case JournalRecord::Kind::kAnnotation: {
       const AnnotationId id = store_->AddAnnotation(record.text,
@@ -147,31 +147,30 @@ Status Manager::ApplyRecord(const JournalRecord& record, TaskImage* tasks,
       return Status::OK();
     }
     case JournalRecord::Kind::kAttach:
-      return store_->Attach(record.annotation, tuple,
+      return store_->Attach(record.annotation, record.tuple,
                             record.is_true ? AttachmentType::kTrue
                                            : AttachmentType::kPredicted,
                             record.weight);
     case JournalRecord::Kind::kDetach:
-      return store_->Detach(record.annotation, tuple);
+      return store_->Detach(record.annotation, record.tuple);
     case JournalRecord::Kind::kPromote:
-      return store_->PromoteToTrue(record.annotation, tuple);
+      return store_->PromoteToTrue(record.annotation, record.tuple);
     case JournalRecord::Kind::kTask: {
+      // A Stage-3 round creates only these two states; an expert
+      // decision arrives as its own `x` record.
+      if (record.task.state != TaskState::kPending &&
+          record.task.state != TaskState::kAutoAccepted) {
+        return Status::Corruption(std::string("replayed task is ") +
+                                  TaskStateName(record.task.state));
+      }
       // A gap between the counter and this vid went to auto-rejections,
       // which the unit's `r` record counts.
-      if (record.id < tasks->next_vid) {
+      if (record.task.vid < tasks->next_vid) {
         return Status::Corruption("replayed task vids out of order");
       }
-      TaskRecord task;
-      task.vid = record.id;
-      task.annotation = record.annotation;
-      task.table_id = record.table_id;
-      task.row = record.row;
-      task.confidence = record.weight;
-      if (hooks.inject_replay_bug) task.confidence += 1e-9;
-      task.state = record.text;
-      task.evidence = record.evidence;
-      tasks->tasks.push_back(std::move(task));
-      tasks->next_vid = record.id + 1;
+      tasks->tasks.push_back(record.task);
+      if (hooks.inject_replay_bug) tasks->tasks.back().confidence += 1e-9;
+      tasks->next_vid = record.task.vid + 1;
       return Status::OK();
     }
     case JournalRecord::Kind::kRejected: {
@@ -185,13 +184,14 @@ Status Manager::ApplyRecord(const JournalRecord& record, TaskImage* tasks,
     case JournalRecord::Kind::kDecision: {
       const auto it = std::lower_bound(
           tasks->tasks.begin(), tasks->tasks.end(), record.id,
-          [](const TaskRecord& t, uint64_t vid) { return t.vid < vid; });
+          [](const VerificationTask& t, uint64_t vid) { return t.vid < vid; });
       if (it == tasks->tasks.end() || it->vid != record.id ||
-          it->state != "PENDING") {
+          it->state != TaskState::kPending) {
         return Status::Corruption("replayed decision for a task that is "
                                   "not pending");
       }
-      it->state = record.is_true ? "EXPERT_ACCEPTED" : "EXPERT_REJECTED";
+      it->state = record.is_true ? TaskState::kExpertAccepted
+                                 : TaskState::kExpertRejected;
       return Status::OK();
     }
     case JournalRecord::Kind::kMetaBlob: {
@@ -236,8 +236,8 @@ Status Manager::SnapshotLocked() {
   info.seq = seq_;
   info.committed_ops = committed_ops_;
   info.partial_op = false;
-  if (task_source_) info.task_image = task_source_();
-  NEBULA_RETURN_NOT_OK(WriteSnapshot(options_.dir, info, *store_, *meta_));
+  NEBULA_RETURN_NOT_OK(
+      WriteSnapshot(options_.dir, info, *store_, *meta_, *tasks_));
   NEBULA_RETURN_NOT_OK(wal_->Truncate());
   ops_since_snapshot_ = 0;
   ++snapshots_written_;

@@ -2,12 +2,11 @@
 #define NEBULA_DURABILITY_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/lock_rank.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -58,7 +57,7 @@ struct OpenHooks {
 /// engine still orders mutations semantically (journal-before-apply is a
 /// protocol, not something a mutex can provide), but concurrent readers
 /// of the counters and a future async ingest queue get a consistent
-/// view. Open/set_task_source remain single-threaded setup.
+/// view. Open remains single-threaded setup.
 class Manager {
  public:
   struct Options {
@@ -69,17 +68,20 @@ class Manager {
     uint64_t snapshot_every_n = 64;
   };
 
-  /// Opens the durability directory. Fresh directory: writes a baseline
-  /// snapshot of the current `store`/`meta`/`tasks` (the seeded universe
-  /// replay alone could never rebuild). Existing directory: `store`,
-  /// `meta` and `tasks` must be fresh/empty — the latest valid snapshot
-  /// is loaded into them and the WAL tail replayed on top, truncating a
-  /// torn final record. A WAL without any snapshot is Corruption, and so
-  /// is a replayed record the recovering state contradicts.
-  /// `store` and `meta` must outlive the manager.
+  /// Opens the durability directory. `store`, `meta` and `tasks` are the
+  /// live state every snapshot writes in place; all three must outlive
+  /// the manager. Fresh directory: writes a baseline snapshot of them
+  /// (the seeded universe replay alone could never rebuild). Existing
+  /// directory: `store` and `meta` must be fresh/empty and `recovered`
+  /// empty — the latest valid snapshot is loaded into them and the WAL
+  /// tail replayed on top, truncating a torn final record; the caller
+  /// adopts `recovered` as its live task image. A WAL without any
+  /// snapshot is Corruption, and so is a replayed record the recovering
+  /// state contradicts.
   [[nodiscard]] static Result<std::unique_ptr<Manager>> Open(
       const Options& options, AnnotationStore* store, NebulaMeta* meta,
-      TaskImage* tasks, const OpenHooks& hooks = {});
+      const TaskImage* tasks, TaskImage* recovered,
+      const OpenHooks& hooks = {});
 
   /// Assigns the unit's sequence number and appends it to the WAL. On
   /// error nothing was journaled and the caller must not apply the unit.
@@ -90,12 +92,6 @@ class Manager {
   /// sit at operation boundaries); snapshot failure degrades — it is
   /// recorded in last_snapshot_status() and the WAL stays authoritative.
   void OnApplied(const CommitUnit& unit);
-
-  /// Provider of the live verification state, captured at snapshot time.
-  /// Must be set before any snapshot can include tasks.
-  void set_task_source(std::function<TaskImage()> source) {
-    task_source_ = std::move(source);
-  }
 
   /// Forces a snapshot at the current state (must be at an operation
   /// boundary; the engine exposes this for tests and shutdown).
@@ -117,8 +113,12 @@ class Manager {
   }
 
  private:
-  Manager(Options options, AnnotationStore* store, NebulaMeta* meta)
-      : options_(std::move(options)), store_(store), meta_(meta) {}
+  Manager(Options options, AnnotationStore* store, NebulaMeta* meta,
+          const TaskImage* tasks)
+      : options_(std::move(options)),
+        store_(store),
+        meta_(meta),
+        tasks_(tasks) {}
 
   std::string WalPath() const { return options_.dir + "/wal.log"; }
 
@@ -132,8 +132,8 @@ class Manager {
   Options options_;
   AnnotationStore* store_;
   NebulaMeta* meta_;
+  const TaskImage* tasks_;
   std::unique_ptr<WalWriter> wal_;
-  std::function<TaskImage()> task_source_;
   RecoveryInfo recovery_info_;
   mutable Mutex mutex_{kLockRankDurabilityManager};
   Status last_snapshot_status_ GUARDED_BY(mutex_) = Status::OK();

@@ -6,6 +6,7 @@
 
 #include "annotation/annotation_store.h"
 #include "annotation/serialize.h"
+#include "annotation/verification_task.h"
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/status.h"
@@ -50,48 +51,29 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
 std::string EncodeTasks(const TaskImage& image) {
   std::string out = "n\t" + std::to_string(image.next_vid) + '\t' +
                     std::to_string(image.auto_rejected) + '\n';
-  for (const TaskRecord& t : image.tasks) {
-    out += std::to_string(t.vid) + '\t' + std::to_string(t.annotation) +
-           '\t' + std::to_string(t.table_id) + '\t' + std::to_string(t.row) +
-           '\t' + StrFormat("%.17g", t.confidence) + '\t' +
-           EscapeField(t.state);
-    for (const std::string& term : t.evidence) out += '\t' + EscapeField(term);
+  for (const VerificationTask& task : image.tasks) {
+    AppendTaskFields(task, &out);
     out += '\n';
   }
   return out;
 }
 
-Result<TaskImage> DecodeTasks(const std::string& text) {
+Status DecodeTasks(const std::string& text, TaskImage* image) {
   const std::vector<std::string> lines = Split(text, '\n');
   const auto counters = lines.empty() ? std::vector<std::string>{}
                                       : Split(lines[0], '\t');
   if (counters.size() != 3 || counters[0] != "n") {
     return Status::Corruption("bad snapshot task counters");
   }
-  TaskImage image;
-  NEBULA_ASSIGN_OR_RETURN(image.next_vid, ParseU64Field(counters[1]));
-  NEBULA_ASSIGN_OR_RETURN(image.auto_rejected, ParseU64Field(counters[2]));
+  NEBULA_ASSIGN_OR_RETURN(image->next_vid, ParseU64Field(counters[1]));
+  NEBULA_ASSIGN_OR_RETURN(image->auto_rejected, ParseU64Field(counters[2]));
   for (size_t i = 1; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (line.empty()) continue;
-    const auto fields = Split(line, '\t');
-    if (fields.size() < 6) {
-      return Status::Corruption("bad snapshot task line '" + line + "'");
-    }
-    TaskRecord t;
-    NEBULA_ASSIGN_OR_RETURN(t.vid, ParseU64Field(fields[0]));
-    NEBULA_ASSIGN_OR_RETURN(t.annotation, ParseU64Field(fields[1]));
-    NEBULA_ASSIGN_OR_RETURN(const uint64_t table_id, ParseU64Field(fields[2]));
-    t.table_id = static_cast<uint32_t>(table_id);
-    NEBULA_ASSIGN_OR_RETURN(t.row, ParseU64Field(fields[3]));
-    NEBULA_ASSIGN_OR_RETURN(t.confidence, ParseDoubleField(fields[4]));
-    t.state = UnescapeField(fields[5]);
-    for (size_t f = 6; f < fields.size(); ++f) {
-      t.evidence.push_back(UnescapeField(fields[f]));
-    }
-    image.tasks.push_back(std::move(t));
+    if (lines[i].empty()) continue;
+    NEBULA_ASSIGN_OR_RETURN(VerificationTask task,
+                            ParseTaskFields(Split(lines[i], '\t')));
+    image->tasks.push_back(std::move(task));
   }
-  return image;
+  return Status::OK();
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
@@ -105,7 +87,8 @@ Result<std::string> ReadFileToString(const std::string& path) {
 }  // namespace
 
 Status WriteSnapshot(const std::string& base_dir, const SnapshotInfo& info,
-                     const AnnotationStore& store, const NebulaMeta& meta) {
+                     const AnnotationStore& store, const NebulaMeta& meta,
+                     const TaskImage& tasks) {
   NEBULA_INJECT_FAULT(kFaultDurabilitySnapshotWrite);
 
   const fs::path base(base_dir);
@@ -133,8 +116,7 @@ Status WriteSnapshot(const std::string& base_dir, const SnapshotInfo& info,
   NEBULA_RETURN_NOT_OK(WriteFileAtomic((staged / "meta").string(),
                                        MetaSerializer::SaveToString(meta)));
   NEBULA_RETURN_NOT_OK(
-      WriteFileAtomic((staged / "tasks").string(),
-                      EncodeTasks(info.task_image)));
+      WriteFileAtomic((staged / "tasks").string(), EncodeTasks(tasks)));
 
   // Atomic publish: stage -> snapshot-<seq> -> CURRENT, then GC.
   fs::remove_all(final_dir, ec);
@@ -158,7 +140,7 @@ Status WriteSnapshot(const std::string& base_dir, const SnapshotInfo& info,
 
 Result<SnapshotInfo> LoadCurrentSnapshot(const std::string& base_dir,
                                          AnnotationStore* store,
-                                         NebulaMeta* meta) {
+                                         NebulaMeta* meta, TaskImage* tasks) {
   const fs::path base(base_dir);
   NEBULA_ASSIGN_OR_RETURN(std::string current,
                           ReadFileToString((base / kCurrentFile).string()));
@@ -186,6 +168,10 @@ Result<SnapshotInfo> LoadCurrentSnapshot(const std::string& base_dir,
     }
     NEBULA_ASSIGN_OR_RETURN(info.seq, ParseU64Field(fields[2]));
     NEBULA_ASSIGN_OR_RETURN(info.committed_ops, ParseU64Field(fields[3]));
+    if (fields[4] != "0" && fields[4] != "1") {
+      return Status::Corruption("bad SNAPSHOT partial flag '" + fields[4] +
+                                "'");
+    }
     info.partial_op = fields[4] == "1";
   }
 
@@ -198,7 +184,7 @@ Result<SnapshotInfo> LoadCurrentSnapshot(const std::string& base_dir,
   {
     NEBULA_ASSIGN_OR_RETURN(std::string task_text,
                             ReadFileToString((dir / "tasks").string()));
-    NEBULA_ASSIGN_OR_RETURN(info.task_image, DecodeTasks(task_text));
+    NEBULA_RETURN_NOT_OK(DecodeTasks(task_text, tasks));
   }
   return info;
 }

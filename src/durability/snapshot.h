@@ -3,17 +3,16 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
-#include "durability/journal.h"
 #include "meta/nebula_meta.h"
 
 namespace nebula::durability {
 
-/// Everything a snapshot captures besides the store and meta it loads
-/// into caller-provided objects.
+/// Everything a snapshot captures besides the store, meta and task image
+/// it loads into caller-provided objects.
 struct SnapshotInfo {
   /// Last WAL sequence number folded into the snapshot; replay resumes
   /// after it (the WAL is truncated on success, so in practice replay
@@ -27,8 +26,6 @@ struct SnapshotInfo {
   /// boundaries, so this is false for manager-written snapshots, but the
   /// field keeps the header honest if that invariant ever changes.
   bool partial_op = false;
-  /// The retained verification tasks and the two Stage-3 counters.
-  TaskImage task_image;
 };
 
 /// Writes a complete snapshot under `base_dir` using the crash-safe
@@ -40,13 +37,15 @@ struct SnapshotInfo {
 [[nodiscard]] Status WriteSnapshot(const std::string& base_dir,
                                    const SnapshotInfo& info,
                                    const AnnotationStore& store,
-                                   const NebulaMeta& meta);
+                                   const NebulaMeta& meta,
+                                   const TaskImage& tasks);
 
-/// Loads the snapshot named by `<base_dir>/CURRENT` into `store` and
-/// `meta` (both must be fresh/empty). NotFound when no CURRENT exists;
-/// Corruption when CURRENT names a missing or malformed snapshot.
+/// Loads the snapshot named by `<base_dir>/CURRENT` into `store`, `meta`
+/// and `tasks` (all must be fresh/empty). NotFound when no CURRENT
+/// exists; Corruption when CURRENT names a missing or malformed snapshot.
 [[nodiscard]] Result<SnapshotInfo> LoadCurrentSnapshot(
-    const std::string& base_dir, AnnotationStore* store, NebulaMeta* meta);
+    const std::string& base_dir, AnnotationStore* store, NebulaMeta* meta,
+    TaskImage* tasks);
 
 }  // namespace nebula::durability
 

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/status.h"

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/fault.h"
 #include "common/fault_points.h"
 #include "common/lockdep.h"

@@ -2,63 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace nebula {
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const size_t n = a.size();
-  const size_t m = b.size();
-  std::vector<size_t> prev(n + 1);
-  std::vector<size_t> cur(n + 1);
-  for (size_t i = 0; i <= n; ++i) prev[i] = i;
-  for (size_t j = 1; j <= m; ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= n; ++i) {
-      const size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[n];
-}
-
-double EditSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const size_t dist = EditDistance(a, b);
-  const size_t longest = std::max(a.size(), b.size());
-  return 1.0 - static_cast<double>(dist) / static_cast<double>(longest);
-}
-
-namespace {
-
-void CollectTrigrams(std::string_view s,
-                     std::unordered_set<std::string>* out) {
-  // Pad so single-character strings still produce grams.
-  std::string padded = "^^";
-  padded.append(s);
-  padded += "$$";
-  for (size_t i = 0; i + 3 <= padded.size(); ++i) {
-    out->insert(padded.substr(i, 3));
-  }
-}
-
-}  // namespace
-
-double TrigramJaccard(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  return TrigramJaccardPrecomputed(TrigramSet(a), TrigramSet(b));
-}
-
-std::vector<std::string> TrigramSet(std::string_view s) {
-  std::unordered_set<std::string> grams;
-  CollectTrigrams(s, &grams);
-  std::vector<std::string> out(grams.begin(), grams.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 std::vector<uint32_t> TrigramIdSet(std::string_view s) {
   std::string padded = "^^";
@@ -88,28 +36,6 @@ double TrigramJaccardIds(const std::vector<uint32_t>& a,
       ++i;
       ++j;
     } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double TrigramJaccardPrecomputed(const std::vector<std::string>& a,
-                                 const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  // Sorted-merge intersection count.
-  size_t inter = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = a[i].compare(b[j]);
-    if (cmp == 0) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (cmp < 0) {
       ++i;
     } else {
       ++j;

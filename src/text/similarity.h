@@ -1,40 +1,22 @@
 #ifndef NEBULA_TEXT_SIMILARITY_H_
 #define NEBULA_TEXT_SIMILARITY_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace nebula {
 
-/// Levenshtein edit distance (unit costs).
-size_t EditDistance(std::string_view a, std::string_view b);
-
-/// Normalized edit similarity in [0,1]: 1 - dist / max(len). Both inputs
-/// should already be lower-cased by the caller.
-double EditSimilarity(std::string_view a, std::string_view b);
-
-/// Jaccard similarity over character trigrams (padded), in [0,1]. More
-/// robust than edit distance for abbreviation-style matches
-/// ("gid" vs "gene id").
-double TrigramJaccard(std::string_view a, std::string_view b);
-
-/// Precomputed trigram set of a string (padded, as used by
-/// TrigramJaccard). Lets hot paths score one word against many stored
-/// strings without rebuilding the stored side each time.
-std::vector<std::string> TrigramSet(std::string_view s);
-
-/// Jaccard over two precomputed trigram sets (each sorted + unique, as
-/// produced by TrigramSet).
-double TrigramJaccardPrecomputed(const std::vector<std::string>& a,
-                                 const std::vector<std::string>& b);
-
-/// Packed-integer trigram set: each (padded) trigram packed into a
-/// uint32 (c0<<16 | c1<<8 | c2), sorted + unique. The fast path used by
-/// the metadata scoring hot loop.
+/// Packed-integer trigram set: each trigram of the string padded with
+/// "^^" and "$$" (so single characters still produce grams) packed into a
+/// uint32 (c0<<16 | c1<<8 | c2), sorted + unique. The metadata scorer's
+/// fuzzy matching compares these.
 std::vector<uint32_t> TrigramIdSet(std::string_view s);
 
-/// Jaccard over two packed trigram sets from TrigramIdSet.
+/// Jaccard similarity over two packed trigram sets from TrigramIdSet, in
+/// [0,1]; two empty sets score 1. More robust than edit distance for
+/// abbreviation-style matches ("gid" vs "gene id").
 double TrigramJaccardIds(const std::vector<uint32_t>& a,
                          const std::vector<uint32_t>& b);
 

@@ -1,9 +1,9 @@
 #include "workload/oracle.h"
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "common/string_util.h"
+#include "annotation/verification_task.h"
 #include "core/verification.h"
 
 namespace nebula {
@@ -20,10 +20,7 @@ OracleOutcome OracleExpert::ProcessPending(
     auto task_result = manager->GetTask(vid);
     if (!task_result.ok()) continue;
     const bool accept = WouldAccept(**task_result);
-    const std::string command =
-        StrFormat("%s ATTACHMENT %llu;", accept ? "VERIFY" : "REJECT",
-                  static_cast<unsigned long long>(vid));
-    if (manager->ExecuteCommand(command).ok()) {
+    if ((accept ? manager->Verify(vid) : manager->Reject(vid)).ok()) {
       if (accept) {
         ++outcome.accepted;
       } else {

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "annotation/quality.h"
+#include "annotation/verification_task.h"
 #include "core/verification.h"
 
 namespace nebula {
@@ -22,8 +23,8 @@ class OracleExpert {
  public:
   explicit OracleExpert(const EdgeSet* ideal) : ideal_(ideal) {}
 
-  /// Answers every pending task in the manager through the paper's
-  /// extended SQL interface (VERIFY/REJECT ATTACHMENT <vid>).
+  /// Answers every pending task in the manager, each with the decision
+  /// of the paper's VERIFY/REJECT ATTACHMENT <vid> command.
   OracleOutcome ProcessPending(VerificationManager* manager) const;
 
   /// The decision the expert would make for a single task.

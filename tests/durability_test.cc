@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -28,6 +29,7 @@
 #include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "meta/nebula_meta.h"
+#include "storage/schema.h"
 #include "testing/check_workload.h"
 #include "testing/differential.h"
 
@@ -40,8 +42,6 @@ using durability::JournalRecord;
 using durability::MetaSerializer;
 using durability::SnapshotInfo;
 using durability::SyncMode;
-using durability::TaskImage;
-using durability::TaskRecord;
 using durability::WalReadResult;
 using durability::WalWriter;
 
@@ -69,10 +69,9 @@ class DurabilityTest : public ::testing::Test {
     const std::string dir = dir_ + "/" + name;
     auto universe = check::BuildCheckUniverse(9);
     EXPECT_TRUE(universe.ok());
-    SnapshotInfo info;
-    info.task_image = image;
-    EXPECT_TRUE(durability::WriteSnapshot(dir, info, (*universe)->store,
-                                          (*universe)->meta)
+    EXPECT_TRUE(durability::WriteSnapshot(dir, SnapshotInfo{},
+                                          (*universe)->store,
+                                          (*universe)->meta, image)
                     .ok());
     if (!units.empty()) {
       auto writer = WalWriter::Open(dir + "/wal.log", SyncMode::kFlush);
@@ -92,21 +91,21 @@ class DurabilityTest : public ::testing::Test {
     if (!universe.ok()) return universe.status();
     AnnotationStore store;
     NebulaMeta meta((*universe)->meta.lexicon());
+    const TaskImage live;
     durability::Manager::Options options;
     options.dir = dir;
     auto manager =
-        durability::Manager::Open(options, &store, &meta, recovered);
+        durability::Manager::Open(options, &store, &meta, &live, recovered);
     return manager.status();
   }
 
   std::string dir_;
 };
 
-TaskRecord Task(uint64_t vid, const char* state) {
-  TaskRecord t;
+VerificationTask Task(uint64_t vid, TaskState state) {
+  VerificationTask t;
   t.vid = vid;
-  t.table_id = 0;
-  t.row = vid + 1;
+  t.tuple = TupleId{0, vid + 1};
   t.confidence = 0.5;
   t.state = state;
   return t;
@@ -120,13 +119,10 @@ CommitUnit Unit(std::vector<JournalRecord> records) {
   return unit;
 }
 
-JournalRecord TaskRec(uint64_t vid, const char* state) {
+JournalRecord TaskRec(uint64_t vid, TaskState state) {
   JournalRecord r;
   r.kind = JournalRecord::Kind::kTask;
-  r.id = vid;
-  r.row = vid + 1;
-  r.weight = 0.5;
-  r.text = state;
+  r.task = Task(vid, state);
   return r;
 }
 
@@ -259,8 +255,7 @@ TEST_F(DurabilityTest, CommitUnitEncodeDecodeRoundTripsEveryKind) {
     JournalRecord r;
     r.kind = JournalRecord::Kind::kAttach;
     r.annotation = 7;
-    r.table_id = 3;
-    r.row = 91;
+    r.tuple = TupleId{3, 91};
     r.is_true = false;
     r.weight = 0.1;  // not exactly representable: %.17g must round-trip
     unit.records.push_back(r);
@@ -269,28 +264,25 @@ TEST_F(DurabilityTest, CommitUnitEncodeDecodeRoundTripsEveryKind) {
     JournalRecord r;
     r.kind = JournalRecord::Kind::kDetach;
     r.annotation = 7;
-    r.table_id = 1;
-    r.row = 2;
+    r.tuple = TupleId{1, 2};
     unit.records.push_back(r);
   }
   {
     JournalRecord r;
     r.kind = JournalRecord::Kind::kPromote;
     r.annotation = 7;
-    r.table_id = 0;
-    r.row = 15;
+    r.tuple = TupleId{0, 15};
     unit.records.push_back(r);
   }
   {
     JournalRecord r;
     r.kind = JournalRecord::Kind::kTask;
-    r.id = 5;
-    r.annotation = 7;
-    r.table_id = 2;
-    r.row = 30;
-    r.weight = 1e-300;
-    r.text = "AUTO_ACCEPTED";
-    r.evidence = {"name match", "pattern\tmatch", ""};
+    r.task.vid = 5;
+    r.task.annotation = 7;
+    r.task.tuple = TupleId{2, 30};
+    r.task.confidence = 1e-300;
+    r.task.state = TaskState::kAutoAccepted;
+    r.task.evidence = {"name match", "pattern\tmatch", ""};
     unit.records.push_back(r);
   }
   {
@@ -326,15 +318,133 @@ TEST_F(DurabilityTest, CommitUnitEncodeDecodeRoundTripsEveryKind) {
     EXPECT_EQ(b.kind, a.kind) << "record " << i;
     EXPECT_EQ(b.id, a.id);
     EXPECT_EQ(b.annotation, a.annotation);
-    EXPECT_EQ(b.table_id, a.table_id);
-    EXPECT_EQ(b.row, a.row);
+    EXPECT_EQ(b.tuple, a.tuple);
     EXPECT_EQ(b.count, a.count);
     EXPECT_EQ(b.is_true, a.is_true);
     EXPECT_EQ(b.weight, a.weight);
     EXPECT_EQ(b.text, a.text);
     EXPECT_EQ(b.author, a.author);
-    EXPECT_EQ(b.evidence, a.evidence);
+    EXPECT_EQ(b.task.vid, a.task.vid);
+    EXPECT_EQ(b.task.annotation, a.task.annotation);
+    EXPECT_EQ(b.task.tuple, a.task.tuple);
+    EXPECT_EQ(b.task.confidence, a.task.confidence);
+    EXPECT_EQ(b.task.state, a.task.state);
+    EXPECT_EQ(b.task.evidence, a.task.evidence);
   }
+}
+
+/// One unit holding every record kind, with escapes, "%.17g" edge values
+/// and evidence with a tab and an empty term.
+CommitUnit GoldenUnit() {
+  CommitUnit unit;
+  unit.seq = 42;
+  unit.flags = durability::kOpStart | durability::kOpEnd;
+  JournalRecord a;
+  a.kind = JournalRecord::Kind::kAnnotation;
+  a.id = 7;
+  a.author = "dr\tstrange\nlove";
+  a.text = "binds\tGRB2\\SH2 with\r\nhigh affinity";
+  JournalRecord predicted;
+  predicted.kind = JournalRecord::Kind::kAttach;
+  predicted.annotation = 7;
+  predicted.tuple = TupleId{3, 91};
+  predicted.is_true = false;
+  predicted.weight = 0.1;
+  JournalRecord focal;
+  focal.kind = JournalRecord::Kind::kAttach;
+  focal.annotation = 7;
+  focal.tuple = TupleId{4294967295u, 18446744073709551615u};
+  JournalRecord detach;
+  detach.kind = JournalRecord::Kind::kDetach;
+  detach.annotation = 7;
+  detach.tuple = TupleId{1, 2};
+  JournalRecord promote;
+  promote.kind = JournalRecord::Kind::kPromote;
+  promote.annotation = 7;
+  promote.tuple = TupleId{0, 15};
+  JournalRecord accepted;
+  accepted.kind = JournalRecord::Kind::kTask;
+  accepted.task.vid = 5;
+  accepted.task.annotation = 7;
+  accepted.task.tuple = TupleId{2, 30};
+  accepted.task.confidence = 1.0 / 3.0;
+  accepted.task.state = TaskState::kAutoAccepted;
+  accepted.task.evidence = {"name match", "pattern\tmatch", ""};
+  JournalRecord pending;
+  pending.kind = JournalRecord::Kind::kTask;
+  pending.task.vid = 8;
+  pending.task.annotation = 7;
+  pending.task.tuple = TupleId{0, 0};
+  pending.task.confidence = 4.9e-324;
+  JournalRecord rejected;
+  rejected.kind = JournalRecord::Kind::kRejected;
+  rejected.id = 9;
+  rejected.count = 3;
+  JournalRecord verified;
+  verified.kind = JournalRecord::Kind::kDecision;
+  verified.id = 5;
+  JournalRecord refused;
+  refused.kind = JournalRecord::Kind::kDecision;
+  refused.id = 8;
+  refused.is_true = false;
+  JournalRecord blob;
+  blob.kind = JournalRecord::Kind::kMetaBlob;
+  blob.text = "nebula-meta\t1\t9\nconcept fake\n";
+  unit.records = {a,        predicted, focal,   detach,  promote, accepted,
+                  pending,  rejected,  verified, refused, blob};
+  return unit;
+}
+
+TEST_F(DurabilityTest, EncodeUnitBytesAreGolden) {
+  const std::string golden =
+      "u\t42\t3\n"
+      "a\t7\tdr\\tstrange\\nlove\tbinds\\tGRB2\\\\SH2 with\\r\\nhigh affinity\n"
+      "t\t7\t3\t91\tP\t0.10000000000000001\n"
+      "t\t7\t4294967295\t18446744073709551615\tT\t1\n"
+      "d\t7\t1\t2\n"
+      "p\t7\t0\t15\n"
+      "v\t5\t7\t2\t30\t0.33333333333333331\tAUTO_ACCEPTED\tname match\t"
+      "pattern\\tmatch\t\n"
+      "v\t8\t7\t0\t0\t4.9406564584124654e-324\tPENDING\n"
+      "r\t9\t3\n"
+      "x\t5\t1\n"
+      "x\t8\t0\n"
+      "m\tnebula-meta\\t1\\t9\\nconcept fake\\n\n";
+  EXPECT_EQ(durability::EncodeUnit(GoldenUnit()), golden);
+  const auto decoded = durability::DecodeUnit(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(durability::EncodeUnit(*decoded), golden);
+}
+
+TEST_F(DurabilityTest, SnapshotTaskFileBytesAreGolden) {
+  auto universe = check::BuildCheckUniverse(9);
+  ASSERT_TRUE(universe.ok());
+  TaskImage image;
+  image.next_vid = 9;
+  image.auto_rejected = 6;
+  VerificationTask pending = Task(1, TaskState::kPending);
+  pending.annotation = 4;
+  pending.evidence = {"a\tb", ""};
+  VerificationTask rejected = Task(4, TaskState::kExpertRejected);
+  rejected.confidence = 1.0 / 3.0;
+  VerificationTask accepted = Task(6, TaskState::kAutoAccepted);
+  accepted.tuple = TupleId{2, 70};
+  accepted.confidence = 0.9;
+  accepted.evidence = {"x\\y"};
+  image.tasks = {pending, rejected, accepted};
+  SnapshotInfo info;
+  info.seq = 5;
+  ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
+                                        (*universe)->meta, image)
+                  .ok());
+  std::ifstream in(dir_ + "/snapshot-5/tasks", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes,
+            "n\t9\t6\n"
+            "1\t4\t0\t2\t0.5\tPENDING\ta\\tb\t\n"
+            "4\t0\t0\t5\t0.33333333333333331\tEXPERT_REJECTED\n"
+            "6\t0\t2\t70\t0.90000000000000002\tAUTO_ACCEPTED\tx\\\\y\n");
 }
 
 TEST_F(DurabilityTest, DecodeUnitRejectsMalformedPayloads) {
@@ -357,6 +467,16 @@ TEST_F(DurabilityTest, DecodeUnitRejectsMalformedPayloads) {
   EXPECT_FALSE(durability::DecodeUnit("u\t1\t1\nx\t 3\t1").ok());
   EXPECT_FALSE(
       durability::DecodeUnit("u\t1\t1\nr\t99999999999999999999\t2").ok());
+  // A table id must fit TupleId's 32 bits; a task state must be a name.
+  for (const char* payload : {
+           "u\t1\t2\nt\t0\t4294967297\t1\tT\t1\n",
+           "u\t1\t2\nv\t0\t1\t4294967296\t2\t0.5\tPENDING\n",
+           "u\t1\t2\nv\t0\t1\t0\t2\t0.5\tMAYBE\n",
+       }) {
+    EXPECT_EQ(durability::DecodeUnit(payload).status().code(),
+              StatusCode::kCorruption)
+        << payload;
+  }
   // A valid encode must survive its own decode (baseline sanity).
   CommitUnit unit;
   unit.seq = 1;
@@ -404,7 +524,7 @@ TEST_F(DurabilityTest, DecodeUnitRejectsMalformedAndNonFiniteWeights) {
   EXPECT_EQ(decoded->records[0].weight, 0.5);
   decoded = durability::DecodeUnit(task);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->records[0].weight, 0.5);
+  EXPECT_EQ(decoded->records[0].task.confidence, 0.5);
   for (const std::string& bad : BadNumbers()) {
     EXPECT_EQ(durability::DecodeUnit(WithField(attach, "t", 5, bad))
                   .status()
@@ -488,36 +608,36 @@ TEST_F(DurabilityTest, SnapshotWriteLoadRoundTrip) {
   SnapshotInfo info;
   info.seq = 12;
   info.committed_ops = 5;
-  TaskRecord task;
+  VerificationTask task;
   task.vid = 0;
   task.annotation = 3;
-  task.table_id = 1;
-  task.row = 8;
+  task.tuple = TupleId{1, 8};
   task.confidence = 0.625;
-  task.state = "PENDING";
+  task.state = TaskState::kPending;
   task.evidence = {"exact name", "sample"};
-  info.task_image.tasks.push_back(task);
-  info.task_image.next_vid = 4;
-  info.task_image.auto_rejected = 3;
+  TaskImage image;
+  image.tasks.push_back(task);
+  image.next_vid = 4;
+  image.auto_rejected = 3;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
-                                        (*universe)->meta)
+                                        (*universe)->meta, image)
                   .ok());
 
   AnnotationStore store;
   NebulaMeta meta((*universe)->meta.lexicon());
-  auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
+  TaskImage tasks;
+  auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta, &tasks);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->seq, info.seq);
   EXPECT_EQ(loaded->committed_ops, info.committed_ops);
   EXPECT_FALSE(loaded->partial_op);
-  EXPECT_EQ(loaded->task_image.next_vid, 4u);
-  EXPECT_EQ(loaded->task_image.auto_rejected, 3u);
-  ASSERT_EQ(loaded->task_image.tasks.size(), 1u);
-  const TaskRecord& restored = loaded->task_image.tasks[0];
+  EXPECT_EQ(tasks.next_vid, 4u);
+  EXPECT_EQ(tasks.auto_rejected, 3u);
+  ASSERT_EQ(tasks.tasks.size(), 1u);
+  const VerificationTask& restored = tasks.tasks[0];
   EXPECT_EQ(restored.vid, task.vid);
   EXPECT_EQ(restored.annotation, task.annotation);
-  EXPECT_EQ(restored.table_id, task.table_id);
-  EXPECT_EQ(restored.row, task.row);
+  EXPECT_EQ(restored.tuple, task.tuple);
   EXPECT_EQ(restored.confidence, task.confidence);
   EXPECT_EQ(restored.state, task.state);
   EXPECT_EQ(restored.evidence, task.evidence);
@@ -542,7 +662,7 @@ TEST_F(DurabilityTest, FormatOneSnapshotIsNotSupported) {
   SnapshotInfo info;
   info.seq = 3;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
-                                        (*universe)->meta)
+                                        (*universe)->meta, TaskImage{})
                   .ok());
   // Format 1 stored every task, auto-rejected ones included, and no
   // counters; its header differs only in the version field.
@@ -552,7 +672,9 @@ TEST_F(DurabilityTest, FormatOneSnapshotIsNotSupported) {
   }
   AnnotationStore store;
   NebulaMeta meta((*universe)->meta.lexicon());
-  const auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
+  TaskImage tasks;
+  const auto loaded =
+      durability::LoadCurrentSnapshot(dir_, &store, &meta, &tasks);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotSupported);
 }
@@ -563,23 +685,27 @@ TEST_F(DurabilityTest, SnapshotTaskFileRejectsMalformedFields) {
   SnapshotInfo info;
   info.seq = 4;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
-                                        (*universe)->meta)
+                                        (*universe)->meta, TaskImage{})
                   .ok());
-  for (const char* tasks : {
+  for (const char* text : {
            "",                                  // no counter line
            "0\t3\t0\t7\t0.5\tPENDING\n",       // a task line instead
            "n\tabc\t3\n",                       // non-integer counter
            "n\t4\t-3\n",                        // signed counter
            "n\t4\t3\nseven\t3\t0\t7\t0.5\tPENDING\n",  // bad vid
+           "n\t1\t0\n0\t3\t4294967296\t7\t0.5\tPENDING\n",  // table id
+           "n\t1\t0\n0\t3\t0\t7\t0.5\tMAYBE\n",       // unknown state
        }) {
     {
       std::ofstream out(dir_ + "/snapshot-4/tasks", std::ios::trunc);
-      out << tasks;
+      out << text;
     }
     AnnotationStore store;
     NebulaMeta meta((*universe)->meta.lexicon());
-    const auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
-    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << tasks;
+    TaskImage tasks;
+    const auto loaded =
+        durability::LoadCurrentSnapshot(dir_, &store, &meta, &tasks);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << text;
   }
 }
 
@@ -590,10 +716,11 @@ TEST_F(DurabilityTest, SnapshotRejectsMalformedNumberFields) {
   info.seq = 4;
   info.committed_ops = 2;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
-                                        (*universe)->meta)
+                                        (*universe)->meta, TaskImage{})
                   .ok());
   const std::string header = "nebula-snapshot\t2\t4\t2\t0\n";
   const std::string tasks = "n\t1\t0\n0\t3\t0\t7\t0.5\tPENDING\n";
+  TaskImage loaded_tasks;
   auto load = [&](const std::string& header_text,
                   const std::string& tasks_text) {
     {
@@ -606,14 +733,16 @@ TEST_F(DurabilityTest, SnapshotRejectsMalformedNumberFields) {
     }
     AnnotationStore store;
     NebulaMeta meta((*universe)->meta.lexicon());
-    return durability::LoadCurrentSnapshot(dir_, &store, &meta);
+    loaded_tasks = TaskImage();
+    return durability::LoadCurrentSnapshot(dir_, &store, &meta,
+                                           &loaded_tasks);
   };
   const auto good = load(header, tasks);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_EQ(good->seq, 4u);
   EXPECT_EQ(good->committed_ops, 2u);
-  ASSERT_EQ(good->task_image.tasks.size(), 1u);
-  EXPECT_EQ(good->task_image.tasks[0].confidence, 0.5);
+  ASSERT_EQ(loaded_tasks.tasks.size(), 1u);
+  EXPECT_EQ(loaded_tasks.tasks[0].confidence, 0.5);
 
   // The hand-edited task line that once restored a NaN confidence.
   EXPECT_EQ(load(header, "n\t1\t0\n0\t3\t0\t7\tnan?\tPENDING\n")
@@ -634,6 +763,14 @@ TEST_F(DurabilityTest, SnapshotRejectsMalformedNumberFields) {
           << "header field " << field << " '" << bad << "'";
     }
   }
+  // The partial-operation flag is 0 or 1.
+  for (const char* bad : {"2", "", "10"}) {
+    EXPECT_EQ(load(WithField(header, "nebula-snapshot", 4, bad), tasks)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << "partial flag '" << bad << "'";
+  }
   // A well-formed but unknown format is NotSupported.
   EXPECT_EQ(load(WithField(header, "nebula-snapshot", 1, "3"), tasks)
                 .status()
@@ -644,8 +781,8 @@ TEST_F(DurabilityTest, SnapshotRejectsMalformedNumberFields) {
 TEST_F(DurabilityTest, ReplayRebuildsTheCountersFromTaskAndCountRecords) {
   // Vid 3 and 5 were auto-rejected in the round that created task 4.
   const std::string dir = WriteHandBuiltDir(
-      "ok", {{Task(1, "PENDING")}, 3, 2},
-      {Unit({TaskRec(4, "PENDING"), RejectedRec(6, 2)}),
+      "ok", {{Task(1, TaskState::kPending)}, 3, 2},
+      {Unit({TaskRec(4, TaskState::kPending), RejectedRec(6, 2)}),
        Unit({DecisionRec(4, true)}), Unit({DecisionRec(1, false)}),
        Unit({RejectedRec(9, 3)})});
   TaskImage recovered;
@@ -654,9 +791,9 @@ TEST_F(DurabilityTest, ReplayRebuildsTheCountersFromTaskAndCountRecords) {
   EXPECT_EQ(recovered.auto_rejected, 7u);
   ASSERT_EQ(recovered.tasks.size(), 2u);
   EXPECT_EQ(recovered.tasks[0].vid, 1u);
-  EXPECT_EQ(recovered.tasks[0].state, "EXPERT_REJECTED");
+  EXPECT_EQ(recovered.tasks[0].state, TaskState::kExpertRejected);
   EXPECT_EQ(recovered.tasks[1].vid, 4u);
-  EXPECT_EQ(recovered.tasks[1].state, "EXPERT_ACCEPTED");
+  EXPECT_EQ(recovered.tasks[1].state, TaskState::kExpertAccepted);
 }
 
 TEST_F(DurabilityTest, ReplayRefusesRecordsTheStateContradicts) {
@@ -672,13 +809,18 @@ TEST_F(DurabilityTest, ReplayRefusesRecordsTheStateContradicts) {
        {Unit({DecisionRec(0, true)})}},
       {"decision_for_rejected_vid", {{}, 2, 2},
        {Unit({DecisionRec(1, true)})}},
-      {"decision_for_auto_accepted", {{Task(0, "AUTO_ACCEPTED")}, 1, 0},
+      {"decision_for_auto_accepted",
+       {{Task(0, TaskState::kAutoAccepted)}, 1, 0},
        {Unit({DecisionRec(0, false)})}},
-      {"decision_twice", {{Task(0, "PENDING")}, 1, 0},
+      {"decision_twice", {{Task(0, TaskState::kPending)}, 1, 0},
        {Unit({DecisionRec(0, true)}), Unit({DecisionRec(0, false)})}},
-      {"task_below_counter", {{}, 3, 3}, {Unit({TaskRec(1, "PENDING")})}},
-      {"count_moves_counter_back", {{Task(2, "PENDING")}, 3, 2},
+      {"task_below_counter", {{}, 3, 3},
+       {Unit({TaskRec(1, TaskState::kPending)})}},
+      {"count_moves_counter_back", {{Task(2, TaskState::kPending)}, 3, 2},
        {Unit({RejectedRec(2, 1)})}},
+      // Stage 3 journals only PENDING and AUTO_ACCEPTED tasks.
+      {"task_already_decided", {{}, 0, 0},
+       {Unit({TaskRec(0, TaskState::kExpertAccepted)})}},
   };
   for (const Case& c : cases) {
     const std::string dir = WriteHandBuiltDir(c.name, c.image, c.units);
@@ -694,11 +836,13 @@ TEST_F(DurabilityTest, RestoreRefusesImagesThatBreakTheTaskInvariants) {
     TaskImage image;
   };
   const std::vector<Case> cases = {
-      {"descending_vids", {{Task(1, "PENDING"), Task(0, "PENDING")}, 2, 0}},
-      {"repeated_vid", {{Task(0, "PENDING"), Task(0, "PENDING")}, 2, 0}},
-      {"vid_at_counter", {{Task(2, "PENDING")}, 2, 1}},
-      {"auto_rejected_task", {{Task(0, "AUTO_REJECTED")}, 1, 0}},
-      {"counts_miss_a_vid", {{Task(0, "PENDING")}, 3, 1}},
+      {"descending_vids",
+       {{Task(1, TaskState::kPending), Task(0, TaskState::kPending)}, 2, 0}},
+      {"repeated_vid",
+       {{Task(0, TaskState::kPending), Task(0, TaskState::kPending)}, 2, 0}},
+      {"vid_at_counter", {{Task(2, TaskState::kPending)}, 2, 1}},
+      {"auto_rejected_task", {{Task(0, TaskState::kAutoRejected)}, 1, 0}},
+      {"counts_miss_a_vid", {{Task(0, TaskState::kPending)}, 3, 1}},
   };
   NebulaConfig config;
   config.event_capacity = 0;
@@ -715,7 +859,7 @@ TEST_F(DurabilityTest, RestoreRefusesImagesThatBreakTheTaskInvariants) {
   // A consistent image restores both counters, and the gaps below
   // next_vid answer as auto-rejected tasks.
   config.durability_dir =
-      WriteHandBuiltDir("consistent", {{Task(1, "PENDING")}, 3, 2});
+      WriteHandBuiltDir("consistent", {{Task(1, TaskState::kPending)}, 3, 2});
   auto universe = check::BuildCheckUniverse(9);
   ASSERT_TRUE(universe.ok());
   NebulaEngine engine(&(*universe)->catalog, &(*universe)->store,
@@ -740,18 +884,19 @@ TEST_F(DurabilityTest, SnapshotSupersedesAndGarbageCollects) {
   SnapshotInfo info;
   info.seq = 1;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
-                                        (*universe)->meta)
+                                        (*universe)->meta, TaskImage{})
                   .ok());
   info.seq = 2;
   info.committed_ops = 1;
   ASSERT_TRUE(durability::WriteSnapshot(dir_, info, (*universe)->store,
-                                        (*universe)->meta)
+                                        (*universe)->meta, TaskImage{})
                   .ok());
   EXPECT_TRUE(fs::exists(dir_ + "/snapshot-2"));
   EXPECT_FALSE(fs::exists(dir_ + "/snapshot-1"));
   AnnotationStore store;
   NebulaMeta meta((*universe)->meta.lexicon());
-  auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
+  TaskImage tasks;
+  auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta, &tasks);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->seq, 2u);
   EXPECT_EQ(loaded->committed_ops, 1u);
@@ -760,7 +905,9 @@ TEST_F(DurabilityTest, SnapshotSupersedesAndGarbageCollects) {
 TEST_F(DurabilityTest, LoadFromEmptyDirIsNotFound) {
   AnnotationStore store;
   NebulaMeta meta;
-  const auto loaded = durability::LoadCurrentSnapshot(dir_, &store, &meta);
+  TaskImage tasks;
+  const auto loaded =
+      durability::LoadCurrentSnapshot(dir_, &store, &meta, &tasks);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }

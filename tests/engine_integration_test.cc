@@ -3,6 +3,7 @@
 #include "annotation/annotation_store.h"
 #include "annotation/quality.h"
 #include "common/random.h"
+#include "common/status.h"
 #include "core/bounds_setting.h"
 #include "core/engine.h"
 #include "core/focal_spreading.h"
@@ -199,6 +200,35 @@ TEST_F(EngineIntegrationTest, InsertAttachesFocalAsTrueEdges) {
   ASSERT_TRUE(ann.ok());
   EXPECT_EQ((*ann)->author, "bob");
   EXPECT_EQ((*ann)->text, wa.text);
+}
+
+TEST_F(EngineIntegrationTest, RepeatedFocalTupleAppliesNothing) {
+  // Without durability too, a repeated focal tuple is refused before
+  // Stage 0 stores anything: no annotation, no attachment, no ACG edge.
+  auto engine = MakeEngine();
+  const WorkloadAnnotation* wa = nullptr;
+  for (const WorkloadAnnotation& candidate : dataset_->workload.annotations) {
+    if (candidate.ideal_tuples.size() >= 2) {
+      wa = &candidate;
+      break;
+    }
+  }
+  ASSERT_NE(wa, nullptr);
+  const std::vector<TupleId> focal{wa->ideal_tuples[0], wa->ideal_tuples[1],
+                                   wa->ideal_tuples[0]};
+  const size_t annotations = dataset_->store.num_annotations();
+  const size_t attachments = dataset_->store.num_attachments();
+  const size_t nodes = engine->acg().num_nodes();
+  const size_t edges = engine->acg().num_edges();
+  auto report = engine->InsertAnnotation(wa->text, focal, "bob");
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dataset_->store.num_annotations(), annotations);
+  EXPECT_EQ(dataset_->store.num_attachments(), attachments);
+  EXPECT_EQ(engine->acg().num_nodes(), nodes);
+  EXPECT_EQ(engine->acg().num_edges(), edges);
+  EXPECT_TRUE(engine->verification().tasks().empty());
+  EXPECT_EQ(engine->verification().next_vid(), 0u);
+  EXPECT_EQ(engine->verification().auto_rejected(), 0u);
 }
 
 TEST_F(EngineIntegrationTest, SpamGuardBlocksOverreachingAnnotations) {

@@ -171,8 +171,10 @@ TEST(SqlParserTest, VerifyReject) {
 
 TEST(SqlParserTest, VerifyRejectsMalformedVid) {
   // The lexer's number token takes '.' and a leading '-'; none of these
-  // is a task id, so none may decide (or name) a task.
-  for (const char* vid : {"1.5", "1.2.3", "-1", "99999999999999999999"}) {
+  // is a task id, so none may decide (or name) a task. Neither may a field
+  // that merely starts like one.
+  for (const char* vid :
+       {"1.5", "1.2.3", "-1", "99999999999999999999", "+1", "1x"}) {
     for (const char* verb : {"VERIFY", "REJECT"}) {
       auto stmt = ParseStatement(std::string(verb) + " ATTACHMENT " + vid);
       EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument)
@@ -228,6 +230,10 @@ TEST(SqlParserTest, Errors) {
   EXPECT_FALSE(ParseStatement("ANNOTATE missing_quotes ON gene WHERE a=1")
                    .ok());
   EXPECT_FALSE(ParseStatement("VERIFY ATTACHMENT abc").ok());
+  EXPECT_EQ(ParseStatement("VERIFY 0").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseStatement("VERIFY ATTACHMENT").status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(ParseStatement("SHOW NONSENSE").ok());
 }
 
@@ -416,6 +422,16 @@ TEST_F(SqlSessionTest, PendingQueueAndVerifyCommand) {
   EXPECT_EQ(after->rows.size(), pending->rows.size() - 1);
   // Verifying twice fails.
   EXPECT_FALSE(session_->Execute("VERIFY ATTACHMENT " + vid).ok());
+  // A well-formed vid no task has is NotFound.
+  for (const char* verb : {"VERIFY", "REJECT"}) {
+    EXPECT_EQ(session_
+                  ->Execute(std::string(verb) +
+                            " ATTACHMENT 18446744073709551615")
+                  .status()
+                  .code(),
+              StatusCode::kNotFound)
+        << verb;
+  }
 }
 
 TEST_F(SqlSessionTest, MalformedVidLeavesPendingTaskAlone) {

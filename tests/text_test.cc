@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/status.h"
 #include "text/lexicon.h"
 #include "text/pattern.h"
@@ -77,25 +79,9 @@ TEST(StopwordsTest, DomainWordsAreNot) {
 
 // ------------------------------ similarity ------------------------------
 
-TEST(EditDistanceTest, KnownValues) {
-  EXPECT_EQ(EditDistance("", ""), 0u);
-  EXPECT_EQ(EditDistance("abc", ""), 3u);
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(EditDistance("gene", "gene"), 0u);
-  EXPECT_EQ(EditDistance("gene", "genes"), 1u);
-}
-
-TEST(EditDistanceTest, Symmetric) {
-  EXPECT_EQ(EditDistance("abcd", "dcba"), EditDistance("dcba", "abcd"));
-}
-
-TEST(EditSimilarityTest, Bounds) {
-  EXPECT_DOUBLE_EQ(EditSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(EditSimilarity("x", "x"), 1.0);
-  EXPECT_DOUBLE_EQ(EditSimilarity("ab", "cd"), 0.0);
-  const double s = EditSimilarity("kinase", "kinases");
-  EXPECT_GT(s, 0.8);
-  EXPECT_LT(s, 1.0);
+/// Trigram Jaccard of two strings through the scorer's packed sets.
+double TrigramJaccard(std::string_view a, std::string_view b) {
+  return TrigramJaccardIds(TrigramIdSet(a), TrigramIdSet(b));
 }
 
 TEST(TrigramJaccardTest, IdenticalIsOne) {

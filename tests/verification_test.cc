@@ -3,6 +3,7 @@
 #include <string>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "core/acg.h"
 #include "core/identify.h"
@@ -166,49 +167,6 @@ TEST_F(VerificationTest, VerifyRejectOnlyValidForPending) {
   EXPECT_EQ(manager_.Verify(0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(manager_.Reject(0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(manager_.Verify(42).code(), StatusCode::kNotFound);
-}
-
-TEST_F(VerificationTest, ExecuteCommandVerify) {
-  manager_.Submit(annotation_, {Candidate(kT1, 0.5)});
-  ASSERT_TRUE(manager_.ExecuteCommand("VERIFY ATTACHMENT 0;").ok());
-  EXPECT_TRUE(store_.HasAttachment(annotation_, kT1));
-}
-
-TEST_F(VerificationTest, ExecuteCommandReject) {
-  manager_.Submit(annotation_, {Candidate(kT1, 0.5)});
-  ASSERT_TRUE(manager_.ExecuteCommand("reject attachment 0").ok());
-  EXPECT_EQ((*manager_.GetTask(0))->state, TaskState::kExpertRejected);
-}
-
-TEST_F(VerificationTest, ExecuteCommandParsingErrors) {
-  manager_.Submit(annotation_, {Candidate(kT1, 0.5)});
-  EXPECT_FALSE(manager_.ExecuteCommand("VERIFY 0").ok());
-  EXPECT_FALSE(manager_.ExecuteCommand("VERIFY ATTACHMENT").ok());
-  EXPECT_FALSE(manager_.ExecuteCommand("VERIFY ATTACHMENT x").ok());
-  EXPECT_FALSE(manager_.ExecuteCommand("DROP ATTACHMENT 0").ok());
-  EXPECT_FALSE(manager_.ExecuteCommand("").ok());
-  // Valid vid, unknown task.
-  EXPECT_EQ(manager_.ExecuteCommand("VERIFY ATTACHMENT 99").code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(VerificationTest, ExecuteCommandRejectsMalformedVid) {
-  manager_.Submit(annotation_, {Candidate(kT1, 0.5), Candidate(kT2, 0.5)});
-  ASSERT_EQ((*manager_.GetTask(1))->state, TaskState::kPending);
-  // Task 1 is pending: a field that merely starts like "1" must not
-  // decide it, and a negative or overflowing one is not a vid at all.
-  for (const char* vid :
-       {"1.5", "1.2.3", "+1", "1x", "-1", "99999999999999999999"}) {
-    EXPECT_EQ(manager_.ExecuteCommand(std::string("VERIFY ATTACHMENT ") + vid)
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << vid;
-  }
-  EXPECT_EQ((*manager_.GetTask(1))->state, TaskState::kPending);
-  // The largest vid parses; no task has it.
-  EXPECT_EQ(
-      manager_.ExecuteCommand("VERIFY ATTACHMENT 18446744073709551615").code(),
-      StatusCode::kNotFound);
 }
 
 TEST_F(VerificationTest, PendingTasksSortedByConfidence) {

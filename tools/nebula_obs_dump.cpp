@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "annotation/annotation_store.h"
+#include "annotation/verification_task.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "core/engine.h"
